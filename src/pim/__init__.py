@@ -6,6 +6,10 @@ Jacobian rows), this package computes the candidate dimensionless groups,
 the effective number of independent groups under the constraints (by four
 cross-checked formulas), and a mechanically selected independent subset,
 together with the relations that make the remaining groups redundant.
+
+The package namespace holds the documented entry points (``parse_model``,
+``analyze``, ``render_report``), the model and constraint types, and the
+error types; the building blocks live in the submodules.
 """
 
 from .model import (
@@ -16,38 +20,16 @@ from .model import (
     Quantity,
     RescaleVector,
     UnsupportedRescaleError,
-    apply_rescale,
-    buckingham_count,
-    build_dimension_matrix,
-    evaluate_monomial,
-    format_monomial,
-    pi_basis,
 )
 from .modelfile import (
     ErrorCode,
     ModelFileError,
     ParseError,
     SourceSpan,
-    parse_dimexpr,
     parse_model,
-    parse_monomial,
-    render_model,
     render_report,
 )
-from .ratlin import (
-    RatMatrix,
-    Rational,
-    RrefResult,
-    ShapeError,
-    exact_pow,
-    gram_solve,
-    normalize_primitive,
-    nullspace_basis,
-    rank,
-    row_intersection_dim,
-    rref,
-    rref_with_transform,
-)
+from .ratlin import RatMatrix, ShapeError
 from .reduce import (
     AnalysisReport,
     Constraint,
@@ -58,11 +40,6 @@ from .reduce import (
     Relation,
     ScaleInvarianceError,
     analyze,
-    check_scale_invariance,
-    constraint_jacobian,
-    effective_counts,
-    redundancy_matrix,
-    select_independent,
 )
 
 __version__ = "0.1.0"
@@ -83,37 +60,13 @@ __all__ = [
     "PiGroup",
     "Quantity",
     "RatMatrix",
-    "Rational",
     "Relation",
     "RescaleVector",
-    "RrefResult",
     "ScaleInvarianceError",
     "ShapeError",
     "SourceSpan",
     "UnsupportedRescaleError",
     "analyze",
-    "apply_rescale",
-    "buckingham_count",
-    "build_dimension_matrix",
-    "check_scale_invariance",
-    "constraint_jacobian",
-    "effective_counts",
-    "evaluate_monomial",
-    "exact_pow",
-    "format_monomial",
-    "gram_solve",
-    "normalize_primitive",
-    "nullspace_basis",
-    "parse_dimexpr",
     "parse_model",
-    "parse_monomial",
-    "pi_basis",
-    "rank",
-    "redundancy_matrix",
-    "render_model",
     "render_report",
-    "row_intersection_dim",
-    "rref",
-    "rref_with_transform",
-    "select_independent",
 ]

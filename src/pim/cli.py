@@ -4,7 +4,8 @@ Exit codes:
     0  success
     1  unreadable input, parse error, or model validation error
     2  constraints not scale-invariant and --strict was given
-    3  internal invariant violation (always a bug, never a modeling error)
+    3  internal invariant violation or any other unexpected error (always a
+       bug, never a modeling error)
 """
 
 from __future__ import annotations
@@ -124,7 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {_display_path(config.input_path)}: {exc}", file=sys.stderr)
         return 1
-    code, output, diagnostics = run(config, text)
+    try:
+        code, output, diagnostics = run(config, text)
+    except Exception as exc:  # anything else is an engine bug: exit 3, not a traceback
+        message = " ".join(str(exc).split()) or "no message"
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     if output:
         sys.stdout.write(output)
     if diagnostics:

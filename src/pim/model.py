@@ -206,9 +206,9 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     genuine kernel basis), otherwise the canonical RREF free-variable basis.
     Group exponents are always reported in primitive integer form.
     """
-    d = buckingham_count(matrix)
     override = model.basis_override
     if override is not None:
+        d = buckingham_count(matrix)
         if override.cols != d:
             raise ModelError(
                 f"basis override has {override.cols} columns but the kernel "

@@ -137,6 +137,12 @@ class RrefResult:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
+    @property
+    def free_cols(self) -> tuple[int, ...]:
+        """The non-pivot columns, in increasing order."""
+        pivot_set = set(self.pivot_cols)
+        return tuple(k for k in range(self.rref.cols) if k not in pivot_set)
+
 
 def _eliminate(mat: list[list[Fraction]], pivot_limit: int) -> list[int]:
     """In-place Gauss-Jordan elimination; returns the pivot column indices.
@@ -216,11 +222,8 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
     with positive leading entry, so the basis is canonical.
     """
     result = rref(matrix)
-    pivot_set = set(result.pivot_cols)
     columns: list[list[Fraction]] = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
+    for free in result.free_cols:
         vec = [Fraction(0)] * matrix.cols
         vec[free] = Fraction(1)
         for r, piv_col in enumerate(result.pivot_cols):
@@ -247,37 +250,25 @@ def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def row_intersection_dim(a: RatMatrix, b: RatMatrix) -> int:
-    """Dimension of the intersection of the two row spaces.
+def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
+    """Dimensions of the sum and of the intersection of the two row spaces.
 
-    By the Grassmann dimension formula this is
-    rank(a) + rank(b) - rank([a; b]), which is never negative.
+    One Zassenhaus elimination of [[a, a], [b, 0]]: its pivots left of
+    column n span rowspace a + rowspace b, which is rank([a; b]), and the
+    rows whose left half reduces to zero carry a basis of the intersection
+    in their right half, one pivot each.
     """
     if a.cols != b.cols:
         raise ShapeError(f"column counts differ: {a.cols} vs {b.cols}")
-    return rank(a) + rank(b) - rank(a.vstack(b))
-
-
-def gram_solve(basis: RatMatrix, rhs: RatMatrix) -> RatMatrix:
-    """Solve X (E^T E) = B E for X, where E is `basis` and B is `rhs`.
-
-    This is the least-squares-style projection of B's rows onto the column
-    space of E, done by exact elimination on the Gram system rather than an
-    explicit inverse. E must have full column rank.
-    """
-    if rhs.cols != basis.rows:
-        raise ShapeError(
-            f"rhs has {rhs.cols} columns but basis has {basis.rows} rows"
-        )
-    d = basis.cols
-    gram = basis.transpose() @ basis
-    target = (rhs @ basis).transpose()  # d x ell
-    aug = [list(gram.row(i)) + list(target.row(i)) for i in range(d)]
-    pivots = _eliminate(aug, d)
-    if tuple(pivots) != tuple(range(d)):
-        raise ValueError("basis matrix not full column rank")
-    solution_t = RatMatrix.from_rows([row[d:] for row in aug], cols=rhs.rows)
-    return solution_t.transpose()
+    n = a.cols
+    stacked = RatMatrix.from_rows(
+        [a.row(i) + a.row(i) for i in range(a.rows)]
+        + [b.row(i) + (Fraction(0),) * n for i in range(b.rows)],
+        cols=2 * n,
+    )
+    pivots = rref(stacked).pivot_cols
+    total = sum(1 for col in pivots if col < n)
+    return total, len(pivots) - total
 
 
 def exact_pow(base: Fraction, exponent: Fraction) -> Fraction | None:

@@ -12,7 +12,7 @@ non-pivot columns select an independent subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
 
@@ -28,12 +28,11 @@ from .ratlin import (
     ShapeError,
     _frac,
     exact_pow,
-    gram_solve,
     normalize_primitive,
     rank,
     rref,
     rref_with_transform,
-    row_intersection_dim,
+    sum_intersection_dims,
 )
 
 
@@ -179,23 +178,87 @@ def check_scale_invariance(a: RatMatrix, j: RatMatrix) -> bool:
 def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     """The unique C with J = C E^T, for scale-invariant constraints.
 
-    Each row of J must lie in the column space of the kernel basis E (that
-    is exactly scale invariance when E spans the kernel of the dimension
-    matrix); otherwise no exact factorization exists and this refuses.
+    One elimination of the n x (d + ell) matrix [E | J^T] solves E C^T = J^T.
+    Its first d columns must all be pivots (E has full column rank). A pivot
+    further right means a row of J lies outside the column space of E (when
+    E spans the kernel of the dimension matrix, that is exactly a failure of
+    scale invariance): no exact factorization exists and this refuses.
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
-    e_t = e.transpose()
-    if rank(e_t.vstack(j)) != rank(e_t):
+    d = e.cols
+    j_t = j.transpose()
+    result = rref(
+        RatMatrix.from_rows(
+            [e.row(i) + j_t.row(i) for i in range(e.rows)], cols=d + j.rows
+        )
+    )
+    if result.pivot_cols[:d] != tuple(range(d)):
+        raise ValueError("kernel basis E is not full column rank")
+    if result.rank > d:
         raise ScaleInvarianceError(
             "C-factorization requires scale-invariant constraints"
         )
-    c = gram_solve(e, j)
-    if c @ e_t != j:
+    c = RatMatrix.from_columns(
+        [result.rref.row(k)[d:] for k in range(d)], rows=j.rows
+    )
+    if c @ e.transpose() != j:
         raise InvariantViolation(
             "redundancy matrix failed to reproduce the Jacobian: C @ E^T != J"
         )
     return c
+
+
+def _invariant_redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
+    """C for constraints already found scale invariant (J @ A^T == 0), where
+    a refusal to factor can only be an engine bug."""
+    try:
+        return redundancy_matrix(j, e)
+    except ScaleInvarianceError as exc:
+        raise InvariantViolation(
+            f"J @ A^T == 0 but J does not factor through E: {exc}"
+        ) from exc
+
+
+def _general_counts(
+    a: RatMatrix, j: RatMatrix, e: RatMatrix
+) -> tuple[EffectiveCounts, int]:
+    """The three general effective-count formulas, cross-checked, and rank J.
+
+    rank A is n - d because E is a kernel basis of A. rank [A; J] and
+    dim(rowspace A meet rowspace J) come from one Zassenhaus elimination, so
+    the Grassmann form n - rank A - rank J + dim(meet) checks the stacked
+    form against ranks computed apart from it.
+    """
+    d = e.cols
+    rank_j = rank(j)
+    stacked, meet = sum_intersection_dims(a, j)
+    via_kernel = d - rank(j @ e)
+    via_stacked = a.cols - stacked
+    via_grassmann = d - rank_j + meet
+    if not (via_kernel == via_stacked == via_grassmann):
+        raise InvariantViolation(
+            f"effective-count formulas disagree: kernel(JE)={via_kernel}, "
+            f"stacked={via_stacked}, grassmann={via_grassmann}"
+        )
+    return EffectiveCounts(via_kernel, via_stacked, via_grassmann), rank_j
+
+
+def _with_c_rank(
+    counts: EffectiveCounts, rank_j: int, rank_c: int, d: int
+) -> EffectiveCounts:
+    """Add d - rank C, which must match n - rank A - rank J = d - rank J and
+    the general formulas."""
+    if rank_c != rank_j:
+        raise InvariantViolation(f"rank C = {rank_c} differs from rank J = {rank_j}")
+    via_c = d - rank_c
+    if via_c != counts.via_kernel_JE:
+        raise InvariantViolation(
+            f"scale-invariant effective-count forms disagree: "
+            f"d - rank C = n - rank A - rank J = {via_c}, "
+            f"general = {counts.via_kernel_JE}"
+        )
+    return replace(counts, via_C_rank=via_c)
 
 
 def effective_counts(a: RatMatrix, j: RatMatrix, e: RatMatrix) -> EffectiveCounts:
@@ -206,31 +269,11 @@ def effective_counts(a: RatMatrix, j: RatMatrix, e: RatMatrix) -> EffectiveCount
     scale-invariant constraints additionally d - rank C, which must also
     match n - rank A - rank J. Disagreement means an engine bug.
     """
-    d = e.cols
-    via_kernel = d - rank(j @ e)
-    via_stacked = a.cols - rank(a.vstack(j))
-    via_grassmann = a.cols - rank(a) - rank(j) + row_intersection_dim(a, j)
-    if not (via_kernel == via_stacked == via_grassmann):
-        raise InvariantViolation(
-            f"effective-count formulas disagree: kernel(JE)={via_kernel}, "
-            f"stacked={via_stacked}, grassmann={via_grassmann}"
-        )
-    via_c: int | None = None
+    counts, rank_j = _general_counts(a, j, e)
     if check_scale_invariance(a, j):
-        c = redundancy_matrix(j, e)
-        if rank(c) != rank(j):
-            raise InvariantViolation(
-                f"rank C = {rank(c)} differs from rank J = {rank(j)}"
-            )
-        via_c = d - rank(c)
-        simplified = a.cols - rank(a) - rank(j)
-        if via_c != via_kernel or simplified != via_kernel:
-            raise InvariantViolation(
-                f"scale-invariant effective-count forms disagree: "
-                f"d - rank C = {via_c}, n - rank A - rank J = {simplified}, "
-                f"general = {via_kernel}"
-            )
-    return EffectiveCounts(via_kernel, via_stacked, via_grassmann, via_c)
+        rank_c = rank(_invariant_redundancy_matrix(j, e))
+        counts = _with_c_rank(counts, rank_j, rank_c, e.cols)
+    return counts
 
 
 def select_independent(
@@ -243,10 +286,7 @@ def select_independent(
     nonzero rows of rref(C) (the relations among the candidates).
     """
     result = rref(c)
-    pivot_set = set(result.pivot_cols)
-    selected = tuple(k for k in range(c.cols) if k not in pivot_set)
-    relations = tuple(result.rref.row(i) for i in range(result.rank))
-    return selected, relations
+    return result.free_cols, tuple(result.rref.row(i) for i in range(result.rank))
 
 
 def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
@@ -316,17 +356,17 @@ def analyze(model: Model) -> AnalysisReport:
     e, groups = pi_basis(model, a)
     j = constraint_jacobian(model)
     invariant = check_scale_invariance(a, j)
-    counts = effective_counts(a, j, e)
+    counts, rank_j = _general_counts(a, j, e)
     warnings: list[str] = []
     c = rref_c = None
     selected: tuple[int, ...] | None = None
     relations: tuple[Relation, ...] | None = None
     if invariant:
-        c = redundancy_matrix(j, e)
+        c = _invariant_redundancy_matrix(j, e)
         result, transform = rref_with_transform(c)
-        pivot_set = set(result.pivot_cols)
+        counts = _with_c_rank(counts, rank_j, result.rank, e.cols)
         rref_c = result.rref
-        selected = tuple(k for k in range(c.cols) if k not in pivot_set)
+        selected = result.free_cols
         relations = _build_relations(
             model.constraints, rref_c, transform, result.rank, e.cols
         )

@@ -100,6 +100,23 @@ def test_run_internal_invariant_violation_exit_3(monkeypatch, drag_text):
     assert "internal error" in err
 
 
+def test_main_unexpected_error_exit_3(monkeypatch, tmp_path: Path, capsys, drag_text):
+    def boom(model):
+        raise ValueError(
+            "Exceeds the limit (4300 digits) for integer string conversion;\n"
+            "use sys.set_int_max_str_digits() to increase the limit"
+        )
+
+    monkeypatch.setattr(cli_module, "analyze", boom)
+    path = tmp_path / "drag.pim"
+    path.write_text(drag_text, encoding="utf-8")
+    assert main(["analyze", str(path), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ValueError: Exceeds the limit")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_deterministic(drag_text):
     for fmt in ("text", "json"):
         first = run(_analyze(fmt), drag_text)

@@ -9,19 +9,17 @@ from pim.ratlin import (
     RatMatrix,
     ShapeError,
     exact_pow,
-    gram_solve,
     normalize_primitive,
     nullspace_basis,
     rank,
-    row_intersection_dim,
     rref,
     rref_with_transform,
+    sum_intersection_dims,
 )
 
 from oracles import (
     DRAG_A,
     DRAG_AUTO_BASIS,
-    DRAG_CLASSIC_BASIS,
     DRAG_J,
     DRAG_RREF,
     minor_rank,
@@ -228,90 +226,35 @@ def test_normalize_primitive_random():
 
 
 # ---------------------------------------------------------------------------
-# row space intersection
+# row space sum and intersection
 
 
 def test_row_intersection_examples():
-    assert row_intersection_dim(DRAG_A, DRAG_J) == 0
-    assert row_intersection_dim(DRAG_A, DRAG_A) == rank(DRAG_A)
-    assert row_intersection_dim(
+    assert sum_intersection_dims(DRAG_A, DRAG_J) == (4, 0)
+    assert sum_intersection_dims(DRAG_A, DRAG_A) == (3, rank(DRAG_A))
+    assert sum_intersection_dims(
         RatMatrix.from_rows([[1, 0]]), RatMatrix.from_rows([[0, 1]])
-    ) == 0
+    ) == (2, 0)
+    # a constraint row that repeats a row of A
+    assert sum_intersection_dims(DRAG_A, RatMatrix.from_rows([DRAG_A.row(0)])) == (3, 1)
+    assert sum_intersection_dims(RatMatrix.zero(0, 3), RatMatrix.identity(3)) == (3, 0)
 
 
 def test_row_intersection_shape_check():
     with pytest.raises(ShapeError):
-        row_intersection_dim(RatMatrix.zero(1, 2), RatMatrix.zero(1, 3))
+        sum_intersection_dims(RatMatrix.zero(1, 2), RatMatrix.zero(1, 3))
 
 
 def test_row_intersection_nonnegative_random():
+    # Zassenhaus against the rank form of the Grassmann dimension formula
     rng = random.Random(1107)
     for _ in range(100):
         cols = rng.randint(1, 5)
         a = random_int_matrix(rng, rng.randint(0, 3), cols, -2, 2)
         b = random_int_matrix(rng, rng.randint(0, 3), cols, -2, 2)
-        assert row_intersection_dim(a, b) >= 0
-
-
-# ---------------------------------------------------------------------------
-# gram_solve
-
-
-def test_gram_solve_drag_classic_basis():
-    assert gram_solve(DRAG_CLASSIC_BASIS, DRAG_J) == RatMatrix.from_rows([[0, 1, -1]])
-
-
-def test_gram_solve_identity_basis():
-    b = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert gram_solve(RatMatrix.identity(3), b) == b
-
-
-def test_gram_solve_two_by_two():
-    e = RatMatrix.from_rows([[1, 1], [1, -1]])
-    b = RatMatrix.from_rows([[2, 0]])
-    x = gram_solve(e, b)
-    assert x == RatMatrix.from_rows([[1, 1]])
-    assert x @ e.transpose() == b
-
-
-def test_gram_solve_rank_deficient():
-    e = RatMatrix.from_columns([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="not full column rank"):
-        gram_solve(e, RatMatrix.from_rows([[1, 0]]))
-
-
-def test_gram_solve_empty_basis():
-    e = RatMatrix.zero(3, 0)
-    x = gram_solve(e, RatMatrix.zero(2, 3))
-    assert (x.rows, x.cols) == (2, 0)
-
-
-def test_gram_solve_projection_property_random():
-    rng = random.Random(1108)
-    done = 0
-    while done < 120:
-        n = rng.randint(1, 5)
-        d = rng.randint(1, n)
-        e = random_int_matrix(rng, n, d, -2, 2)
-        if rank(e) != d:
-            continue
-        b = random_int_matrix(rng, rng.randint(1, 3), n, -2, 2)
-        x = gram_solve(e, b)
-        residual = x @ e.transpose()
-        # the defining identity: the residual is orthogonal to the basis
-        diff = RatMatrix.from_rows(
-            [
-                [a - c for a, c in zip(residual.row(i), b.row(i))]
-                for i in range(b.rows)
-            ],
-            cols=n,
-        )
-        assert (diff @ e).is_zero()
-        # rows of b inside the row space of e^T are reproduced exactly
-        combo = random_int_matrix(rng, 2, d, -3, 3)
-        inside = combo @ e.transpose()
-        assert gram_solve(e, inside) @ e.transpose() == inside
-        done += 1
+        total, meet = sum_intersection_dims(a, b)
+        assert total == rank(a.vstack(b))
+        assert meet == rank(a) + rank(b) - total >= 0
 
 
 # ---------------------------------------------------------------------------

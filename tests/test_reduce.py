@@ -13,8 +13,19 @@ from pim.model import (
     build_dimension_matrix,
     evaluate_monomial,
 )
-from pim.ratlin import RatMatrix, ShapeError, nullspace_basis, rank, rref
+import pim.model as model_module
+import pim.ratlin as ratlin_module
+import pim.reduce as reduce_module
+from pim.ratlin import (
+    RatMatrix,
+    ShapeError,
+    nullspace_basis,
+    rank,
+    rref,
+    sum_intersection_dims,
+)
 from pim.reduce import (
+    InvariantViolation,
     JacobianRowConstraint,
     MonomialConstraint,
     ScaleInvarianceError,
@@ -160,6 +171,9 @@ def test_redundancy_matrix_drag_classic():
 def test_redundancy_matrix_no_constraints():
     c = redundancy_matrix(RatMatrix.zero(0, 6), DRAG_CLASSIC_BASIS)
     assert (c.rows, c.cols) == (0, 3)
+    # an empty basis (trivial kernel) with zero constraint rows
+    c = redundancy_matrix(RatMatrix.zero(2, 3), RatMatrix.zero(3, 0))
+    assert (c.rows, c.cols) == (2, 0)
 
 
 def test_redundancy_matrix_auto_basis():
@@ -175,9 +189,19 @@ def test_redundancy_matrix_refuses_non_invariant_rows():
     j = RatMatrix.from_rows([[1, 0, 0, 0, 0, 0]])
     with pytest.raises(ScaleInvarianceError, match="scale-invariant"):
         redundancy_matrix(j, DRAG_CLASSIC_BASIS)
+    with pytest.raises(ScaleInvarianceError):
+        redundancy_matrix(RatMatrix.from_rows([[1, 0]]), RatMatrix.zero(2, 0))
+    # a rank-deficient basis is refused before any row is tested
+    e = RatMatrix.from_columns([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="not full column rank"):
+        redundancy_matrix(RatMatrix.from_rows([[1, 0]]), e)
 
 
 def test_redundancy_matrix_factorization_random():
+    b = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert redundancy_matrix(b, RatMatrix.identity(3)) == b
+    e = RatMatrix.from_rows([[1, 1], [1, -1]])
+    assert redundancy_matrix(RatMatrix.from_rows([[2, 0]]), e) == RatMatrix.from_rows([[1, 1]])
     rng = random.Random(3302)
     for _ in range(120):
         m = rng.randint(1, 4)
@@ -271,6 +295,66 @@ def test_analyze_pointwise_relation_label():
     assert all(r.label.endswith("const (pointwise)") for r in pointwise)
 
 
+def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
+    calls = {"redundancy_matrix": 0, "check_scale_invariance": 0}
+    handed: list[RatMatrix] = []
+    depth = [0]
+
+    def counted(name):
+        original = getattr(reduce_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    def recorded(original):
+        # only the outermost call counts: rank(M) runs rref(M) inside
+        def wrapper(matrix):
+            if depth[0] == 0:
+                handed.append(matrix)
+            depth[0] += 1
+            try:
+                return original(matrix)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduce_module, name, counted(name))
+    for name in ("rank", "rref", "rref_with_transform"):
+        wrapper = recorded(getattr(ratlin_module, name))
+        for module in (ratlin_module, model_module, reduce_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    reynolds = MonomialConstraint((0, 1, 1, 1, -1, 0), Fraction(3))
+    for model in (
+        drag_model(),
+        drag_model(with_basis=False),
+        drag_model(with_basis=False, extra_constraints=(reynolds,)),
+    ):
+        for key in calls:
+            calls[key] = 0
+        handed.clear()
+        report = analyze(model)
+        assert report.scale_invariant is True
+        assert calls == {"redundancy_matrix": 1, "check_scale_invariance": 1}
+        assert len(handed) == len(set(handed))
+
+
+def test_analyze_refusal_to_factor_invariant_constraints_is_a_bug(monkeypatch):
+    # once J @ A^T == 0 holds, J factors through E; a refusal is an engine
+    # bug, not a modeling error
+    model = drag_model(
+        extra_constraints=(JacobianRowConstraint((1, 0, 0, 0, 0, 0)),)
+    )
+    monkeypatch.setattr(reduce_module, "check_scale_invariance", lambda a, j: True)
+    with pytest.raises(InvariantViolation, match="does not factor through E"):
+        analyze(model)
+
+
 # ---------------------------------------------------------------------------
 # quantified properties
 
@@ -294,6 +378,12 @@ def test_formula_agreement_random():
 
 
 def test_formula_agreement_without_invariance():
+    # J repeats a row of A: the row spaces meet in one dimension
+    j = RatMatrix.from_rows([DRAG_A.row(0)])
+    assert check_scale_invariance(DRAG_A, j) is False
+    counts = effective_counts(DRAG_A, j, DRAG_CLASSIC_BASIS)
+    assert (counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann) == (3, 3, 3)
+    assert counts.via_C_rank is None
     rng = random.Random(3304)
     for _ in range(150):
         m = rng.randint(1, 3)
@@ -415,3 +505,37 @@ def test_drag_manifold_relation():
         report = analyze(model)
         pi = [evaluate_monomial(values, g.exponents) for g in report.pi_groups]
         assert pi[1] / pi[2] == 1
+
+
+def test_harness_size_cross_check_against_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def sym(matrix: RatMatrix):
+        return sympy.Matrix(
+            matrix.rows,
+            matrix.cols,
+            [sympy.Rational(x.numerator, x.denominator) for x in matrix.entries],
+        )
+
+    rng = random.Random(3308)
+    for n, m, ell in ((12, 4, 2), (20, 5, 3), (20, 6, 6), (24, 6, 4)):
+        a = random_int_matrix(rng, m, n, -2, 2)
+        e = nullspace_basis(a)
+        j = random_invariant_jacobian(rng, e, ell)
+        c = redundancy_matrix(j, e)
+        solution, params = sym(e).gauss_jordan_solve(sym(j).T)
+        assert params.rows == 0
+        assert sym(c) == solution.T
+        # rows built from A make the row spaces meet and break invariance
+        meets = RatMatrix.from_rows(
+            [
+                [x + y for x, y in zip(a.row(0), a.row(1))],
+                [x - y for x, y in zip(j.row(0), a.row(2))],
+            ]
+        )
+        for b in (j, j.vstack(meets)):
+            total, meet = sum_intersection_dims(a, b)
+            stacked = sym(a).col_join(sym(b)).rank()
+            assert total == stacked
+            assert meet == sym(a).rank() + sym(b).rank() - stacked
+            assert effective_counts(a, b, e).value == n - stacked
