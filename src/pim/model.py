@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .ratlin import (
     RatMatrix,
     RationalLike,
-    _frac,
+    as_fraction,
     normalize_primitive,
     nullspace_basis,
     rank,
@@ -75,7 +75,7 @@ class Quantity:
 
     def __post_init__(self) -> None:
         _check_identifier(self.name, "quantity")
-        object.__setattr__(self, "dim_exponents", tuple(_frac(x) for x in self.dim_exponents))
+        object.__setattr__(self, "dim_exponents", tuple(as_fraction(x) for x in self.dim_exponents))
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class RescaleVector:
     scales: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(_frac(x) for x in self.scales))
+        object.__setattr__(self, "scales", tuple(as_fraction(x) for x in self.scales))
         for i, s in enumerate(self.scales):
             if s <= 0:
                 raise ModelError(f"rescale factor {i} must be positive, got {s}")
@@ -180,7 +180,7 @@ def format_monomial(
     num: list[str] = []
     den: list[str] = []
     for name, e in zip(names, exponents):
-        e = _frac(e)
+        e = as_fraction(e)
         if e == 0:
             continue
         mag = abs(e)
@@ -244,7 +244,7 @@ def evaluate_monomial(
         )
     result = Fraction(1)
     for j, (v, e) in enumerate(zip(values, exponents)):
-        v = _frac(v)
+        v = as_fraction(v)
         if v <= 0:
             raise ModelError(f"monomial evaluation needs positive values; value {j} is {v}")
         result *= v ** e
@@ -266,7 +266,7 @@ def apply_rescale(
         raise ModelError(f"{len(values)} values for {model.n} quantities")
     out: list[Fraction] = []
     for j, q in enumerate(model.quantities):
-        v = _frac(values[j])
+        v = as_fraction(values[j])
         if v <= 0:
             raise ModelError(f"rescale needs positive values; value {j} is {v}")
         for i, s in enumerate(rescale.scales):

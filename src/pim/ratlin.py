@@ -1,7 +1,10 @@
 """Exact rational dense linear algebra.
 
-Everything works over ``fractions.Fraction``, so rank and kernel decisions
-are discrete and reproducible: no tolerances, no pivoting heuristics, no
+Matrices hold ``fractions.Fraction`` entries, but every elimination and
+product runs on Python integers: each row (for a product, each operand) is
+scaled to integers once by the lcm of its denominators, and a ``Fraction``
+is built once per output entry. Rank and kernel decisions are therefore
+discrete and reproducible: no tolerances, no pivoting heuristics, no
 floating point anywhere. Matrices are small (desk scale), immutable, and
 safe to share between threads.
 """
@@ -11,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -22,8 +26,24 @@ class ShapeError(ValueError):
     """Raised when matrix or vector shapes do not line up."""
 
 
-def _frac(value: RationalLike) -> Fraction:
+def as_fraction(value: RationalLike) -> Fraction:
+    """value as a Fraction, without copying one that already is."""
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+_ZERO = Fraction(0)
+
+
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """values times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _over(rows: list[list[int]], divisors: Sequence[int], cols: int) -> RatMatrix:
+    """Each integer row divided by its divisor, one Fraction per nonzero entry."""
+    entries = (Fraction(x, q) if x else _ZERO for row, q in zip(rows, divisors) for x in row)
+    return RatMatrix(len(rows), cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -57,7 +77,7 @@ class RatMatrix:
         for row in rows:
             if len(row) != cols:
                 raise ShapeError(f"ragged row: expected {cols} entries, got {len(row)}")
-            entries.extend(_frac(x) for x in row)
+            entries.extend(as_fraction(x) for x in row)
         return cls(len(rows), cols, tuple(entries))
 
     @classmethod
@@ -95,7 +115,8 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> RatMatrix:
-        return RatMatrix.from_columns([self.row(i) for i in range(self.rows)], rows=self.cols)
+        entries = tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols])
+        return RatMatrix(self.cols, self.rows, entries)
 
     def vstack(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.cols:
@@ -105,16 +126,17 @@ class RatMatrix:
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            row = self.row(i)
-            for j in range(other.cols):
-                out.append(
-                    Fraction(
-                        sum(row[k] * other.entries[k * other.cols + j] for k in range(self.cols))
-                    )
-                )
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        a, a_scale = _clear_denominators(self.entries)
+        b, b_scale = _clear_denominators(other.entries)
+        scale = a_scale * b_scale
+        k, cols = self.cols, other.cols
+        b_cols = [b[j::cols] for j in range(cols)]
+        out = tuple(
+            Fraction(sum(map(mul, a[i * k : (i + 1) * k], col)), scale)
+            for i in range(self.rows)
+            for col in b_cols
+        )
+        return RatMatrix(self.rows, cols, out)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -140,46 +162,64 @@ class RrefResult:
     @property
     def free_cols(self) -> tuple[int, ...]:
         """The non-pivot columns, in increasing order."""
-        pivot_set = set(self.pivot_cols)
-        return tuple(k for k in range(self.rref.cols) if k not in pivot_set)
+        return _free_cols(self.pivot_cols, self.rref.cols)
 
 
-def _eliminate(mat: list[list[Fraction]], pivot_limit: int) -> list[int]:
-    """In-place Gauss-Jordan elimination; returns the pivot column indices.
+def _free_cols(pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:
+    pivot_set = set(pivot_cols)
+    return tuple(k for k in range(cols) if k not in pivot_set)
+
+
+def _eliminate(
+    rows: Iterable[Sequence[Fraction]], pivot_limit: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of rational rows.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which changes neither pivots, rank, kernel nor RREF. Returns the
+    eliminated integer rows, the pivot column indices and det, the last
+    pivot.
 
     Pivots are only chosen among columns < pivot_limit (row operations still
     apply to the full row width, which is what augmented solves rely on).
     Pivot choice is deterministic: columns left to right, first row at or
     below the current pivot row with a nonzero entry.
+
+    Exactness: after k pivots, with prev the k-th pivot, every entry is a
+    k x k or (k+1) x (k+1) minor of the scaled, row-permuted input
+    (Sylvester's identity), so each update (p * a - f * b) // prev divides
+    exactly, for rows with f == 0 too, and entries stay as small as those
+    minors. Each row ends as a multiple of the row that Fraction
+    Gauss-Jordan with these pivots would leave: det times it for a pivot
+    row, so the rows divided by det are the RREF, and det times its scale
+    for a row that reduces to zero.
     """
+    mat = [_clear_denominators(row)[0] for row in rows]
     pivots: list[int] = []
-    piv_row = 0
+    prev = 1
     n_rows = len(mat)
     for col in range(pivot_limit):
+        piv_row = len(pivots)
         if piv_row == n_rows:
             break
-        hit = -1
-        for r in range(piv_row, n_rows):
-            if mat[r][col] != 0:
-                hit = r
-                break
+        hit = next((r for r in range(piv_row, n_rows) if mat[r][col]), -1)
         if hit < 0:
             continue
-        if hit != piv_row:
-            mat[piv_row], mat[hit] = mat[hit], mat[piv_row]
-        piv = mat[piv_row][col]
-        if piv != 1:
-            mat[piv_row] = [x / piv for x in mat[piv_row]]
+        mat[piv_row], mat[hit] = mat[hit], mat[piv_row]
         prow = mat[piv_row]
+        p = prow[col]
         for r in range(n_rows):
             if r == piv_row:
                 continue
-            f = mat[r][col]
+            row = mat[r]
+            f = row[col]
             if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
+                mat[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                mat[r] = [p * a // prev for a in row]
+        prev = p
         pivots.append(col)
-        piv_row += 1
-    return pivots
+    return mat, pivots, prev
 
 
 def rref(matrix: RatMatrix) -> RrefResult:
@@ -188,30 +228,35 @@ def rref(matrix: RatMatrix) -> RrefResult:
     Deterministic and exact, so equal inputs always produce identical
     output, pivot columns, and rank.
     """
-    mat = matrix.to_rows()
-    pivots = _eliminate(mat, matrix.cols)
-    return RrefResult(RatMatrix.from_rows(mat, cols=matrix.cols), tuple(pivots))
+    mat, pivots, det = _eliminate(matrix.to_rows(), matrix.cols)
+    return RrefResult(_over(mat, [det] * len(mat), matrix.cols), tuple(pivots))
 
 
 def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
     """Like :func:`rref`, but also return the transform T with T @ matrix == rref.
 
     T records the row operations, which is how callers trace each reduced
-    row back to a combination of the original rows.
+    row back to a combination of the original rows. A row that reduces to
+    zero is its original row minus a combination of the rows that became
+    pivots, so its row of T is 1 at its own original index and 0 at every
+    other index outside the pivot rows' support.
     """
-    n = matrix.rows
-    mat = [
-        list(matrix.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    pivots = _eliminate(mat, matrix.cols)
-    reduced = RatMatrix.from_rows([r[: matrix.cols] for r in mat], cols=matrix.cols)
-    transform = RatMatrix.from_rows([r[matrix.cols :] for r in mat], cols=n)
+    n, cols = matrix.rows, matrix.cols
+    identity = RatMatrix.identity(n)
+    mat, pivots, det = _eliminate([matrix.row(i) + identity.row(i) for i in range(n)], cols)
+    top = len(pivots)
+    # Past the rank a row also carries its original row's denominator lcm:
+    # divide it by its one nonzero entry outside the pivot rows' support.
+    outside = [j for j in range(cols, cols + n) if not any(r[j] for r in mat[:top])]
+    divisors = [det] * top + [next(r[j] for j in outside if r[j]) for r in mat[top:]]
+    reduced = _over([r[:cols] for r in mat], divisors, cols)
+    transform = _over([r[cols:] for r in mat], divisors, n)
     return RrefResult(reduced, tuple(pivots)), transform
 
 
 def rank(matrix: RatMatrix) -> int:
     """Exact rank via elimination."""
-    return rref(matrix).rank
+    return len(_eliminate(matrix.to_rows(), matrix.cols)[1])
 
 
 def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
@@ -219,35 +264,38 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
 
     Each free variable is set to 1 in turn (free columns in increasing
     order) and the resulting vector is scaled to a primitive integer vector
-    with positive leading entry, so the basis is canonical.
+    with positive leading entry, so the basis is canonical. Read off the
+    integer elimination, that vector is det at the free column and minus
+    the free column's entry of each pivot row at its pivot column.
     """
-    result = rref(matrix)
-    columns: list[list[Fraction]] = []
-    for free in result.free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for r, piv_col in enumerate(result.pivot_cols):
-            vec[piv_col] = -result.rref[r, free]
-        columns.append([Fraction(x) for x in normalize_primitive(vec)])
-    return RatMatrix.from_columns(columns, rows=matrix.cols)
+    mat, pivots, det = _eliminate(matrix.to_rows(), matrix.cols)
+    columns = []
+    for free in _free_cols(pivots, matrix.cols):
+        vec = [0] * matrix.cols
+        vec[free] = det
+        for row, piv_col in zip(mat, pivots):
+            vec[piv_col] = -row[free]
+        columns.append(_primitive(vec))
+    entries = tuple(Fraction(col[i]) for i in range(matrix.cols) for col in columns)
+    return RatMatrix(matrix.cols, len(columns), entries)
+
+
+def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by its gcd, signed so that its first
+    nonzero entry is positive."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to integers with gcd 1 and a positive
     first nonzero entry."""
-    vals = [_frac(x) for x in vector]
+    vals = [as_fraction(x) for x in vector]
     if all(x == 0 for x in vals):
         raise ValueError("cannot normalize zero vector")
-    scale = lcm(*(x.denominator for x in vals))
-    ints = [int(x * scale) for x in vals]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    return _primitive(_clear_denominators(vals)[0])
 
 
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
@@ -278,8 +326,8 @@ def exact_pow(base: Fraction, exponent: Fraction) -> Fraction | None:
     numerator and denominator of base are perfect powers of the exponent's
     denominator (e.g. (4/9) ** (1/2) -> 2/3).
     """
-    base = _frac(base)
-    exponent = _frac(exponent)
+    base = as_fraction(base)
+    exponent = as_fraction(exponent)
     if base <= 0:
         raise ValueError("exact_pow requires a positive base")
     if exponent.denominator == 1:

@@ -12,6 +12,7 @@ non-pivot columns select an independent subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
@@ -26,7 +27,7 @@ from .model import (
 from .ratlin import (
     RatMatrix,
     ShapeError,
-    _frac,
+    as_fraction,
     exact_pow,
     normalize_primitive,
     rank,
@@ -56,8 +57,8 @@ class MonomialConstraint:
     kind: ClassVar[str] = "monomial"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(_frac(x) for x in self.exponents))
-        object.__setattr__(self, "constant", _frac(self.constant))
+        object.__setattr__(self, "exponents", tuple(as_fraction(x) for x in self.exponents))
+        object.__setattr__(self, "constant", as_fraction(self.constant))
         if all(e == 0 for e in self.exponents):
             raise ValueError("monomial constraint exponents must not be all zero")
         if self.constant <= 0:
@@ -78,7 +79,7 @@ class JacobianRowConstraint:
     kind: ClassVar[str] = "jacobian_row"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(_frac(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in self.entries))
 
     @property
     def vector(self) -> tuple[Fraction, ...]:
@@ -115,8 +116,12 @@ class Relation:
     prod_k pi_k ** pi_exponents[k] equals prod_k K_k ** k_exponents[k],
     a constant built from the monomial constraint constants. ``constant``
     holds its exact rational value when one exists; it is None when the
-    value is irrational or when a pointwise Jacobian row contributes (then
-    the relation only holds infinitesimally at the analysis point).
+    value is irrational, when a pointwise Jacobian row contributes (then
+    the relation only holds infinitesimally at the analysis point), or when
+    the constant may be too large to print: its size bound, the sum of
+    ceil(|k_exponents[k]| * bitlen(K_k)) over the K_k != 1, exceeds
+    MAX_CONSTANT_BITS. The label then shows the product of constants
+    symbolically.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -305,6 +310,27 @@ def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
+# Relation constants are evaluated only while the bound of _constant_bits
+# stays within this many bits, at most 4,215 decimal digits in numerator and
+# denominator: under CPython's 4,300-digit limit on int-to-str conversion.
+MAX_CONSTANT_BITS = 14_000
+
+
+def _constant_bits(constraints: tuple[Constraint, ...], k_exps: tuple[Fraction, ...]) -> int:
+    """Upper bound on the bit length of the numerator and the denominator of
+    prod_k K_k ** t_k when it is rational. With bitlen(K) the larger bit
+    length of K's numerator and denominator, K ** (p/q) has bit length at
+    most ceil(|p/q| * bitlen(K)), bit lengths add at most under products,
+    and a constant 1 contributes nothing."""
+    total = 0
+    for k, t in enumerate(k_exps):
+        base = constraints[k].constant if t else 1
+        if base != 1:
+            bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+            total += math.ceil(abs(t) * bits)
+    return total
+
+
 def _build_relations(
     constraints: tuple[Constraint, ...],
     rref_c: RatMatrix,
@@ -325,7 +351,7 @@ def _build_relations(
             for k, t in enumerate(k_exps)
         )
         constant: Fraction | None = None
-        if not pointwise:
+        if not pointwise and _constant_bits(constraints, k_exps) <= MAX_CONSTANT_BITS:
             constant = Fraction(1)
             for k, t in enumerate(k_exps):
                 if t == 0:

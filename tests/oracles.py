@@ -1,7 +1,10 @@
 """Independent oracles and random generators shared across the test suite.
 
 The rank oracle enumerates minors with cofactor determinants, so it shares
-no code path with the elimination-based rank under test. The drag-force
+no code path with the elimination-based rank under test. The textbook
+oracles (``textbook_rref``, ``textbook_kernel``, ``textbook_product``) redo
+Gauss-Jordan elimination and products in plain Fraction arithmetic, apart
+from the integer kernel of ``pim.ratlin``. The drag-force
 fixtures pin the classical worked example: six quantities over M, L, T with
 kinematic viscosity tied to mu/rho by a monomial constraint.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from pim.model import DimensionSystem, Model, Quantity
 from pim.ratlin import RatMatrix
@@ -153,3 +157,101 @@ def random_invariant_jacobian(
             row = [r + coeff * c for r, c in zip(row, col)]
         rows.append(row)
     return RatMatrix.from_rows(rows, cols=n)
+
+
+def random_rational_rows(
+    rng: random.Random, rows: int, cols: int, rank: int
+) -> list[list[Fraction]]:
+    """A rows x cols rational matrix of rank at most ``rank``: the product of
+    random factors whose entries have mixed denominators, with some rows set
+    to zero or to a multiple of an earlier row and some columns set to zero."""
+
+    def entry() -> Fraction:
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5, 6, 7)))
+
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    out = [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.1:
+            out[i] = [Fraction(0)] * cols
+        elif roll < 0.2 and i:
+            factor = Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 5)))
+            out[i] = [factor * x for x in out[rng.randrange(i)]]
+    for j in range(cols):
+        if rng.random() < 0.1:
+            for row in out:
+                row[j] = Fraction(0)
+    return out
+
+
+def textbook_rref(
+    rows: list[list[Fraction]], cols: int
+) -> tuple[list[list[Fraction]], list[int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination of [M | I] in Fraction arithmetic, sharing no
+    code with pim.ratlin. Returns the RREF R, its pivot columns and the
+    transform T with T M = R. Pivots follow the convention the engine
+    documents (columns left to right, first nonzero row at or below the
+    current one), which fixes T as well as R."""
+    n = len(rows)
+    mat = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    pivots: list[int] = []
+    for col in range(cols):
+        top = len(pivots)
+        hit = next((r for r in range(top, n) if mat[r][col] != 0), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        head = mat[top][col]
+        mat[top] = [x / head for x in mat[top]]
+        for r in range(n):
+            factor = mat[r][col]
+            if r != top and factor != 0:
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return [row[:cols] for row in mat], pivots, [row[cols:] for row in mat]
+
+
+def primitive_integer_vector(vector: list[Fraction]) -> list[int]:
+    """The integer multiple of a nonzero vector with gcd 1 whose first
+    nonzero entry is positive."""
+    scale = 1
+    for x in vector:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in vector]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if next(x for x in ints if x != 0) < 0:
+        g = -g
+    return [x // g for x in ints]
+
+
+def textbook_kernel(rows: list[list[Fraction]], cols: int) -> list[list[int]]:
+    """Kernel vectors from textbook_rref: each free variable set to 1 in
+    turn, then made a primitive integer vector."""
+    reduced, pivots, _ = textbook_rref(rows, cols)
+    vectors = []
+    for free in (k for k in range(cols) if k not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -reduced[r][free]
+        vectors.append(primitive_integer_vector(vec))
+    return vectors
+
+
+def textbook_product(
+    a: list[list[Fraction]], b: list[list[Fraction]], inner: int, cols: int
+) -> list[list[Fraction]]:
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]

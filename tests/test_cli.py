@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from pim.cli import CliConfig, main, run
 from pim.reduce import InvariantViolation
 
@@ -172,3 +174,25 @@ def test_golden_json_report(repo_root: Path):
     code, out, err = run(config, model_text)
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name", ["drag_auto", "pendulum"])
+def test_golden_reports_of_shipped_models(repo_root: Path, name: str, fmt: str, suffix: str):
+    path = f"models/{name}.pim"
+    golden = repo_root / "tests" / "golden" / f"{name}_report.{suffix}"
+    config = CliConfig(command="analyze", input_path=path, format=fmt)
+    code, out, err = run(config, (repo_root / path).read_text(encoding="utf-8"))
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_main_large_relation_constant_is_symbolic(repo_root: Path, capsys):
+    # 7^-20000 has about 16,900 digits, past CPython's int-to-str limit
+    path = repo_root / "tests" / "models" / "large_constant.pim"
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    relations = json.loads(captured.out)["relations"]
+    assert [r["constant"] for r in relations] == ["7", None]
+    assert relations[1]["label"] == "pi2 = K1^(-20000) * K2"

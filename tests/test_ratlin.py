@@ -23,8 +23,28 @@ from oracles import (
     DRAG_J,
     DRAG_RREF,
     minor_rank,
+    primitive_integer_vector,
     random_int_matrix,
+    random_rational_rows,
+    textbook_kernel,
+    textbook_product,
+    textbook_rref,
 )
+
+# (rows, cols, rank bound): the empty shapes, small ones, and rational
+# matrices up to the 10 x 48 Zassenhaus matrix of the n = 24 rung and beyond.
+ORACLE_SHAPES = (
+    [(0, 0, 0), (0, 5, 0), (5, 0, 0), (1, 1, 1), (3, 3, 0)]
+    + [(r, c, min(r, c)) for r in range(1, 6) for c in range(1, 6)]
+    + [(r, c, k) for r, c in ((4, 7), (7, 4), (6, 6)) for k in range(1, 4)]
+    + [(12, 20, 12), (12, 20, 7), (20, 30, 14), (10, 48, 10), (30, 48, 9), (30, 48, 24)]
+)
+
+
+def _oracle_cases(seed: int):
+    rng = random.Random(seed)
+    for rows, cols, bound in ORACLE_SHAPES:
+        yield random_rational_rows(rng, rows, cols, bound), cols
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +73,21 @@ def test_matmul_and_transpose():
     assert a.transpose().to_rows() == [[1, 3], [2, 4]]
     with pytest.raises(ShapeError):
         a @ RatMatrix.zero(3, 1)
+
+
+def test_matmul_matches_textbook_product():
+    rng = random.Random(1108)
+    shapes = [(2, 0, 3), (0, 3, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1), (4, 5, 3), (9, 14, 6)]
+    for rows, inner, cols in shapes:
+        a = random_rational_rows(rng, rows, inner, min(rows, inner))
+        b = random_rational_rows(rng, inner, cols, min(inner, cols))
+        product = RatMatrix.from_rows(a, cols=inner) @ RatMatrix.from_rows(b, cols=cols)
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product.to_rows() == textbook_product(a, b, inner, cols)
+    # an empty inner dimension gives the zero matrix
+    assert RatMatrix.zero(2, 0) @ RatMatrix.zero(0, 3) == RatMatrix.zero(2, 3)
+    half = RatMatrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)]])
+    assert (half @ half.transpose()).to_rows() == [[Fraction(25, 36)]]
 
 
 def test_vstack_shape_check():
@@ -119,6 +154,45 @@ def test_rref_transform_reproduces_reduction():
         result, transform = rref_with_transform(m)
         assert transform @ m == result.rref
         assert result == rref(m)
+
+
+def test_kernel_matches_textbook_oracle():
+    for rows, cols in _oracle_cases(1109):
+        matrix = RatMatrix.from_rows(rows, cols=cols)
+        reduced, pivots, transform = textbook_rref(rows, cols)
+        result = rref(matrix)
+        assert result.rref.to_rows() == reduced
+        assert result.pivot_cols == tuple(pivots)
+        assert rank(matrix) == len(pivots)
+        with_t, t = rref_with_transform(matrix)
+        assert with_t == result
+        assert t.to_rows() == transform
+        assert t @ matrix == result.rref
+        basis = nullspace_basis(matrix)
+        assert [list(basis.column(j)) for j in range(basis.cols)] == textbook_kernel(rows, cols)
+
+
+def test_kernel_matches_sympy_over_rationals():
+    sympy = pytest.importorskip("sympy")
+    for rows, cols in _oracle_cases(1110):
+        if not rows or not cols:
+            continue
+        matrix = RatMatrix.from_rows(rows, cols=cols)
+        exact = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        )
+        reduced, pivots = exact.rref()
+        result = rref(matrix)
+        assert result.pivot_cols == tuple(pivots)
+        assert rank(matrix) == len(pivots)
+        assert result.rref.to_rows() == [
+            [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))
+        ]
+        basis = nullspace_basis(matrix)
+        assert [list(basis.column(j)) for j in range(basis.cols)] == [
+            primitive_integer_vector([Fraction(int(x.p), int(x.q)) for x in vec])
+            for vec in exact.nullspace()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +329,19 @@ def test_row_intersection_nonnegative_random():
         total, meet = sum_intersection_dims(a, b)
         assert total == rank(a.vstack(b))
         assert meet == rank(a) + rank(b) - total >= 0
+
+
+def test_sum_intersection_dims_matches_textbook_oracle():
+    rng = random.Random(1111)
+    for n, a_rows, b_rows, bound in ((3, 2, 2, 2), (8, 3, 4, 3), (12, 4, 2, 4), (24, 6, 4, 5)):
+        for _ in range(3):
+            a = random_rational_rows(rng, a_rows, n, bound)
+            b = random_rational_rows(rng, b_rows, n, bound)
+            ranks = [len(textbook_rref(rows, n)[1]) for rows in (a, b, a + b)]
+            dims = sum_intersection_dims(
+                RatMatrix.from_rows(a, cols=n), RatMatrix.from_rows(b, cols=n)
+            )
+            assert dims == (ranks[2], ranks[0] + ranks[1] - ranks[2])
 
 
 # ---------------------------------------------------------------------------

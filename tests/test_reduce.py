@@ -295,6 +295,31 @@ def test_analyze_pointwise_relation_label():
     assert all(r.label.endswith("const (pointwise)") for r in pointwise)
 
 
+def _power_model(power: int) -> Model:
+    """Dimensionless x and y with x = 3 and x^power * y = 1, so the relation
+    for pi2 = y has the constant 3^-power."""
+    return Model(
+        DimensionSystem(("M",)),
+        (Quantity("x", (0,)), Quantity("y", (0,))),
+        (
+            MonomialConstraint((1, 0), Fraction(3)),
+            MonomialConstraint((power, 1), Fraction(1)),
+        ),
+    )
+
+
+def test_relation_constant_past_the_bit_budget_is_symbolic():
+    # 3 has bit length 2: the bound for 3^-power is 2 * power bits
+    power = reduce_module.MAX_CONSTANT_BITS // 2
+    under = analyze(_power_model(power)).relations[1]
+    assert under.constant == Fraction(1, 3**power)
+    assert under.label == f"pi2 = {under.constant}"
+    over = analyze(_power_model(power + 1)).relations[1]
+    assert over.constant is None
+    assert over.k_exponents == (-(power + 1), 1)
+    assert over.label == f"pi2 = K1^(-{power + 1}) * K2"
+
+
 def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
     calls = {"redundancy_matrix": 0, "check_scale_invariance": 0}
     handed: list[RatMatrix] = []
