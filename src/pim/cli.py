@@ -13,20 +13,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .model import ModelError, build_dimension_matrix
 from .modelfile import ModelFileError, ParseError, parse_model, render_report
+from .ratlin import Value
 from .reduce import InvariantViolation, analyze, check_scale_invariance, constraint_jacobian
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str  # "analyze" | "check"
-    input_path: str  # file path, or "-" for standard input
-    format: str = "text"  # "text" | "json"
-    strict: bool = False
-    color: bool = False
+class CliConfig(Value):
+    __slots__ = ("command", "input_path", "format", "strict", "color")
+
+    def __init__(
+        self,
+        command: str,  # "analyze" | "check"
+        input_path: str,  # file path, or "-" for standard input
+        format: str = "text",  # "text" | "json"
+        strict: bool = False,
+        color: bool = False,
+    ) -> None:
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "input_path", input_path)
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "strict", strict)
+        object.__setattr__(self, "color", color)
 
 
 def _display_path(path: str) -> str:

@@ -9,7 +9,6 @@ order; its kernel spans the exponent vectors of all dimensionless monomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
@@ -17,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from .ratlin import (
     RatMatrix,
     RationalLike,
+    Value,
     as_fraction,
     normalize_primitive,
     nullspace_basis,
@@ -42,21 +42,21 @@ def _check_identifier(name: str, what: str) -> None:
         raise ModelError(f"{what} name {name!r} is not a valid identifier")
 
 
-@dataclass(frozen=True)
-class DimensionSystem:
+class DimensionSystem(Value):
     """Ordered set of named base dimensions (e.g. M, L, T)."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if not names:
             raise ModelError("a dimension system needs at least one dimension")
         seen: set[str] = set()
-        for name in self.names:
+        for name in names:
             _check_identifier(name, "dimension")
             if name in seen:
                 raise ModelError(f"duplicate dimension name {name!r}")
             seen.add(name)
+        object.__setattr__(self, "names", names)
 
     @property
     def m(self) -> int:
@@ -66,28 +66,33 @@ class DimensionSystem:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Value):
     """A named quantity with one rational exponent per base dimension."""
 
-    name: str
-    dim_exponents: tuple[Fraction, ...]
+    __slots__ = ("name", "dim_exponents")
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.name, "quantity")
-        object.__setattr__(self, "dim_exponents", tuple(as_fraction(x) for x in self.dim_exponents))
+    def __init__(self, name: str, dim_exponents: tuple[RationalLike, ...]) -> None:
+        _check_identifier(name, "quantity")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim_exponents", tuple(as_fraction(x) for x in dim_exponents))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Value):
     """A dimension system, its quantities, and any constraints among them."""
 
-    dims: DimensionSystem
-    quantities: tuple[Quantity, ...]
-    constraints: tuple["Constraint", ...] = ()
-    basis_override: RatMatrix | None = None
+    __slots__ = ("dims", "quantities", "constraints", "basis_override")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dims: DimensionSystem,
+        quantities: tuple[Quantity, ...],
+        constraints: tuple[Constraint, ...] = (),
+        basis_override: RatMatrix | None = None,
+    ) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "quantities", quantities)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "basis_override", basis_override)
         seen: set[str] = set()
         for q in self.quantities:
             if q.name in seen:
@@ -122,32 +127,31 @@ class Model:
         return tuple(q.name for q in self.quantities)
 
 
-@dataclass(frozen=True)
-class PiGroup:
+class PiGroup(Value):
     """One candidate dimensionless monomial: primitive integer exponents over
     the quantities, plus a rendered label."""
 
-    exponents: tuple[int, ...]
-    label: str
+    __slots__ = ("exponents", "label")
 
-    def __post_init__(self) -> None:
-        if all(e == 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...], label: str) -> None:
+        if all(e == 0 for e in exponents):
             raise ModelError("pi group exponents must not be all zero")
-        if gcd(*self.exponents) != 1:
+        if gcd(*exponents) != 1:
             raise ModelError("pi group exponents must be primitive (gcd 1)")
-        first = next(e for e in self.exponents if e != 0)
+        first = next(e for e in exponents if e != 0)
         if first < 0:
             raise ModelError("pi group leading exponent must be positive")
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class RescaleVector:
+class RescaleVector(Value):
     """Multiplicative unit changes, one positive factor per base dimension."""
 
-    scales: tuple[Fraction, ...]
+    __slots__ = ("scales",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(as_fraction(x) for x in self.scales))
+    def __init__(self, scales: tuple[RationalLike, ...]) -> None:
+        object.__setattr__(self, "scales", tuple(as_fraction(x) for x in scales))
         for i, s in enumerate(self.scales):
             if s <= 0:
                 raise ModelError(f"rescale factor {i} must be positive, got {s}")

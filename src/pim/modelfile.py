@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .model import DimensionSystem, Model, Quantity
-from .ratlin import RatMatrix
+from .ratlin import RatMatrix, Value
 from .reduce import (
     AnalysisReport,
     Constraint,
@@ -40,6 +39,9 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _KEYWORD_RE = re.compile(r"\s*(dimensions|quantity|constraint|jacobian_row|basis_override)\b")
 
 SCHEMA_VERSION = 1
+# CPython's default limit on int-from-str conversion: a literal whose
+# numerator or denominator has more digits is a parse error.
+MAX_LITERAL_DIGITS = 4300
 
 
 class ErrorCode(str, Enum):
@@ -51,23 +53,27 @@ class ErrorCode(str, Enum):
     SYNTAX = "syntax"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Value):
     """1-based line/column location of a token in the source text."""
 
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int = 1) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseError:
-    span: SourceSpan
-    code: ErrorCode
-    message: str
+class ParseError(Value):
+    __slots__ = ("span", "code", "message")
+
+    def __init__(self, span: SourceSpan, code: ErrorCode, message: str) -> None:
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.span}: {self.code.value}: {self.message}"
@@ -93,11 +99,23 @@ def _err(
 
 
 def _parse_rational_token(text: str) -> Fraction | None:
-    """Fraction from a `p` or `p/q` token, or None when q is zero."""
+    """Fraction from a `p` or `p/q` token, or None when q is zero or the
+    token is too long (see :func:`_too_long`)."""
+    if _too_long(text):
+        return None
     try:
         return Fraction(text)
     except ZeroDivisionError:
         return None
+
+
+def _too_long(text: str) -> str | None:
+    """Why a token's numerator or denominator has too many digits to read,
+    or None. Gives the digit count, never the literal itself."""
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if digits <= MAX_LITERAL_DIGITS:
+        return None
+    return f"number has {digits} digits, more than the {MAX_LITERAL_DIGITS} allowed"
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +174,8 @@ def _parse_dimexpr(
             )
             if value is None:
                 _err(errors, line, start + ident.end() + 2, len(exp_text),
-                     ErrorCode.BAD_EXPONENT,
-                     f"bad exponent {exp_text!r}: expected a rational like -2 or 1/2")
+                     ErrorCode.BAD_EXPONENT, _too_long(exp_text)
+                     or f"bad exponent {exp_text!r}: expected a rational like -2 or 1/2")
                 ok = False
                 continue
             exp = value
@@ -262,7 +280,8 @@ class _MonomialParser:
                 value = _parse_rational_token(m.group())
                 if value is None:
                     self._fail(self.pos, len(m.group()), ErrorCode.BAD_EXPONENT,
-                               f"rational {m.group()!r} has a zero denominator")
+                               _too_long(m.group())
+                               or f"rational {m.group()!r} has a zero denominator")
                 else:
                     exp = value
                 self.pos = m.end()
@@ -307,7 +326,7 @@ def _parse_rational_list(
             value = _parse_rational_token(token)
             if value is None:
                 _err(errors, line, start + 1, len(token), ErrorCode.SYNTAX,
-                     f"rational {token!r} has a zero denominator")
+                     _too_long(token) or f"rational {token!r} has a zero denominator")
                 ok = False
             else:
                 values.append(value)
@@ -319,24 +338,34 @@ def _parse_rational_list(
 # model file parsing
 
 
-@dataclass
 class _QuantityDecl:
-    name: str
-    name_span: SourceSpan
-    rhs: str
-    rhs_offset: int
-    line: int
+    __slots__ = ("name", "name_span", "rhs", "rhs_offset", "line")
+
+    def __init__(
+        self, name: str, name_span: SourceSpan, rhs: str, rhs_offset: int, line: int
+    ) -> None:
+        self.name = name
+        self.name_span = name_span
+        self.rhs = rhs
+        self.rhs_offset = rhs_offset
+        self.line = line
 
 
-@dataclass
 class _ConstraintDecl:
-    kind: str  # "monomial" | "jacobian_row"
-    line: int
-    lhs: str = ""
-    lhs_offset: int = 0
-    constant: Fraction | None = None
-    row: list[Fraction] | None = None
-    span: SourceSpan | None = None
+    __slots__ = ("kind", "line", "lhs", "lhs_offset", "constant", "row", "span")
+
+    def __init__(
+        self, kind: str, line: int, lhs: str = "", lhs_offset: int = 0,
+        constant: Fraction | None = None, row: list[Fraction] | None = None,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.kind = kind  # "monomial" | "jacobian_row"
+        self.line = line
+        self.lhs = lhs
+        self.lhs_offset = lhs_offset
+        self.constant = constant
+        self.row = row
+        self.span = span
 
 
 class _Parser:
@@ -459,7 +488,7 @@ class _Parser:
             constant = _parse_rational_token(token)
             if constant is None or constant <= 0:
                 _err(self.errors, line_no, start + 1, len(token), ErrorCode.BAD_CONSTANT,
-                     f"constraint constant must be positive, got {token!r}")
+                     _too_long(token) or f"constraint constant must be positive, got {token!r}")
                 constant = None
         self.constraints.append(
             _ConstraintDecl("monomial", line_no, lhs=lhs, lhs_offset=pos, constant=constant)

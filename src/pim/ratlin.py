@@ -11,7 +11,6 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -34,6 +33,42 @@ def as_fraction(value: RationalLike) -> Fraction:
 _ZERO = Fraction(0)
 
 
+class Value:
+    """Base of pim's immutable value types.
+
+    A subclass lists its fields in ``__slots__`` in constructor order and
+    sets each one in ``__init__`` with ``object.__setattr__``. Instances of
+    the same class compare and hash by their fields, print as
+    ``Type(field=value, ...)``, and refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """values times the lcm of their denominators, and that lcm."""
     scale = lcm(*(x.denominator for x in values))
@@ -46,25 +81,24 @@ def _over(rows: list[list[int]], divisors: Sequence[int], cols: int) -> RatMatri
     return RatMatrix(len(rows), cols, tuple(entries))
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Value):
     """Immutable dense matrix of rationals, stored row-major.
 
     Zero-row and zero-column matrices are legal; a 0 x n matrix has rank 0.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError(f"negative matrix shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]) -> None:
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative matrix shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(
@@ -148,12 +182,14 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: [{body}])"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(Value):
     """A reduced row echelon form together with its pivot columns."""
 
-    rref: RatMatrix
-    pivot_cols: tuple[int, ...]
+    __slots__ = ("rref", "pivot_cols")
+
+    def __init__(self, rref: RatMatrix, pivot_cols: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rref", rref)
+        object.__setattr__(self, "pivot_cols", pivot_cols)
 
     @property
     def rank(self) -> int:
@@ -301,20 +337,17 @@ def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     """Dimensions of the sum and of the intersection of the two row spaces.
 
-    One Zassenhaus elimination of [[a, a], [b, 0]]: its pivots left of
-    column n span rowspace a + rowspace b, which is rank([a; b]), and the
-    rows whose left half reduces to zero carry a basis of the intersection
-    in their right half, one pivot each.
+    One Zassenhaus elimination of [[a, a], [b, 0]], read for its pivots
+    only: those left of column n span rowspace a + rowspace b, which is
+    rank([a; b]), and the rows whose left half reduces to zero carry a basis
+    of the intersection in their right half, one pivot each.
     """
     if a.cols != b.cols:
         raise ShapeError(f"column counts differ: {a.cols} vs {b.cols}")
     n = a.cols
-    stacked = RatMatrix.from_rows(
-        [a.row(i) + a.row(i) for i in range(a.rows)]
-        + [b.row(i) + (Fraction(0),) * n for i in range(b.rows)],
-        cols=2 * n,
-    )
-    pivots = rref(stacked).pivot_cols
+    stacked = [a.row(i) + a.row(i) for i in range(a.rows)]
+    stacked += [b.row(i) + (_ZERO,) * n for i in range(b.rows)]
+    pivots = _eliminate(stacked, 2 * n)[1]
     total = sum(1 for col in pivots if col < n)
     return total, len(pivots) - total
 

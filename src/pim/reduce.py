@@ -13,9 +13,7 @@ non-pivot columns select an independent subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar
 
 from .model import (
     Model,
@@ -26,7 +24,9 @@ from .model import (
 )
 from .ratlin import (
     RatMatrix,
+    RationalLike,
     ShapeError,
+    Value,
     as_fraction,
     exact_pow,
     normalize_primitive,
@@ -47,18 +47,17 @@ class ScaleInvarianceError(ValueError):
     given constraints that are not."""
 
 
-@dataclass(frozen=True)
-class MonomialConstraint:
+class MonomialConstraint(Value):
     """The constraint prod_j x_j ** exponents[j] == constant (constant > 0)."""
 
-    exponents: tuple[Fraction, ...]
-    constant: Fraction = Fraction(1)
+    __slots__ = ("exponents", "constant")
+    kind = "monomial"
 
-    kind: ClassVar[str] = "monomial"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(as_fraction(x) for x in self.exponents))
-        object.__setattr__(self, "constant", as_fraction(self.constant))
+    def __init__(
+        self, exponents: tuple[RationalLike, ...], constant: RationalLike = Fraction(1)
+    ) -> None:
+        object.__setattr__(self, "exponents", tuple(as_fraction(x) for x in exponents))
+        object.__setattr__(self, "constant", as_fraction(constant))
         if all(e == 0 for e in self.exponents):
             raise ValueError("monomial constraint exponents must not be all zero")
         if self.constant <= 0:
@@ -69,17 +68,15 @@ class MonomialConstraint:
         return self.exponents
 
 
-@dataclass(frozen=True)
-class JacobianRowConstraint:
+class JacobianRowConstraint(Value):
     """One constraint-Jacobian row supplied directly, valid at the analysis
     point only (pointwise); no constant is associated with it."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
+    kind = "jacobian_row"
 
-    kind: ClassVar[str] = "jacobian_row"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in self.entries))
+    def __init__(self, entries: tuple[RationalLike, ...]) -> None:
+        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in entries))
 
     @property
     def vector(self) -> tuple[Fraction, ...]:
@@ -89,26 +86,33 @@ class JacobianRowConstraint:
 Constraint = MonomialConstraint | JacobianRowConstraint
 
 
-@dataclass(frozen=True)
-class EffectiveCounts:
+class EffectiveCounts(Value):
     """The effective number of independent pi groups, by each formula.
 
     The three general formulas always agree; the rank-of-C form exists only
     for scale-invariant constraints (and then agrees with the rest).
     """
 
-    via_kernel_JE: int
-    via_stacked_rank: int
-    via_grassmann: int
-    via_C_rank: int | None = None
+    __slots__ = ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
+
+    def __init__(
+        self,
+        via_kernel_JE: int,
+        via_stacked_rank: int,
+        via_grassmann: int,
+        via_C_rank: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "via_kernel_JE", via_kernel_JE)
+        object.__setattr__(self, "via_stacked_rank", via_stacked_rank)
+        object.__setattr__(self, "via_grassmann", via_grassmann)
+        object.__setattr__(self, "via_C_rank", via_C_rank)
 
     @property
     def value(self) -> int:
         return self.via_kernel_JE
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """One linear relation among the candidate pi groups.
 
     ``coeffs`` is a nonzero row of rref(C): sum_k coeffs[k] * dln(pi_k) = 0.
@@ -124,16 +128,26 @@ class Relation:
     symbolically.
     """
 
-    coeffs: tuple[Fraction, ...]
-    pi_exponents: tuple[int, ...]
-    k_exponents: tuple[Fraction, ...]
-    constant: Fraction | None
-    pointwise: bool
-    label: str
+    __slots__ = ("coeffs", "pi_exponents", "k_exponents", "constant", "pointwise", "label")
+
+    def __init__(
+        self,
+        coeffs: tuple[Fraction, ...],
+        pi_exponents: tuple[int, ...],
+        k_exponents: tuple[Fraction, ...],
+        constant: Fraction | None,
+        pointwise: bool,
+        label: str,
+    ) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "pi_exponents", pi_exponents)
+        object.__setattr__(self, "k_exponents", k_exponents)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "pointwise", pointwise)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Value):
     """Everything the analysis produces, ready for rendering.
 
     When the constraints are not scale invariant, C, rref_C, selected, and
@@ -141,24 +155,25 @@ class AnalysisReport:
     C-based elimination of redundant groups is not.
     """
 
-    dimensions: tuple[str, ...]
-    quantities: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    n: int
-    m: int
-    ell: int
-    d: int
-    A: RatMatrix
-    J: RatMatrix
-    E: RatMatrix
-    pi_groups: tuple[PiGroup, ...]
-    scale_invariant: bool
-    deff: EffectiveCounts
-    C: RatMatrix | None
-    rref_C: RatMatrix | None
-    selected: tuple[int, ...] | None
-    relations: tuple[Relation, ...] | None
-    warnings: tuple[str, ...]
+    __slots__ = (
+        "dimensions", "quantities", "constraints", "n", "m", "ell", "d", "A", "J", "E",
+        "pi_groups", "scale_invariant", "deff", "C", "rref_C", "selected", "relations",
+        "warnings",
+    )
+
+    def __init__(
+        self, dimensions: tuple[str, ...], quantities: tuple[str, ...],
+        constraints: tuple[Constraint, ...], n: int, m: int, ell: int, d: int,
+        A: RatMatrix, J: RatMatrix, E: RatMatrix, pi_groups: tuple[PiGroup, ...],
+        scale_invariant: bool, deff: EffectiveCounts, C: RatMatrix | None,
+        rref_C: RatMatrix | None, selected: tuple[int, ...] | None,
+        relations: tuple[Relation, ...] | None, warnings: tuple[str, ...],
+    ) -> None:
+        for name, value in zip(self.__slots__, (
+            dimensions, quantities, constraints, n, m, ell, d, A, J, E, pi_groups,
+            scale_invariant, deff, C, rref_C, selected, relations, warnings,
+        )):
+            object.__setattr__(self, name, value)
 
     @property
     def d_eff(self) -> int:
@@ -263,7 +278,9 @@ def _with_c_rank(
             f"d - rank C = n - rank A - rank J = {via_c}, "
             f"general = {counts.via_kernel_JE}"
         )
-    return replace(counts, via_C_rank=via_c)
+    return EffectiveCounts(
+        counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann, via_c
+    )
 
 
 def effective_counts(a: RatMatrix, j: RatMatrix, e: RatMatrix) -> EffectiveCounts:

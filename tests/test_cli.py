@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +199,41 @@ def test_main_large_relation_constant_is_symbolic(repo_root: Path, capsys):
     relations = json.loads(captured.out)["relations"]
     assert [r["constant"] for r in relations] == ["7", None]
     assert relations[1]["label"] == "pi2 = K1^(-20000) * K2"
+
+
+BIG = "7" * 5000  # past CPython's 4,300-digit limit on int-from-str
+
+
+@pytest.mark.parametrize(
+    "source, code",
+    [
+        (f"quantity x = 1\nconstraint x = {BIG}\n", "bad-constant"),
+        (f"quantity x = M^1/{BIG}\n", "bad-exponent"),
+        (f"quantity x = 1\nconstraint x^{BIG} = 1\n", "bad-exponent"),
+        (f"quantity x = 1\nquantity y = 1\njacobian_row: 1, -{BIG}\n", "syntax"),
+        (f"quantity x = 1\nbasis_override:\n{BIG}\n", "syntax"),
+    ],
+    ids=["constant", "dimension-exponent", "monomial-exponent", "jacobian-row", "basis-override"],
+)
+def test_run_oversized_literal_is_a_parse_error(source: str, code: str):
+    config = CliConfig(command="check", input_path="big.pim")
+    exit_code, out, err = run(config, "dimensions: M\n" + source)
+    assert (exit_code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert f"error[{code}]: number has 5000 digits" in err
+    assert "7" * 100 not in err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Together they took about two thirds of the CLI's import time.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, pim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
