@@ -28,6 +28,14 @@ if TYPE_CHECKING:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# CPython's default limit on int/str conversion: a model file literal, and a
+# number in a report, has at most this many digits in its numerator and its
+# denominator.
+MAX_DIGITS = 4300
+# 3.321928 < log2(10), so 2 ** _SAFE_BITS < 10 ** MAX_DIGITS: an integer of
+# at most _SAFE_BITS bits always prints.
+_SAFE_BITS = MAX_DIGITS * 3321928 // 10**6
+
 
 class ModelError(ValueError):
     """Raised for structurally invalid models or bad inputs to model operations."""
@@ -35,6 +43,32 @@ class ModelError(ValueError):
 
 class UnsupportedRescaleError(ModelError):
     """Raised when a rescale would need an irrational power of a scale factor."""
+
+
+def _check_printable(item: str, ints: Sequence[int]) -> None:
+    """Refuse an item of a report that would print an integer of more than
+    MAX_DIGITS decimal digits."""
+    if max(map(int.bit_length, ints), default=0) <= _SAFE_BITS:
+        return
+    for x in map(abs, ints):
+        if x >= 10**MAX_DIGITS:
+            # 0.3010299 < log10(2), so this starts at most at the count.
+            digits = (x.bit_length() - 1) * 3010299 // 10**7 + 1
+            while 10**digits <= x:
+                digits += 1
+            raise ModelError(
+                f"{item} has a number of {digits} digits, more than the "
+                f"{MAX_DIGITS} that can be printed"
+            )
+
+
+def _check_printable_matrix(name: str, matrix: RatMatrix) -> None:
+    """_check_printable for a matrix of a report. An entry's numerator and
+    denominator in lowest terms divide integers of the integer form, so the
+    entries are read only when one of those is long."""
+    if max(map(int.bit_length, (*matrix.nums, matrix.den))) > _SAFE_BITS:
+        parts = [p for x in matrix.entries for p in (x.numerator, x.denominator)]
+        _check_printable(f"matrix {name}", parts)
 
 
 def _check_identifier(name: str, what: str) -> None:
@@ -171,7 +205,7 @@ def buckingham_count(matrix: RatMatrix) -> int:
 
 def format_monomial(
     names: Sequence[str],
-    exponents: Sequence[RationalLike],
+    exponents: Sequence[int | Fraction],
     *,
     spaced: bool = False,
 ) -> str:
@@ -184,7 +218,6 @@ def format_monomial(
     num: list[str] = []
     den: list[str] = []
     for name, e in zip(names, exponents):
-        e = as_fraction(e)
         if e == 0:
             continue
         mag = abs(e)
@@ -220,7 +253,7 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
             )
         product = matrix @ override
         for j in range(override.cols):
-            if any(x != 0 for x in product.column(j)):
+            if any(product.nums[j :: product.cols]):
                 raise ModelError(
                     f"basis override column {j} is not in the kernel of the "
                     f"dimension matrix"
@@ -233,7 +266,8 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     names = model.quantity_names
     groups = []
     for j in range(basis.cols):
-        exps = normalize_primitive(basis.column(j))
+        exps = normalize_primitive(basis.nums[j :: basis.cols])
+        _check_printable(f"pi group {j + 1}", exps)
         groups.append(PiGroup(exps, format_monomial(names, exps)))
     return basis, tuple(groups)
 

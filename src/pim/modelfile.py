@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .model import DimensionSystem, Model, Quantity
+from .model import MAX_DIGITS, DimensionSystem, Model, Quantity
 from .ratlin import RatMatrix, Value
 from .reduce import (
     AnalysisReport,
@@ -39,9 +39,6 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 _KEYWORD_RE = re.compile(r"\s*(dimensions|quantity|constraint|jacobian_row|basis_override)\b")
 
 SCHEMA_VERSION = 1
-# CPython's default limit on int-from-str conversion: a literal whose
-# numerator or denominator has more digits is a parse error.
-MAX_LITERAL_DIGITS = 4300
 
 
 class ErrorCode(str, Enum):
@@ -98,11 +95,13 @@ def _err(
     errors.append(ParseError(SourceSpan(line, column, max(length, 1)), code, message))
 
 
-def _parse_rational_token(text: str) -> Fraction | None:
-    """Fraction from a `p` or `p/q` token, or None when q is zero or the
-    token is too long (see :func:`_too_long`)."""
+def _parse_rational_token(text: str) -> int | Fraction | None:
+    """int from a `p` token, Fraction from a `p/q` token, or None when q is
+    zero or the token is too long (see :func:`_too_long`)."""
     if _too_long(text):
         return None
+    if "/" not in text:
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -113,9 +112,9 @@ def _too_long(text: str) -> str | None:
     """Why a token's numerator or denominator has too many digits to read,
     or None. Gives the digit count, never the literal itself."""
     digits = max(map(len, re.findall(r"\d+", text)), default=0)
-    if digits <= MAX_LITERAL_DIGITS:
+    if digits <= MAX_DIGITS:
         return None
-    return f"number has {digits} digits, more than the {MAX_LITERAL_DIGITS} allowed"
+    return f"number has {digits} digits, more than the {MAX_DIGITS} allowed"
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def _parse_dimexpr(
     offset: int,
     dim_index: dict[str, int],
     errors: list[ParseError],
-) -> list[Fraction] | None:
+) -> list[int | Fraction] | None:
     """Whitespace-separated IDENT[^rational] terms; repeated names sum.
 
     `offset` is the 0-based position of `text` within its source line, so
@@ -140,8 +139,8 @@ def _parse_dimexpr(
         _err(errors, line, offset + 1, 1, ErrorCode.SYNTAX, "expected a dimension expression")
         return None
     if len(tokens) == 1 and tokens[0].group() == "1":
-        return [Fraction(0)] * m
-    exps = [Fraction(0)] * m
+        return [0] * m
+    exps: list[int | Fraction] = [0] * m
     ok = True
     for tok in tokens:
         word = tok.group()
@@ -159,7 +158,7 @@ def _parse_dimexpr(
             continue
         name = ident.group()
         rest = word[ident.end():]
-        exp = Fraction(1)
+        exp: int | Fraction = 1
         if rest:
             if not rest.startswith("^"):
                 _err(errors, line, start + ident.end() + 1, len(rest), ErrorCode.SYNTAX,
@@ -211,9 +210,9 @@ class _MonomialParser:
         self.errors = errors
         self.pos = 0
         self.failed = False
-        self.exps = [Fraction(0)] * len(name_index)
+        self.exps: list[int | Fraction] = [0] * len(name_index)
 
-    def parse(self) -> list[Fraction] | None:
+    def parse(self) -> list[int | Fraction] | None:
         try:
             self._sequence(1)
             self._skip_ws()
@@ -272,7 +271,7 @@ class _MonomialParser:
         name = ident.group()
         name_pos = self.pos
         self.pos = ident.end()
-        exp = Fraction(1)
+        exp: int | Fraction = 1
         if self._peek() == "^":
             self.pos += 1
             m = _RATIONAL_RE.match(self.text, self.pos)
@@ -304,15 +303,15 @@ def _parse_monomial(
     offset: int,
     name_index: dict[str, int],
     errors: list[ParseError],
-) -> list[Fraction] | None:
+) -> list[int | Fraction] | None:
     return _MonomialParser(text, line, offset, name_index, errors).parse()
 
 
 def _parse_rational_list(
     text: str, line: int, offset: int, errors: list[ParseError]
-) -> list[Fraction] | None:
+) -> list[int | Fraction] | None:
     """Comma-separated rationals with source positions."""
-    values: list[Fraction] = []
+    values: list[int | Fraction] = []
     ok = True
     pos = 0
     for segment in text.split(","):
@@ -356,7 +355,7 @@ class _ConstraintDecl:
 
     def __init__(
         self, kind: str, line: int, lhs: str = "", lhs_offset: int = 0,
-        constant: Fraction | None = None, row: list[Fraction] | None = None,
+        constant: int | Fraction | None = None, row: list[int | Fraction] | None = None,
         span: SourceSpan | None = None,
     ) -> None:
         self.kind = kind  # "monomial" | "jacobian_row"
@@ -375,7 +374,7 @@ class _Parser:
         self.dim_names: list[tuple[str, SourceSpan]] | None = None
         self.quantities: list[_QuantityDecl] = []
         self.constraints: list[_ConstraintDecl] = []
-        self.basis_rows: list[tuple[list[Fraction], SourceSpan]] = []
+        self.basis_rows: list[tuple[list[int | Fraction], SourceSpan]] = []
         self.seen_basis_block = False
 
     # -- scanning -----------------------------------------------------------
@@ -480,7 +479,7 @@ class _Parser:
         rhs = line[eq + 1 :]
         token = rhs.strip()
         start = eq + 1 + (len(rhs) - len(rhs.lstrip()))
-        constant: Fraction | None = None
+        constant: int | Fraction | None = None
         if not token or not _RATIONAL_RE.fullmatch(token):
             _err(self.errors, line_no, start + 1, len(token), ErrorCode.BAD_CONSTANT,
                  f"expected a positive rational constant, got {token!r}")
@@ -554,7 +553,7 @@ class _Parser:
                 continue
             exps = _parse_dimexpr(decl.rhs, decl.line, decl.rhs_offset, dim_index, self.errors)
             if exps is None:
-                exps = [Fraction(0)] * len(dim_names)  # keep resolving other lines
+                exps = [0] * len(dim_names)  # keep resolving other lines
             name_index[decl.name] = len(quantities)
             quantities.append(Quantity(decl.name, tuple(exps)))
         n = len(quantities)
@@ -625,7 +624,7 @@ def parse_dimexpr(text: str, dims: DimensionSystem) -> tuple[Fraction, ...]:
     exps = _parse_dimexpr(text, 1, 0, index, errors)
     if errors or exps is None:
         raise ModelFileError(errors)
-    return tuple(exps)
+    return tuple(map(Fraction, exps))
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> tuple[Fraction, ...]:
@@ -636,7 +635,7 @@ def parse_monomial(text: str, names: Sequence[str]) -> tuple[Fraction, ...]:
     exps = _parse_monomial(text, 1, 0, index, errors)
     if errors or exps is None:
         raise ModelFileError(errors)
-    return tuple(exps)
+    return tuple(map(Fraction, exps))
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +702,12 @@ def render_model(model: Model) -> str:
 # report rendering
 
 
-def _matrix_payload(matrix: RatMatrix) -> list[list[str]]:
-    return [[str(x) for x in matrix.row(i)] for i in range(matrix.rows)]
+def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
+    """Each entry as text, row by row; an integer matrix prints its
+    numerators as they are."""
+    den, cols = matrix.den, matrix.cols
+    text = [str(x) if den == 1 else str(Fraction(x, den)) for x in matrix.nums]
+    return [text[i * cols : (i + 1) * cols] for i in range(matrix.rows)]
 
 
 def _report_payload(report: AnalysisReport) -> dict:
@@ -757,11 +760,11 @@ def _report_payload(report: AnalysisReport) -> dict:
             {"label": g.label, "exponents": list(g.exponents)} for g in report.pi_groups
         ],
         "constraints": constraints,
-        "A": _matrix_payload(report.A),
-        "J": _matrix_payload(report.J),
-        "E": _matrix_payload(report.E),
-        "C": None if report.C is None else _matrix_payload(report.C),
-        "rref_C": None if report.rref_C is None else _matrix_payload(report.rref_C),
+        "A": _matrix_cells(report.A),
+        "J": _matrix_cells(report.J),
+        "E": _matrix_cells(report.E),
+        "C": None if report.C is None else _matrix_cells(report.C),
+        "rref_C": None if report.rref_C is None else _matrix_cells(report.rref_C),
         "selected": None if report.selected is None else list(report.selected),
         "relations": relations,
         "warnings": list(report.warnings),
@@ -780,7 +783,7 @@ def _paint(text: str, style: str, color: bool) -> str:
 def _matrix_lines(matrix: RatMatrix) -> list[str]:
     if matrix.rows == 0 or matrix.cols == 0:
         return ["  (empty)"]
-    cells = [[str(x) for x in matrix.row(i)] for i in range(matrix.rows)]
+    cells = _matrix_cells(matrix)
     widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
     return [
         "  [" + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "]"

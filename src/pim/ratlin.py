@@ -1,12 +1,12 @@
 """Exact rational dense linear algebra.
 
-Matrices hold ``fractions.Fraction`` entries, but every elimination and
-product runs on Python integers: each row (for a product, each operand) is
-scaled to integers once by the lcm of its denominators, and a ``Fraction``
-is built once per output entry. Rank and kernel decisions are therefore
-discrete and reproducible: no tolerances, no pivoting heuristics, no
-floating point anywhere. Matrices are small (desk scale), immutable, and
-safe to share between threads.
+A matrix is stored as integer numerators over one positive common
+denominator, in lowest terms, so every elimination and product runs on
+Python integers and hands its integer result to the next stage as it is.
+A ``Fraction`` is built only where an entry is read out. Rank and kernel
+decisions are therefore discrete and reproducible: no tolerances, no
+pivoting heuristics, no floating point anywhere. Matrices are small (desk
+scale), immutable, and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ class ShapeError(ValueError):
 def as_fraction(value: RationalLike) -> Fraction:
     """value as a Fraction, without copying one that already is."""
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-_ZERO = Fraction(0)
 
 
 class Value:
@@ -75,30 +72,47 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def _over(rows: list[list[int]], divisors: Sequence[int], cols: int) -> RatMatrix:
-    """Each integer row divided by its divisor, one Fraction per nonzero entry."""
-    entries = (Fraction(x, q) if x else _ZERO for row, q in zip(rows, divisors) for x in row)
-    return RatMatrix(len(rows), cols, tuple(entries))
+def _matrix(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
+    """The matrix nums / den (den nonzero), reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+    matrix = object.__new__(RatMatrix)
+    for name, value in zip(RatMatrix.__slots__, (rows, cols, nums, den)):
+        object.__setattr__(matrix, name, value)
+    return matrix
 
 
 class RatMatrix(Value):
-    """Immutable dense matrix of rationals, stored row-major.
+    """Immutable dense matrix of rationals, stored row-major as integer
+    numerators ``nums`` over one positive denominator ``den``.
 
-    Zero-row and zero-column matrices are legal; a 0 x n matrix has rank 0.
+    The fields are always in lowest terms (gcd(den, *nums) == 1), so equal
+    matrices have equal fields and hashes. ``entries``, ``m[i, j]``, ``row``,
+    ``column`` and ``to_rows`` hand out ``Fraction``s. Zero-row and
+    zero-column matrices are legal; a 0 x n matrix has rank 0.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nums", "den")
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Fraction, ...]) -> None:
+    def __init__(self, rows: int, cols: int, entries: tuple[RationalLike, ...]) -> None:
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        # With the lcm of lowest-term denominators the result is in lowest terms.
+        nums, den = _clear_denominators([as_fraction(x) for x in entries])
+        for name, value in zip(self.__slots__, (rows, cols, tuple(nums), den)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return _matrix, self._fields()
 
     @classmethod
     def from_rows(
@@ -107,11 +121,11 @@ class RatMatrix(Value):
         rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        entries: list[Fraction] = []
+        entries: list[RationalLike] = []
         for row in rows:
             if len(row) != cols:
                 raise ShapeError(f"ragged row: expected {cols} entries, got {len(row)}")
-            entries.extend(as_fraction(x) for x in row)
+            entries.extend(row)
         return cls(len(rows), cols, tuple(entries))
 
     @classmethod
@@ -127,53 +141,53 @@ class RatMatrix(Value):
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> RatMatrix:
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return _matrix(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls.from_rows([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return _matrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(Fraction(x, self.den) for x in self.nums[i * self.cols : (i + 1) * self.cols])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(Fraction(x, self.den) for x in self.nums[j :: self.cols])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> RatMatrix:
-        entries = tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols])
-        return RatMatrix(self.cols, self.rows, entries)
+        nums = tuple(x for j in range(self.cols) for x in self.nums[j :: self.cols])
+        return _matrix(self.cols, self.rows, nums, self.den)
 
     def vstack(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.cols:
             raise ShapeError(f"cannot stack {self.cols}-column and {other.cols}-column matrices")
-        return RatMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = tuple(x * a for x in self.nums) + tuple(x * b for x in other.nums)
+        return _matrix(self.rows + other.rows, self.cols, nums, den)
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, a_scale = _clear_denominators(self.entries)
-        b, b_scale = _clear_denominators(other.entries)
-        scale = a_scale * b_scale
-        k, cols = self.cols, other.cols
-        b_cols = [b[j::cols] for j in range(cols)]
-        out = tuple(
-            Fraction(sum(map(mul, a[i * k : (i + 1) * k], col)), scale)
-            for i in range(self.rows)
-            for col in b_cols
-        )
-        return RatMatrix(self.rows, cols, out)
+        cols = other.cols
+        b_cols = [other.nums[j::cols] for j in range(cols)]
+        nums = tuple(sum(map(mul, row, col)) for row in _num_rows(self) for col in b_cols)
+        return _matrix(self.rows, cols, nums, self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.nums)
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -206,15 +220,20 @@ def _free_cols(pivot_cols: Sequence[int], cols: int) -> tuple[int, ...]:
     return tuple(k for k in range(cols) if k not in pivot_set)
 
 
-def _eliminate(
-    rows: Iterable[Sequence[Fraction]], pivot_limit: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of rational rows.
+def _num_rows(matrix: RatMatrix) -> list[tuple[int, ...]]:
+    """The rows of den times matrix."""
+    nums, cols = matrix.nums, matrix.cols
+    return [nums[i * cols : (i + 1) * cols] for i in range(matrix.rows)]
 
-    Each row is first scaled to integers by the lcm of its denominators,
-    which changes neither pivots, rank, kernel nor RREF. Returns the
-    eliminated integer rows, the pivot column indices and det, the last
-    pivot.
+
+def _eliminate(
+    rows: Iterable[Sequence[int]], pivot_limit: int
+) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
+
+    A matrix enters as its numerators: den times it has the same pivots,
+    rank, kernel and RREF. Returns the eliminated integer rows, the pivot
+    column indices and det, the last pivot.
 
     Pivots are only chosen among columns < pivot_limit (row operations still
     apply to the full row width, which is what augmented solves rely on).
@@ -222,15 +241,15 @@ def _eliminate(
     below the current pivot row with a nonzero entry.
 
     Exactness: after k pivots, with prev the k-th pivot, every entry is a
-    k x k or (k+1) x (k+1) minor of the scaled, row-permuted input
-    (Sylvester's identity), so each update (p * a - f * b) // prev divides
-    exactly, for rows with f == 0 too, and entries stay as small as those
-    minors. Each row ends as a multiple of the row that Fraction
-    Gauss-Jordan with these pivots would leave: det times it for a pivot
-    row, so the rows divided by det are the RREF, and det times its scale
-    for a row that reduces to zero.
+    k x k or (k+1) x (k+1) minor of the row-permuted input (Sylvester's
+    identity), so each update (p * a - f * b) // prev divides exactly, for
+    rows with f == 0 too, and entries stay as small as those minors. Each
+    row ends as a multiple of the row that Fraction Gauss-Jordan with these
+    pivots would leave: det times it for a pivot row, so the rows divided by
+    det are the RREF, and some nonzero multiple for a row that reduces to
+    zero.
     """
-    mat = [_clear_denominators(row)[0] for row in rows]
+    mat = list(rows)
     pivots: list[int] = []
     prev = 1
     n_rows = len(mat)
@@ -264,8 +283,9 @@ def rref(matrix: RatMatrix) -> RrefResult:
     Deterministic and exact, so equal inputs always produce identical
     output, pivot columns, and rank.
     """
-    mat, pivots, det = _eliminate(matrix.to_rows(), matrix.cols)
-    return RrefResult(_over(mat, [det] * len(mat), matrix.cols), tuple(pivots))
+    mat, pivots, det = _eliminate(_num_rows(matrix), matrix.cols)
+    nums = tuple(x for row in mat for x in row)
+    return RrefResult(_matrix(matrix.rows, matrix.cols, nums, det), tuple(pivots))
 
 
 def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
@@ -277,22 +297,28 @@ def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
     pivots, so its row of T is 1 at its own original index and 0 at every
     other index outside the pivot rows' support.
     """
-    n, cols = matrix.rows, matrix.cols
-    identity = RatMatrix.identity(n)
-    mat, pivots, det = _eliminate([matrix.row(i) + identity.row(i) for i in range(n)], cols)
+    n, cols, den = matrix.rows, matrix.cols, matrix.den
+    rows = [r + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, r in enumerate(_num_rows(matrix))]
+    mat, pivots, det = _eliminate(rows, cols)
     top = len(pivots)
-    # Past the rank a row also carries its original row's denominator lcm:
-    # divide it by its one nonzero entry outside the pivot rows' support.
+    # The pivot rows carry det times T relative to den * matrix, that is
+    # det / den times T. A row past the rank carries some multiple of its T
+    # row: divide it by its one nonzero entry outside the pivot rows' support.
     outside = [j for j in range(cols, cols + n) if not any(r[j] for r in mat[:top])]
-    divisors = [det] * top + [next(r[j] for j in outside if r[j]) for r in mat[top:]]
-    reduced = _over([r[:cols] for r in mat], divisors, cols)
-    transform = _over([r[cols:] for r in mat], divisors, n)
-    return RrefResult(reduced, tuple(pivots)), transform
+    divisors = [next(r[j] for j in outside if r[j]) for r in mat[top:]]
+    scale = lcm(det, *divisors)
+    factors = [den * (scale // det)] * top + [scale // q for q in divisors]
+    t_nums = tuple(x * f for r, f in zip(mat, factors) for x in r[cols:])
+    reduced = tuple(x for r in mat for x in r[:cols])
+    return (
+        RrefResult(_matrix(n, cols, reduced, det), tuple(pivots)),
+        _matrix(n, n, t_nums, scale),
+    )
 
 
 def rank(matrix: RatMatrix) -> int:
     """Exact rank via elimination."""
-    return len(_eliminate(matrix.to_rows(), matrix.cols)[1])
+    return len(_eliminate(_num_rows(matrix), matrix.cols)[1])
 
 
 def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
@@ -300,11 +326,11 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
 
     Each free variable is set to 1 in turn (free columns in increasing
     order) and the resulting vector is scaled to a primitive integer vector
-    with positive leading entry, so the basis is canonical. Read off the
-    integer elimination, that vector is det at the free column and minus
-    the free column's entry of each pivot row at its pivot column.
+    with positive leading entry, so the basis is canonical and has den 1.
+    Read off the integer elimination, that vector is det at the free column
+    and minus the free column's entry of each pivot row at its pivot column.
     """
-    mat, pivots, det = _eliminate(matrix.to_rows(), matrix.cols)
+    mat, pivots, det = _eliminate(_num_rows(matrix), matrix.cols)
     columns = []
     for free in _free_cols(pivots, matrix.cols):
         vec = [0] * matrix.cols
@@ -312,11 +338,11 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
         for row, piv_col in zip(mat, pivots):
             vec[piv_col] = -row[free]
         columns.append(_primitive(vec))
-    entries = tuple(Fraction(col[i]) for i in range(matrix.cols) for col in columns)
-    return RatMatrix(matrix.cols, len(columns), entries)
+    nums = tuple(col[i] for i in range(matrix.cols) for col in columns)
+    return _matrix(matrix.cols, len(columns), nums, 1)
 
 
-def _primitive(ints: list[int]) -> tuple[int, ...]:
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer vector divided by its gcd, signed so that its first
     nonzero entry is positive."""
     g = gcd(*ints)
@@ -327,11 +353,12 @@ def _primitive(ints: list[int]) -> tuple[int, ...]:
 
 def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to integers with gcd 1 and a positive
-    first nonzero entry."""
-    vals = [as_fraction(x) for x in vector]
-    if all(x == 0 for x in vals):
+    first nonzero entry. An integer vector is taken as it is."""
+    if not all(type(x) is int for x in vector):
+        vector = _clear_denominators([as_fraction(x) for x in vector])[0]
+    if not any(vector):
         raise ValueError("cannot normalize zero vector")
-    return _primitive(_clear_denominators(vals)[0])
+    return _primitive(vector)
 
 
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
@@ -345,8 +372,8 @@ def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     if a.cols != b.cols:
         raise ShapeError(f"column counts differ: {a.cols} vs {b.cols}")
     n = a.cols
-    stacked = [a.row(i) + a.row(i) for i in range(a.rows)]
-    stacked += [b.row(i) + (_ZERO,) * n for i in range(b.rows)]
+    # Scaling a row by a nonzero integer moves no pivot.
+    stacked = [r + r for r in _num_rows(a)] + [r + (0,) * n for r in _num_rows(b)]
     pivots = _eliminate(stacked, 2 * n)[1]
     total = sum(1 for col in pivots if col < n)
     return total, len(pivots) - total

@@ -18,6 +18,8 @@ from fractions import Fraction
 from .model import (
     Model,
     PiGroup,
+    _check_printable,
+    _check_printable_matrix,
     build_dimension_matrix,
     format_monomial,
     pi_basis,
@@ -27,6 +29,7 @@ from .ratlin import (
     RationalLike,
     ShapeError,
     Value,
+    _matrix,
     as_fraction,
     exact_pow,
     normalize_primitive,
@@ -206,22 +209,18 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
-    d = e.cols
-    j_t = j.transpose()
-    result = rref(
-        RatMatrix.from_rows(
-            [e.row(i) + j_t.row(i) for i in range(e.rows)], cols=d + j.rows
-        )
-    )
+    d, ell = e.cols, j.rows
+    result = rref(e.transpose().vstack(j).transpose())  # [E | J^T]
     if result.pivot_cols[:d] != tuple(range(d)):
         raise ValueError("kernel basis E is not full column rank")
     if result.rank > d:
         raise ScaleInvarianceError(
             "C-factorization requires scale-invariant constraints"
         )
-    c = RatMatrix.from_columns(
-        [result.rref.row(k)[d:] for k in range(d)], rows=j.rows
-    )
+    # C transposed is the top right d x ell block of the RREF.
+    r = result.rref
+    block = tuple(r.nums[i * (d + ell) + d + k] for k in range(ell) for i in range(d))
+    c = _matrix(ell, d, block, r.den)
     if c @ e.transpose() != j:
         raise InvariantViolation(
             "redundancy matrix failed to reproduce the Jacobian: C @ E^T != J"
@@ -358,11 +357,16 @@ def _build_relations(
     pi_names = [f"pi{k + 1}" for k in range(n_groups)]
     relations = []
     for i in range(n_relations):
-        coeffs = rref_c.row(i)
-        pi_exps = normalize_primitive(coeffs)
-        first = next(k for k, x in enumerate(coeffs) if x != 0)
-        scale = Fraction(pi_exps[first]) / coeffs[first]
-        k_exps = tuple(scale * t for t in transform.row(i))
+        nums = rref_c.nums[i * n_groups : (i + 1) * n_groups]
+        pi_exps = normalize_primitive(nums)
+        first = next(k for k, x in enumerate(nums) if x)
+        # pi_exps is the row scaled by pi_exps[first] / row[first]; so are
+        # the constants' exponents, read off the transform row.
+        num, den = pi_exps[first] * rref_c.den, nums[first] * transform.den
+        t_row = transform.nums[i * transform.cols : (i + 1) * transform.cols]
+        k_exps = tuple(Fraction(num * t, den) for t in t_row)
+        parts = [p for t in k_exps for p in (t.numerator, t.denominator)]
+        _check_printable(f"relation {i + 1}", [*pi_exps, *parts])
         pointwise = any(
             t != 0 and constraints[k].kind == "jacobian_row"
             for k, t in enumerate(k_exps)
@@ -386,7 +390,7 @@ def _build_relations(
         else:
             right = _format_constants_monomial(k_exps)
         relations.append(
-            Relation(coeffs, pi_exps, k_exps, constant, pointwise, f"{left} = {right}")
+            Relation(rref_c.row(i), pi_exps, k_exps, constant, pointwise, f"{left} = {right}")
         )
     return tuple(relations)
 
@@ -418,6 +422,13 @@ def analyze(model: Model) -> AnalysisReport:
             "constraints are not scale-invariant (J @ A^T != 0); "
             "the C-based elimination of redundant pi groups is skipped"
         )
+    for name, matrix in (("A", a), ("J", j), ("E", e), ("C", c), ("rref_C", rref_c)):
+        if matrix is not None:
+            _check_printable_matrix(name, matrix)
+    for k, con in enumerate(model.constraints):
+        if con.kind == "monomial":
+            parts = [con.constant.numerator, con.constant.denominator]
+            _check_printable(f"constraint {k + 1}", parts)
     return AnalysisReport(
         dimensions=model.dims.names,
         quantities=model.quantity_names,

@@ -224,6 +224,45 @@ def test_run_oversized_literal_is_a_parse_error(source: str, code: str):
     assert "7" * 100 not in err
 
 
+def _long_exponent_model(a: int, b: int) -> str:
+    # The pi group is x^b * y^a / z^(a*b).
+    return f"dimensions: M, L\nquantity x = M^{a}\nquantity y = L^{b}\nquantity z = M L\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_number_too_long_to_print_is_a_model_error(fmt: str):
+    # a*b = 10^4300 + 10^2150 has 4,301 digits, one past CPython's int-to-str limit
+    text = _long_exponent_model(10**2150, 10**2150 + 1)
+    assert run(CliConfig(command="check", input_path="big.pim"), text)[0] == 0
+    code, out, err = run(_analyze(fmt), text)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: pi group 1 has a number of 4301 digits, more than the 4300 that can be printed\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_number_at_the_print_limit_prints(fmt: str):
+    # a*b = 9*10^4299 + 9*10^2149 has exactly 4,300 digits and 14,285 bits,
+    # too many bits to pass without comparing it to 10^4300
+    code, out, err = run(_analyze(fmt), _long_exponent_model(9 * 10**2149, 10**2150 + 1))
+    assert (code, err) == (0, "")
+    assert str(9 * 10**4299 + 9 * 10**2149) in out
+
+
+def test_run_long_matrix_entry_is_named():
+    # Two 4,300-digit exponents of M add up to 4,301 digits in A only: x is in
+    # no pi group, and the one group y / z is short.
+    nines = "9" * 4300
+    text = (
+        f"dimensions: M, L\nquantity x = M^{nines} M^{nines}\n"
+        "quantity y = L\nquantity z = L\n"
+    )
+    code, out, err = run(_analyze(), text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: matrix A has a number of 4301 digits")
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Together they took about two thirds of the CLI's import time.
     src = str(Path(cli_module.__file__).resolve().parents[1])

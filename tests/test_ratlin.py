@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -93,6 +95,51 @@ def test_matmul_matches_textbook_product():
 def test_vstack_shape_check():
     with pytest.raises(ShapeError):
         RatMatrix.zero(1, 2).vstack(RatMatrix.zero(1, 3))
+
+
+# (rows, cols, rank bound): empty shapes, small ones, and the [E | J^T]
+# (24 x 18) and Zassenhaus (10 x 48) shapes of the benchmark's largest rung.
+CANONICAL_SHAPES = (
+    (0, 0, 0), (0, 4, 0), (4, 0, 0), (3, 3, 0), (1, 1, 1), (5, 4, 3), (4, 7, 4),
+    (8, 8, 8), (24, 18, 12), (10, 48, 10),
+)
+
+
+def _assert_canonical(matrix: RatMatrix) -> None:
+    assert matrix.den > 0
+    assert math.gcd(matrix.den, *matrix.nums) == 1
+    again = RatMatrix.from_rows(matrix.to_rows(), cols=matrix.cols)
+    assert again == matrix
+    assert hash(again) == hash(matrix)
+    assert pickle.loads(pickle.dumps(matrix)) == matrix
+
+
+def test_every_result_is_in_lowest_terms():
+    # Equality and hashing compare the fields, so a result that is not in
+    # lowest terms would compare unequal to the same matrix built anew.
+    rng = random.Random(1110)
+    for rows, cols, bound in CANONICAL_SHAPES:
+        for _ in range(2):
+            entries = random_rational_rows(rng, rows, cols, bound)
+            m = RatMatrix.from_rows(entries, cols=cols)
+            below = RatMatrix.from_rows(random_rational_rows(rng, 3, cols, 2), cols=cols)
+            right = RatMatrix.from_rows(random_rational_rows(rng, cols, 5, 3), cols=5)
+            result, transform = rref_with_transform(m)
+            for out in (
+                m,
+                RatMatrix.from_columns(entries, rows=cols),
+                RatMatrix.zero(rows, cols),
+                RatMatrix.identity(rows),
+                m.transpose(),
+                m.vstack(below),
+                m @ right,
+                m @ m.transpose(),
+                rref(m).rref,
+                result.rref,
+                transform,
+                nullspace_basis(m),
+            ):
+                _assert_canonical(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from pim.model import (
     DimensionSystem,
     Model,
+    ModelError,
     Quantity,
     build_dimension_matrix,
     evaluate_monomial,
@@ -318,6 +319,18 @@ def test_relation_constant_past_the_bit_budget_is_symbolic():
     assert over.constant is None
     assert over.k_exponents == (-(power + 1), 1)
     assert over.label == f"pi2 = K1^(-{power + 1}) * K2"
+
+
+def test_analyze_refuses_a_constraint_constant_too_long_to_print():
+    # The parser bounds literals; a model built in Python does not.
+    dims = DimensionSystem(("M",))
+    for constant, digits in ((Fraction(10**4400), 4401), (Fraction(1, 10**4300), 4301)):
+        model = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), constant),))
+        with pytest.raises(ModelError, match=f"constraint 1 has a number of {digits} digits"):
+            analyze(model)
+    printable = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), 10**4299),))
+    # past the bit budget of relation constants, so the relation is symbolic
+    assert analyze(printable).relations[0].label == "pi1 = K1"
 
 
 def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):

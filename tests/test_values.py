@@ -23,9 +23,10 @@ from pim import (
     RescaleVector,
     SourceSpan,
     analyze,
+    parse_model,
 )
 from pim.cli import CliConfig
-from pim.modelfile import ErrorCode
+from pim.modelfile import ErrorCode, parse_dimexpr, parse_monomial
 from pim.ratlin import RrefResult
 
 from oracles import drag_model
@@ -104,3 +105,41 @@ def test_value_repr_names_every_field():
     assert repr(EffectiveCounts(1, 1, 1, 1)) == (
         "EffectiveCounts(via_kernel_JE=1, via_stacked_rank=1, via_grassmann=1, via_C_rank=1)"
     )
+
+
+MIXED_EXPONENTS = """\
+dimensions: M, L
+quantity a = M
+quantity b = M^2
+quantity c = L^1/2
+quantity e = L M^0
+constraint a^2 / b = 4
+constraint c / e^1/2 = 3/2
+jacobian_row: 2, -1, 0, 0
+"""
+
+
+def test_public_values_hold_fractions_not_ints():
+    # int == Fraction passes for equal values, but int / int is a float, so
+    # check the type of every value a library user can read.
+    model = parse_model(MIXED_EXPONENTS)
+    report = analyze(model)
+    values = [x for q in model.quantities for x in q.dim_exponents]
+    monomials = [c for c in report.constraints if c.kind == "monomial"]
+    (row,) = [c for c in report.constraints if c.kind == "jacobian_row"]
+    assert len(monomials) == 2
+    for c in monomials:
+        values += [*c.exponents, c.constant]
+    values += row.entries
+    values += parse_dimexpr("M^2 L^1/2 M", DimensionSystem(("M", "L")))
+    values += parse_monomial("a^2 / b * c^1/2", ("a", "b", "c"))
+    for matrix in (report.A, report.J, report.E, report.C, report.rref_C):
+        values += matrix.entries
+        values += [x for i in range(matrix.rows) for x in matrix.row(i)]
+        values += [x for j in range(matrix.cols) for x in matrix.column(j)]
+        values += [matrix[i, j] for i in range(matrix.rows) for j in range(matrix.cols)]
+    assert len(report.relations) == 2
+    for relation in report.relations:
+        values += [*relation.coeffs, *relation.k_exponents]
+    assert len(values) > 100
+    assert [type(x) for x in values] == [Fraction] * len(values)
