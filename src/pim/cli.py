@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .model import ModelError, build_dimension_matrix
+from .model import ModelError, build_dimension_matrix, kernel_basis
 from .modelfile import ModelFileError, ParseError, parse_model, render_report
 from .ratlin import Value
 from .reduce import InvariantViolation, analyze, check_scale_invariance, constraint_jacobian
@@ -61,20 +61,19 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
     except ModelFileError as exc:
         return 1, "", _format_parse_errors(config.input_path, exc.errors)
 
-    if config.command == "check":
-        a = build_dimension_matrix(model)
-        j = constraint_jacobian(model)
-        invariant = check_scale_invariance(a, j)
-        out = (
-            "model OK\n"
-            f"quantities: {model.n}\n"
-            f"dimensions: {model.m}\n"
-            f"constraints: {len(model.constraints)}\n"
-            f"scale invariant: {'yes' if invariant else 'no'}\n"
-        )
-        return 0, out, ""
-
     try:
+        if config.command == "check":
+            # analyze's validation, without building the report to print
+            a = build_dimension_matrix(model)
+            kernel_basis(model, a)
+            invariant = check_scale_invariance(a, constraint_jacobian(model))
+            return 0, (
+                "model OK\n"
+                f"quantities: {model.n}\n"
+                f"dimensions: {model.m}\n"
+                f"constraints: {len(model.constraints)}\n"
+                f"scale invariant: {'yes' if invariant else 'no'}\n"
+            ), ""
         report = analyze(model)
     except ModelError as exc:
         return 1, "", f"error: {exc}\n"

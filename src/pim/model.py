@@ -236,33 +236,35 @@ def format_monomial(
     return f"{num_txt}{slash}{den_txt}"
 
 
-def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup, ...]]:
-    """Kernel basis of the dimension matrix plus the rendered pi groups.
-
-    Uses the model's basis override when present (after validating it is a
-    genuine kernel basis), otherwise the canonical RREF free-variable basis.
-    Group exponents are always reported in primitive integer form.
-    """
+def kernel_basis(model: Model, matrix: RatMatrix) -> RatMatrix:
+    """The kernel basis E of the dimension matrix: the model's basis override
+    once validated as a genuine kernel basis, otherwise the canonical RREF
+    free-variable basis."""
     override = model.basis_override
-    if override is not None:
-        d = buckingham_count(matrix)
-        if override.cols != d:
+    if override is None:
+        return nullspace_basis(matrix)
+    d = buckingham_count(matrix)
+    if override.cols != d:
+        raise ModelError(
+            f"basis override has {override.cols} columns but the kernel "
+            f"has dimension {d}"
+        )
+    product = matrix @ override
+    for j in range(override.cols):
+        if any(product.nums[j :: product.cols]):
             raise ModelError(
-                f"basis override has {override.cols} columns but the kernel "
-                f"has dimension {d}"
+                f"basis override column {j} is not in the kernel of the "
+                f"dimension matrix"
             )
-        product = matrix @ override
-        for j in range(override.cols):
-            if any(product.nums[j :: product.cols]):
-                raise ModelError(
-                    f"basis override column {j} is not in the kernel of the "
-                    f"dimension matrix"
-                )
-        if rank(override) != override.cols:
-            raise ModelError("basis override is rank-deficient")
-        basis = override
-    else:
-        basis = nullspace_basis(matrix)
+    if rank(override) != override.cols:
+        raise ModelError("basis override is rank-deficient")
+    return override
+
+
+def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup, ...]]:
+    """kernel_basis(model, matrix) plus the rendered pi groups. Group
+    exponents are always reported in primitive integer form."""
+    basis = kernel_basis(model, matrix)
     names = model.quantity_names
     groups = []
     for j in range(basis.cols):

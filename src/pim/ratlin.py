@@ -16,8 +16,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 RationalLike = Fraction | int | str
 
 
@@ -404,6 +402,8 @@ def _int_nth_root(x: int, n: int) -> int | None:
     """Exact integer n-th root of x >= 1, or None if x is not a perfect power."""
     if x == 1:
         return 1
+    if n >= x.bit_length():
+        return None  # r >= 2 gives r ** n >= 2 ** n > x
     # Newton iteration from an upper bound; converges for integer roots.
     r = 1 << -(-x.bit_length() // n)
     while True:

@@ -228,88 +228,6 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     return c
 
 
-def _invariant_redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
-    """C for constraints already found scale invariant (J @ A^T == 0), where
-    a refusal to factor can only be an engine bug."""
-    try:
-        return redundancy_matrix(j, e)
-    except ScaleInvarianceError as exc:
-        raise InvariantViolation(
-            f"J @ A^T == 0 but J does not factor through E: {exc}"
-        ) from exc
-
-
-def _general_counts(
-    a: RatMatrix, j: RatMatrix, e: RatMatrix
-) -> tuple[EffectiveCounts, int]:
-    """The three general effective-count formulas, cross-checked, and rank J.
-
-    rank A is n - d because E is a kernel basis of A. rank [A; J] and
-    dim(rowspace A meet rowspace J) come from one Zassenhaus elimination, so
-    the Grassmann form n - rank A - rank J + dim(meet) checks the stacked
-    form against ranks computed apart from it.
-    """
-    d = e.cols
-    rank_j = rank(j)
-    stacked, meet = sum_intersection_dims(a, j)
-    via_kernel = d - rank(j @ e)
-    via_stacked = a.cols - stacked
-    via_grassmann = d - rank_j + meet
-    if not (via_kernel == via_stacked == via_grassmann):
-        raise InvariantViolation(
-            f"effective-count formulas disagree: kernel(JE)={via_kernel}, "
-            f"stacked={via_stacked}, grassmann={via_grassmann}"
-        )
-    return EffectiveCounts(via_kernel, via_stacked, via_grassmann), rank_j
-
-
-def _with_c_rank(
-    counts: EffectiveCounts, rank_j: int, rank_c: int, d: int
-) -> EffectiveCounts:
-    """Add d - rank C, which must match n - rank A - rank J = d - rank J and
-    the general formulas."""
-    if rank_c != rank_j:
-        raise InvariantViolation(f"rank C = {rank_c} differs from rank J = {rank_j}")
-    via_c = d - rank_c
-    if via_c != counts.via_kernel_JE:
-        raise InvariantViolation(
-            f"scale-invariant effective-count forms disagree: "
-            f"d - rank C = n - rank A - rank J = {via_c}, "
-            f"general = {counts.via_kernel_JE}"
-        )
-    return EffectiveCounts(
-        counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann, via_c
-    )
-
-
-def effective_counts(a: RatMatrix, j: RatMatrix, e: RatMatrix) -> EffectiveCounts:
-    """Compute the effective count by every available formula and cross-check.
-
-    General formulas (always valid): dim ker(J E), n - rank([A; J]), and the
-    Grassmann form n - rank A - rank J + dim(rowspace A meet rowspace J). For
-    scale-invariant constraints additionally d - rank C, which must also
-    match n - rank A - rank J. Disagreement means an engine bug.
-    """
-    counts, rank_j = _general_counts(a, j, e)
-    if check_scale_invariance(a, j):
-        rank_c = rank(_invariant_redundancy_matrix(j, e))
-        counts = _with_c_rank(counts, rank_j, rank_c, e.cols)
-    return counts
-
-
-def select_independent(
-    c: RatMatrix,
-) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Mechanical selection from the row-reduced redundancy matrix.
-
-    Returns the non-pivot column indices of rref(C), in increasing order
-    (one systematic choice of an independent set of pi groups), and the
-    nonzero rows of rref(C) (the relations among the candidates).
-    """
-    result = rref(c)
-    return result.free_cols, tuple(result.rref.row(i) for i in range(result.rank))
-
-
 def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
     parts = []
     for idx, exp in enumerate(k_exponents):
@@ -398,29 +316,55 @@ def _build_relations(
 def analyze(model: Model) -> AnalysisReport:
     """Run the full pipeline: dimension matrix, kernel basis and pi groups,
     constraint Jacobian, scale-invariance check, effective counts, and (when
-    scale invariant) the C-based elimination of redundant groups."""
+    scale invariant) the C-based elimination of redundant groups.
+
+    The effective count is computed by every formula that applies and
+    cross-checked. Always: dim ker(J E), n - rank [A; J], and the Grassmann
+    form n - rank A - rank J + dim(rowspace A meet rowspace J), where rank A
+    is n - d because E is a kernel basis of A. rank [A; J] and the meet come
+    from one Zassenhaus elimination, so the Grassmann form checks the stacked
+    form against ranks computed apart from it. For scale-invariant
+    constraints also d - rank C, which must match n - rank A - rank J as
+    well. Disagreement, or invariant constraints that do not factor through
+    E, is an engine bug.
+    """
     a = build_dimension_matrix(model)
     e, groups = pi_basis(model, a)
     j = constraint_jacobian(model)
     invariant = check_scale_invariance(a, j)
-    counts, rank_j = _general_counts(a, j, e)
+    d = e.cols
+    rank_j = rank(j)
+    stacked, meet = sum_intersection_dims(a, j)
+    via_kernel = d - rank(j @ e)
     warnings: list[str] = []
     c = rref_c = None
+    via_c: int | None = None
     selected: tuple[int, ...] | None = None
     relations: tuple[Relation, ...] | None = None
     if invariant:
-        c = _invariant_redundancy_matrix(j, e)
+        try:
+            c = redundancy_matrix(j, e)
+        except ScaleInvarianceError as exc:
+            raise InvariantViolation(
+                f"J @ A^T == 0 but J does not factor through E: {exc}"
+            ) from exc
         result, transform = rref_with_transform(c)
-        counts = _with_c_rank(counts, rank_j, result.rank, e.cols)
+        via_c = d - result.rank
         rref_c = result.rref
         selected = result.free_cols
-        relations = _build_relations(
-            model.constraints, rref_c, transform, result.rank, e.cols
-        )
+        relations = _build_relations(model.constraints, rref_c, transform, result.rank, d)
     else:
         warnings.append(
             "constraints are not scale-invariant (J @ A^T != 0); "
             "the C-based elimination of redundant pi groups is skipped"
+        )
+    counts = EffectiveCounts(via_kernel, a.cols - stacked, d - rank_j + meet, via_c)
+    forms = {counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann}
+    if invariant:
+        forms |= {via_c, d - rank_j}
+    if len(forms) != 1:
+        raise InvariantViolation(
+            f"effective-count formulas disagree: {counts!r}, d = {d}, rank J = {rank_j}"
         )
     for name, matrix in (("A", a), ("J", j), ("E", e), ("C", c), ("rref_C", rref_c)):
         if matrix is not None:
@@ -436,7 +380,7 @@ def analyze(model: Model) -> AnalysisReport:
         n=model.n,
         m=model.m,
         ell=j.rows,
-        d=e.cols,
+        d=d,
         A=a,
         J=j,
         E=e,

@@ -15,10 +15,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
 from pim.model import DimensionSystem, Model, Quantity
 from pim.ratlin import RatMatrix
-from pim.reduce import MonomialConstraint
+from pim.reduce import JacobianRowConstraint, MonomialConstraint
 
 DRAG_A = RatMatrix.from_rows(
     [
@@ -86,6 +87,27 @@ def pendulum_model() -> Model:
         Quantity("g", (0, 1, -2)),
     )
     return Model(dims, quantities)
+
+
+def model_from_matrices(
+    a: RatMatrix,
+    j: RatMatrix,
+    e: RatMatrix | None = None,
+    constants: Sequence[Fraction] | None = None,
+) -> Model:
+    """A model with dimension matrix ``a``, constraint Jacobian ``j`` and
+    basis override ``e`` (none: the canonical kernel basis). Quantity ``xk``
+    has column k of ``a`` as its dimension exponents. Each row of ``j`` is a
+    ``jacobian_row`` constraint, or, given ``constants``, a monomial
+    constraint equal to its constant."""
+    dims = DimensionSystem(tuple(f"D{i}" for i in range(a.rows)))
+    quantities = tuple(Quantity(f"x{k}", a.column(k)) for k in range(a.cols))
+    rows = [j.row(i) for i in range(j.rows)]
+    if constants is None:
+        constraints = tuple(JacobianRowConstraint(row) for row in rows)
+    else:
+        constraints = tuple(MonomialConstraint(row, k) for row, k in zip(rows, constants))
+    return Model(dims, quantities, constraints, e)
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

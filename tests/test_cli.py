@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,47 @@ def test_run_invalid_basis_override_exit_1():
     assert code == 1
     assert out == ""
     assert "kernel" in err
+
+
+def test_run_huge_root_in_a_relation_constant_stays_symbolic():
+    # The relation constant is 2^(1/10^12); its root used to be sought by
+    # Newton iteration on 2 ** (10^12 - 1).
+    text = (
+        "dimensions: M\nquantity x = M\nquantity y = M\n"
+        "constraint x^1000000000000 / y^1000000000000 = 2\n"
+    )
+    started = time.perf_counter()
+    code, out, err = run(_analyze(), text)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert "relation: pi1 = K1^(1/1000000000000)\n" in out
+
+
+_OVERRIDE_BASE = "dimensions: M\nquantity a = M\nquantity b = M\n"
+BAD_OVERRIDES = {
+    "not-in-kernel": _OVERRIDE_BASE + "basis_override:\n1, 0\n",
+    "too-few-columns": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n0, 0, 1\n",
+    "rank-deficient": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n1, -1, 0\n2, -2, 0\n",
+}
+
+
+def _check_inputs() -> list:
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "models").glob("*.pim")) + sorted((root / "tests" / "models").glob("*.pim"))
+    cases = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in files]
+    return cases + [pytest.param(text, id=name) for name, text in BAD_OVERRIDES.items()]
+
+
+@pytest.mark.parametrize("text", _check_inputs())
+def test_check_refuses_what_analyze_refuses(text: str):
+    code, out, err = run(CliConfig(command="check", input_path="m.pim"), text)
+    want_code, _, want_err = run(_analyze(), text)
+    assert code == want_code
+    if code == 0:
+        assert out.startswith("model OK\n")
+    else:
+        assert (out, err) == ("", want_err)
+        assert err.startswith("error: ")
 
 
 def test_run_internal_invariant_violation_exit_3(monkeypatch, drag_text):

@@ -408,6 +408,15 @@ def test_exact_pow_roots():
     assert exact_pow(Fraction(10**12), Fraction(1, 6)) == 100
 
 
+def test_exact_pow_root_degree_at_the_bit_length_is_refused_at_once():
+    # every integer root r >= 2 has r ** n >= 2 ** n > x once n >= bitlen(x)
+    assert exact_pow(Fraction(2), Fraction(1, 10**12)) is None
+    assert exact_pow(Fraction(1, 3), Fraction(-1, 10**12)) is None
+    assert exact_pow(Fraction(2**40), Fraction(1, 41)) is None
+    assert exact_pow(Fraction(2**40), Fraction(1, 40)) == 2
+    assert exact_pow(Fraction(1, 2**40), Fraction(-3, 40)) == 8
+
+
 def test_exact_pow_rejects_nonpositive_base():
     with pytest.raises(ValueError):
         exact_pow(Fraction(0), Fraction(1, 2))

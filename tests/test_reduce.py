@@ -19,6 +19,7 @@ import pim.ratlin as ratlin_module
 import pim.reduce as reduce_module
 from pim.ratlin import (
     RatMatrix,
+    RrefResult,
     ShapeError,
     nullspace_basis,
     rank,
@@ -33,9 +34,7 @@ from pim.reduce import (
     analyze,
     check_scale_invariance,
     constraint_jacobian,
-    effective_counts,
     redundancy_matrix,
-    select_independent,
 )
 
 from oracles import (
@@ -45,9 +44,11 @@ from oracles import (
     DRAG_J,
     drag_model,
     minor_rank,
+    model_from_matrices,
     pendulum_model,
     random_int_matrix,
     random_invariant_jacobian,
+    random_positive_fraction,
 )
 
 
@@ -135,7 +136,7 @@ def test_scale_invariance_soundness_random():
 
 
 def test_effective_counts_drag():
-    counts = effective_counts(DRAG_A, DRAG_J, DRAG_CLASSIC_BASIS)
+    counts = analyze(model_from_matrices(DRAG_A, DRAG_J, DRAG_CLASSIC_BASIS)).deff
     assert (
         counts.via_kernel_JE,
         counts.via_stacked_rank,
@@ -146,7 +147,9 @@ def test_effective_counts_drag():
 
 
 def test_effective_counts_unconstrained_degenerates():
-    counts = effective_counts(DRAG_A, RatMatrix.zero(0, 6), DRAG_AUTO_BASIS)
+    report = analyze(model_from_matrices(DRAG_A, RatMatrix.zero(0, 6), DRAG_AUTO_BASIS))
+    counts = report.deff
+    assert report.E == DRAG_AUTO_BASIS
     assert counts.value == 3
     assert counts.via_C_rank == 3
 
@@ -155,7 +158,7 @@ def test_effective_counts_fixed_reynolds():
     j = DRAG_J.vstack(RatMatrix.from_rows([[0, 1, 1, 1, -1, 0]]))
     stacked = DRAG_A.vstack(j)
     assert minor_rank(stacked) == 5
-    counts = effective_counts(DRAG_A, j, DRAG_CLASSIC_BASIS)
+    counts = analyze(model_from_matrices(DRAG_A, j, DRAG_CLASSIC_BASIS)).deff
     assert counts.value == 1
     assert counts.via_C_rank == 1
 
@@ -218,25 +221,36 @@ def test_redundancy_matrix_factorization_random():
 
 
 # ---------------------------------------------------------------------------
-# independent-set selection
+# independent-set selection: the non-pivot columns of rref(C), and its nonzero
+# rows as the relations
+
+
+def _selection(a: RatMatrix, j: RatMatrix, e: RatMatrix, c: RatMatrix):
+    report = analyze(model_from_matrices(a, j, e))
+    assert report.C == c
+    return report.selected, tuple(r.coeffs for r in report.relations)
 
 
 def test_select_independent_drag():
-    selected, relations = select_independent(RatMatrix.from_rows([[0, 1, -1]]))
+    c = RatMatrix.from_rows([[0, 1, -1]])
+    selected, relations = _selection(DRAG_A, DRAG_J, DRAG_CLASSIC_BASIS, c)
     assert selected == (0, 2)
     assert relations == ((Fraction(0), Fraction(1), Fraction(-1)),)
 
 
 def test_select_independent_empty():
-    selected, relations = select_independent(RatMatrix.zero(0, 4))
+    # four dimensionless quantities and no constraints: C is 0 x 4
+    selected, relations = _selection(
+        RatMatrix.zero(1, 4), RatMatrix.zero(0, 4), RatMatrix.identity(4), RatMatrix.zero(0, 4)
+    )
     assert selected == (0, 1, 2, 3)
     assert relations == ()
 
 
 def test_select_independent_two_pivots():
-    selected, relations = select_independent(
-        RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    )
+    # with E = I, C is J itself
+    c = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    selected, relations = _selection(RatMatrix.zero(1, 3), c, RatMatrix.identity(3), c)
     assert selected == (2,)
     assert relations == ((1, 0, 0), (0, 1, 0))
 
@@ -393,6 +407,38 @@ def test_analyze_refusal_to_factor_invariant_constraints_is_a_bug(monkeypatch):
         analyze(model)
 
 
+@pytest.mark.parametrize(
+    "rank_j_shift, stacked_shift, meet_shift, rank_c_shift",
+    # the last two cases keep every general form: only the comparison of
+    # rank C with rank J sees them
+    [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, -1)],
+)
+def test_analyze_refuses_disagreeing_effective_counts(
+    monkeypatch, rank_j_shift, stacked_shift, meet_shift, rank_c_shift
+):
+    original_rank = reduce_module.rank
+    original_dims = reduce_module.sum_intersection_dims
+    original_rref = reduce_module.rref_with_transform
+
+    def rank(matrix):
+        return original_rank(matrix) + (rank_j_shift if matrix == DRAG_J else 0)
+
+    def dims(a, j):
+        stacked, meet = original_dims(a, j)
+        return stacked + stacked_shift, meet + meet_shift
+
+    def rref_with_transform(matrix):
+        result, transform = original_rref(matrix)
+        pivots = result.pivot_cols[: result.rank + rank_c_shift]
+        return RrefResult(result.rref, pivots), transform
+
+    monkeypatch.setattr(reduce_module, "rank", rank)
+    monkeypatch.setattr(reduce_module, "sum_intersection_dims", dims)
+    monkeypatch.setattr(reduce_module, "rref_with_transform", rref_with_transform)
+    with pytest.raises(InvariantViolation, match="effective-count formulas disagree"):
+        analyze(drag_model())
+
+
 # ---------------------------------------------------------------------------
 # quantified properties
 
@@ -405,7 +451,7 @@ def test_formula_agreement_random():
         a = random_int_matrix(rng, m, n, -2, 2)
         e = nullspace_basis(a)
         j = random_invariant_jacobian(rng, e, rng.randint(0, 3))
-        counts = effective_counts(a, j, e)
+        counts = analyze(model_from_matrices(a, j, e)).deff
         assert (
             counts.via_kernel_JE
             == counts.via_stacked_rank
@@ -419,7 +465,7 @@ def test_formula_agreement_without_invariance():
     # J repeats a row of A: the row spaces meet in one dimension
     j = RatMatrix.from_rows([DRAG_A.row(0)])
     assert check_scale_invariance(DRAG_A, j) is False
-    counts = effective_counts(DRAG_A, j, DRAG_CLASSIC_BASIS)
+    counts = analyze(model_from_matrices(DRAG_A, j, DRAG_CLASSIC_BASIS)).deff
     assert (counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann) == (3, 3, 3)
     assert counts.via_C_rank is None
     rng = random.Random(3304)
@@ -429,9 +475,11 @@ def test_formula_agreement_without_invariance():
         a = random_int_matrix(rng, m, n, -2, 2)
         e = nullspace_basis(a)
         j = random_int_matrix(rng, rng.randint(0, 3), n, -2, 2)
-        counts = effective_counts(a, j, e)
+        report = analyze(model_from_matrices(a, j, e))
+        counts = report.deff
         assert counts.via_kernel_JE == counts.via_stacked_rank == counts.via_grassmann
-        if not check_scale_invariance(a, j):
+        assert report.scale_invariant is check_scale_invariance(a, j)
+        if not report.scale_invariant:
             assert counts.via_C_rank is None
 
 
@@ -446,8 +494,11 @@ def test_selection_correctness_random():
         if e.cols == 0:
             continue
         j = random_invariant_jacobian(rng, e, rng.randint(1, 3))
-        c = redundancy_matrix(j, e)
-        selected, relations = select_independent(c)
+        report = analyze(model_from_matrices(a, j, e))
+        c = report.C
+        assert c == redundancy_matrix(j, e)
+        selected = report.selected
+        relations = [r.coeffs for r in report.relations]
         assert len(selected) == e.cols - rank(c)
         result = rref(c)
         if result.rank:
@@ -576,4 +627,28 @@ def test_harness_size_cross_check_against_sympy():
             stacked = sym(a).col_join(sym(b)).rank()
             assert total == stacked
             assert meet == sym(a).rank() + sym(b).rank() - stacked
-            assert effective_counts(a, b, e).value == n - stacked
+            assert analyze(model_from_matrices(a, b, e)).d_eff == n - stacked
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seed_era_n40_model(seed: int):
+    # The model style that once ran about 29 s and then crashed: a random
+    # 10 x 40 A, twelve invariant monomial constraints with random constants.
+    rng = random.Random(seed)
+    a = random_int_matrix(rng, 10, 40, -3, 3)
+    j = random_invariant_jacobian(rng, nullspace_basis(a), 12)
+    constants = [random_positive_fraction(rng) for _ in range(j.rows)]
+    report = analyze(model_from_matrices(a, j, constants=constants))
+    counts = report.deff
+    assert (report.n, report.d, report.ell) == (40, 30, 12)
+    assert (
+        counts.via_kernel_JE
+        == counts.via_stacked_rank
+        == counts.via_grassmann
+        == counts.via_C_rank
+        == report.d_eff
+        == 18
+    )
+    assert report.C @ report.E.transpose() == report.J
+    assert len(report.relations) == 12
+    assert len(report.selected) == 18
