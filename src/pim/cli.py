@@ -14,10 +14,10 @@ import argparse
 import os
 import sys
 
-from .model import ModelError, build_dimension_matrix, kernel_basis
+from .model import ModelError
 from .modelfile import ModelFileError, ParseError, parse_model, render_report
 from .ratlin import Value
-from .reduce import InvariantViolation, analyze, check_scale_invariance, constraint_jacobian
+from .reduce import InvariantViolation, analyze
 
 
 class CliConfig(Value):
@@ -53,8 +53,10 @@ def _format_parse_errors(path: str, errors: tuple[ParseError, ...]) -> str:
 def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
     """Execute one command on already-read input text.
 
-    Returns (exit_code, output, diagnostics). On a nonzero exit code the
-    output stream is empty; diagnostics carry the explanation.
+    Both commands run the full analysis, so they refuse the same models with
+    the same diagnostics. Returns (exit_code, output, diagnostics). On exit 0
+    the diagnostics are empty (warnings are part of the report); on a nonzero
+    exit code the output is empty and the diagnostics explain why.
     """
     try:
         model = parse_model(input_text)
@@ -62,31 +64,25 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
         return 1, "", _format_parse_errors(config.input_path, exc.errors)
 
     try:
-        if config.command == "check":
-            # analyze's validation, without building the report to print
-            a = build_dimension_matrix(model)
-            kernel_basis(model, a)
-            invariant = check_scale_invariance(a, constraint_jacobian(model))
-            return 0, (
-                "model OK\n"
-                f"quantities: {model.n}\n"
-                f"dimensions: {model.m}\n"
-                f"constraints: {len(model.constraints)}\n"
-                f"scale invariant: {'yes' if invariant else 'no'}\n"
-            ), ""
         report = analyze(model)
     except ModelError as exc:
         return 1, "", f"error: {exc}\n"
     except InvariantViolation as exc:
         return 3, "", f"internal error: {exc}\n"
+    if config.command == "check":
+        return 0, (
+            "model OK\n"
+            f"quantities: {report.n}\n"
+            f"dimensions: {report.m}\n"
+            f"constraints: {report.ell}\n"
+            f"scale invariant: {'yes' if report.scale_invariant else 'no'}\n"
+        ), ""
     if config.strict and not report.scale_invariant:
         return 2, "", (
             "error: constraints are not scale-invariant (J @ A^T != 0) "
             "and --strict was given\n"
         )
-    output = render_report(report, config.format, color=config.color)
-    warnings = "".join(f"warning: {w}\n" for w in report.warnings)
-    return 0, output, warnings
+    return 0, render_report(report, config.format, color=config.color), ""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,11 +122,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if config.input_path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(config.input_path, encoding="utf-8") as handle:
-                text = handle.read()
-    except OSError as exc:
+            with open(config.input_path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8-sig")  # one decoder for files and stdin
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {_display_path(config.input_path)}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -144,7 +141,3 @@ def main(argv: list[str] | None = None) -> int:
     if diagnostics:
         sys.stderr.write(diagnostics)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

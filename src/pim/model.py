@@ -33,7 +33,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # denominator.
 MAX_DIGITS = 4300
 # 3.321928 < log2(10), so 2 ** _SAFE_BITS < 10 ** MAX_DIGITS: an integer of
-# at most _SAFE_BITS bits always prints.
+# at most _SAFE_BITS bits always prints. A longer number in a report is
+# compared with 10 ** MAX_DIGITS; a relation constant whose size bound is
+# longer is left symbolic.
 _SAFE_BITS = MAX_DIGITS * 3321928 // 10**6
 
 
@@ -95,9 +97,6 @@ class DimensionSystem(Value):
     @property
     def m(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 class Quantity(Value):
@@ -236,35 +235,30 @@ def format_monomial(
     return f"{num_txt}{slash}{den_txt}"
 
 
-def kernel_basis(model: Model, matrix: RatMatrix) -> RatMatrix:
-    """The kernel basis E of the dimension matrix: the model's basis override
-    once validated as a genuine kernel basis, otherwise the canonical RREF
-    free-variable basis."""
-    override = model.basis_override
-    if override is None:
-        return nullspace_basis(matrix)
-    d = buckingham_count(matrix)
-    if override.cols != d:
-        raise ModelError(
-            f"basis override has {override.cols} columns but the kernel "
-            f"has dimension {d}"
-        )
-    product = matrix @ override
-    for j in range(override.cols):
-        if any(product.nums[j :: product.cols]):
-            raise ModelError(
-                f"basis override column {j} is not in the kernel of the "
-                f"dimension matrix"
-            )
-    if rank(override) != override.cols:
-        raise ModelError("basis override is rank-deficient")
-    return override
-
-
 def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup, ...]]:
-    """kernel_basis(model, matrix) plus the rendered pi groups. Group
+    """The kernel basis E of the dimension matrix, plus the rendered pi
+    groups. E is the model's basis override once validated as a genuine
+    kernel basis, otherwise the canonical RREF free-variable basis. Group
     exponents are always reported in primitive integer form."""
-    basis = kernel_basis(model, matrix)
+    basis = model.basis_override
+    if basis is None:
+        basis = nullspace_basis(matrix)
+    else:
+        d = buckingham_count(matrix)
+        if basis.cols != d:
+            raise ModelError(
+                f"basis override has {basis.cols} columns but the kernel "
+                f"has dimension {d}"
+            )
+        product = matrix @ basis
+        for j in range(basis.cols):
+            if any(product.nums[j :: product.cols]):
+                raise ModelError(
+                    f"basis override column {j} is not in the kernel of the "
+                    f"dimension matrix"
+                )
+        if rank(basis) != basis.cols:
+            raise ModelError("basis override is rank-deficient")
     names = model.quantity_names
     groups = []
     for j in range(basis.cols):

@@ -582,7 +582,7 @@ class _Parser:
             constraints.append(MonomialConstraint(tuple(exps), decl.constant))
 
         basis: RatMatrix | None = None
-        if self.basis_rows:
+        if self.seen_basis_block:  # a block without vectors is an n x 0 override
             usable = []
             ok = True
             for values, span in self.basis_rows:
@@ -687,8 +687,7 @@ def render_model(model: Model) -> str:
     names = model.quantity_names
     for c in model.constraints:
         if c.kind == "monomial":
-            lines.append(f"constraint {_render_constraint_monomial(names, c.exponents)}"
-                         f" = {c.constant}")
+            lines.append("constraint " + constraint_label(names, c))
         else:
             lines.append("jacobian_row: " + ", ".join(str(x) for x in c.entries))
     if model.basis_override is not None:

@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 from .model import (
+    _SAFE_BITS,
     Model,
     PiGroup,
     _check_printable,
@@ -125,9 +126,10 @@ class Relation(Value):
     holds its exact rational value when one exists; it is None when the
     value is irrational, when a pointwise Jacobian row contributes (then
     the relation only holds infinitesimally at the analysis point), or when
-    the constant may be too large to print: its size bound, the sum of
+    the constant may be too long to print: its size bound, the sum of
     ceil(|k_exponents[k]| * bitlen(K_k)) over the K_k != 1, exceeds
-    MAX_CONSTANT_BITS. The label then shows the product of constants
+    model._SAFE_BITS, the bit length up to which every integer prints in
+    at most 4,300 digits. The label then shows the product of constants
     symbolically.
     """
 
@@ -244,12 +246,6 @@ def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-# Relation constants are evaluated only while the bound of _constant_bits
-# stays within this many bits, at most 4,215 decimal digits in numerator and
-# denominator: under CPython's 4,300-digit limit on int-to-str conversion.
-MAX_CONSTANT_BITS = 14_000
-
-
 def _constant_bits(constraints: tuple[Constraint, ...], k_exps: tuple[Fraction, ...]) -> int:
     """Upper bound on the bit length of the numerator and the denominator of
     prod_k K_k ** t_k when it is rational. With bitlen(K) the larger bit
@@ -290,7 +286,7 @@ def _build_relations(
             for k, t in enumerate(k_exps)
         )
         constant: Fraction | None = None
-        if not pointwise and _constant_bits(constraints, k_exps) <= MAX_CONSTANT_BITS:
+        if not pointwise and _constant_bits(constraints, k_exps) <= _SAFE_BITS:
             constant = Fraction(1)
             for k, t in enumerate(k_exps):
                 if t == 0:

@@ -78,7 +78,9 @@ def test_run_permissive_non_invariant_warns():
     code, out, err = run(_analyze(), NON_INVARIANT)
     assert code == 0
     assert "scale invariant: no" in out
-    assert "warning:" in err
+    # the warning is part of the report, not repeated on stderr
+    assert "warning:" in out
+    assert err == ""
 
 
 def test_run_invalid_basis_override_exit_1():
@@ -114,26 +116,44 @@ BAD_OVERRIDES = {
     "not-in-kernel": _OVERRIDE_BASE + "basis_override:\n1, 0\n",
     "too-few-columns": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n0, 0, 1\n",
     "rank-deficient": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n1, -1, 0\n2, -2, 0\n",
+    "empty-block": _OVERRIDE_BASE + "basis_override:\n",
 }
+
+
+def _long_exponent_model(a: int, b: int) -> str:
+    # The pi group is x^b * y^a / z^(a*b).
+    return f"dimensions: M, L\nquantity x = M^{a}\nquantity y = L^{b}\nquantity z = M L\n"
+
+
+# a*b = 10^4300 + 10^2150 has 4,301 digits, one past CPython's int-to-str limit
+TOO_LONG_TO_PRINT = _long_exponent_model(10**2150, 10**2150 + 1)
 
 
 def _check_inputs() -> list:
     root = Path(__file__).resolve().parent.parent
     files = sorted((root / "models").glob("*.pim")) + sorted((root / "tests" / "models").glob("*.pim"))
     cases = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in files]
-    return cases + [pytest.param(text, id=name) for name, text in BAD_OVERRIDES.items()]
+    cases += [pytest.param(text, id=name) for name, text in BAD_OVERRIDES.items()]
+    return cases + [pytest.param(TOO_LONG_TO_PRINT, id="too-long-to-print")]
 
 
 @pytest.mark.parametrize("text", _check_inputs())
 def test_check_refuses_what_analyze_refuses(text: str):
     code, out, err = run(CliConfig(command="check", input_path="m.pim"), text)
     want_code, _, want_err = run(_analyze(), text)
-    assert code == want_code
+    assert (code, err) == (want_code, want_err)
     if code == 0:
         assert out.startswith("model OK\n")
     else:
-        assert (out, err) == ("", want_err)
+        assert out == ""
         assert err.startswith("error: ")
+
+
+def test_run_empty_basis_override_block_is_a_zero_column_override():
+    for command in ("analyze", "check"):
+        code, out, err = run(CliConfig(command, "m.pim"), BAD_OVERRIDES["empty-block"])
+        assert (code, out) == (1, "")
+        assert err == "error: basis override has 0 columns but the kernel has dimension 1\n"
 
 
 def test_run_internal_invariant_violation_exit_3(monkeypatch, drag_text):
@@ -181,7 +201,8 @@ def test_main_analyze_file(tmp_path: Path, capsys, drag_text):
 
 
 def test_main_reads_stdin(monkeypatch, capsys, drag_text):
-    monkeypatch.setattr(cli_module.sys, "stdin", io.StringIO(drag_text))
+    stdin = io.TextIOWrapper(io.BytesIO(drag_text.encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr(cli_module.sys, "stdin", stdin)
     assert main(["check", "-"]) == 0
     captured = capsys.readouterr()
     assert "model OK" in captured.out
@@ -192,6 +213,25 @@ def test_main_missing_file(tmp_path: Path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot read" in captured.err
+
+
+def test_main_file_that_is_not_utf8_cannot_be_read(tmp_path: Path, capsys):
+    path = tmp_path / "latin1.pim"
+    path.write_bytes(b"dimensions: M\nquantity caf\xe9 = M\n")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_main_reads_a_file_with_a_byte_order_mark(tmp_path: Path, capsys, drag_text):
+    path = tmp_path / "bom.pim"
+    path.write_bytes(b"\xef\xbb\xbf" + drag_text.encode("utf-8"))
+    assert main(["analyze", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "d_eff = 2" in captured.out
+    assert captured.err == ""
 
 
 def test_main_strict_flag(tmp_path: Path, capsys):
@@ -222,7 +262,7 @@ def test_golden_json_report(repo_root: Path):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
-@pytest.mark.parametrize("name", ["drag_auto", "pendulum"])
+@pytest.mark.parametrize("name", ["drag", "drag_auto", "pendulum"])
 def test_golden_reports_of_shipped_models(repo_root: Path, name: str, fmt: str, suffix: str):
     path = f"models/{name}.pim"
     golden = repo_root / "tests" / "golden" / f"{name}_report.{suffix}"
@@ -266,20 +306,15 @@ def test_run_oversized_literal_is_a_parse_error(source: str, code: str):
     assert "7" * 100 not in err
 
 
-def _long_exponent_model(a: int, b: int) -> str:
-    # The pi group is x^b * y^a / z^(a*b).
-    return f"dimensions: M, L\nquantity x = M^{a}\nquantity y = L^{b}\nquantity z = M L\n"
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_run_number_too_long_to_print_is_a_model_error(fmt: str):
-    # a*b = 10^4300 + 10^2150 has 4,301 digits, one past CPython's int-to-str limit
-    text = _long_exponent_model(10**2150, 10**2150 + 1)
-    assert run(CliConfig(command="check", input_path="big.pim"), text)[0] == 0
-    code, out, err = run(_analyze(fmt), text)
+    code, out, err = run(_analyze(fmt), TOO_LONG_TO_PRINT)
     assert (code, out) == (1, "")
     assert err == (
         "error: pi group 1 has a number of 4301 digits, more than the 4300 that can be printed\n"
+    )
+    assert run(CliConfig(command="check", input_path="big.pim"), TOO_LONG_TO_PRINT) == (
+        code, out, err
     )
 
 

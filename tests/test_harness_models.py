@@ -8,12 +8,17 @@ from its file and only read.
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pim import analyze, parse_model
+from pim import RescaleVector, analyze, parse_model
+from pim.model import apply_rescale, evaluate_monomial
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
@@ -44,3 +49,44 @@ def test_ladder_models_have_their_constructed_answers(gen, seed: int, pointwise:
         assert made.scale_invariant is not pointwise
         if made.scale_invariant:
             assert report.C @ report.E.transpose() == report.J
+
+
+@st.composite
+def shapes(draw) -> tuple[int, int, int, bool]:
+    """(n, m, ell, pointwise) that gen.make_model accepts: m >= 2, and a
+    pointwise model needs ell >= 1 (with none it draws forever)."""
+    pointwise = draw(st.booleans())
+    m = draw(st.integers(2, 10))
+    n = draw(st.integers(m + pointwise, 40))
+    ell = draw(st.integers(int(pointwise), min(12, n - m)))
+    return n, m, ell, pointwise
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32), shape=shapes())
+@example(seed=1, shape=(40, 10, 12, False))
+@example(seed=1, shape=(40, 10, 12, True))
+@example(seed=2, shape=(24, 6, 4, False))  # the top rung of the ladder
+@example(seed=3, shape=(20, 6, 6, True))  # the stress rung
+def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, shape):
+    n, m, ell, pointwise = shape
+    rng = random.Random(seed)
+    made = gen.make_model(rng, gen.Rung("drawn", n, m, ell), 0, pointwise)
+    model = parse_model(made.text)
+    report = analyze(model)
+    assert (report.n, report.d, report.d_eff, report.scale_invariant) == (
+        made.n, made.d, made.d_eff, made.scale_invariant
+    )
+    deff = report.deff
+    forms = [deff.via_kernel_JE, deff.via_stacked_rank, deff.via_grassmann]
+    assert forms == [made.d - ell] * 3
+    assert deff.via_C_rank == (None if pointwise else made.d - ell)
+    if report.scale_invariant:
+        assert report.C @ report.E.transpose() == report.J
+    values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    rescale = RescaleVector([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
+    scaled = apply_rescale(model, values, rescale)
+    for group in report.pi_groups:
+        assert evaluate_monomial(scaled, group.exponents) == evaluate_monomial(
+            values, group.exponents
+        ), group.label

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pim.model import DimensionSystem
+from pim.model import DimensionSystem, Model, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
@@ -286,6 +286,20 @@ def test_render_model_round_trip_variants():
     for text in texts:
         model = parse_model(text)
         assert parse_model(render_model(model)) == model
+
+
+def test_render_model_round_trip_of_a_zero_column_override():
+    # d = 0: the override with no columns is the whole kernel basis
+    model = Model(
+        DimensionSystem(("M", "L")),
+        (Quantity("a", (1, 0)), Quantity("b", (0, 1))),
+        basis_override=RatMatrix.zero(2, 0),
+    )
+    rendered = render_model(model)
+    assert rendered.endswith("\nbasis_override:\n")
+    assert parse_model(rendered) == model
+    report = analyze(model)
+    assert (report.d, report.d_eff, report.pi_groups) == (0, 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -324,8 +324,9 @@ def _power_model(power: int) -> Model:
 
 
 def test_relation_constant_past_the_bit_budget_is_symbolic():
-    # 3 has bit length 2: the bound for 3^-power is 2 * power bits
-    power = reduce_module.MAX_CONSTANT_BITS // 2
+    # 3 has bit length 2: the bound for 3^-power is 2 * power bits, at most
+    # the bit length up to which every integer prints
+    power = model_module._SAFE_BITS // 2
     under = analyze(_power_model(power)).relations[1]
     assert under.constant == Fraction(1, 3**power)
     assert under.label == f"pi2 = {under.constant}"
@@ -342,9 +343,12 @@ def test_analyze_refuses_a_constraint_constant_too_long_to_print():
         model = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), constant),))
         with pytest.raises(ModelError, match=f"constraint 1 has a number of {digits} digits"):
             analyze(model)
-    printable = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), 10**4299),))
-    # past the bit budget of relation constants, so the relation is symbolic
-    assert analyze(printable).relations[0].label == "pi1 = K1"
+    # 10^4299 has 14,283 bits and prints; so does 10^4300 - 1, with 4,300
+    # digits but 14,285 bits: past the bit budget of relation constants, so
+    # its relation is symbolic
+    for constant, label in ((10**4299, f"pi1 = {10**4299}"), (10**4300 - 1, "pi1 = K1")):
+        printable = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), constant),))
+        assert analyze(printable).relations[0].label == label
 
 
 def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
