@@ -2,7 +2,7 @@
 
 Exit codes:
     0  success
-    1  unreadable input, parse error, or model validation error
+    1  usage error, unreadable input, parse error, or model validation error
     2  constraints not scale-invariant and --strict was given
     3  internal invariant violation or any other unexpected error (always a
        bug, never a modeling error)
@@ -112,7 +112,10 @@ def _want_color() -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which --strict owns
+        return 0 if exc.code == 0 else 1
     config = CliConfig(
         command=args.command,
         input_path=args.input,

@@ -111,6 +111,8 @@ def _parse_rational_token(text: str) -> int | Fraction | None:
 def _too_long(text: str) -> str | None:
     """Why a token's numerator or denominator has too many digits to read,
     or None. Gives the digit count, never the literal itself."""
+    if len(text) <= MAX_DIGITS:
+        return None
     digits = max(map(len, re.findall(r"\d+", text)), default=0)
     if digits <= MAX_DIGITS:
         return None
@@ -370,7 +372,9 @@ class _ConstraintDecl:
 class _Parser:
     def __init__(self, text: str):
         self.errors: list[ParseError] = []
-        self.lines = text.splitlines()
+        # Only \r\n, \r and \n end a line; str.splitlines also splits at
+        # \x0b, \x0c, \x1c-\x1e, U+0085, U+2028 and U+2029.
+        self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         self.dim_names: list[tuple[str, SourceSpan]] | None = None
         self.quantities: list[_QuantityDecl] = []
         self.constraints: list[_ConstraintDecl] = []

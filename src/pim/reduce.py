@@ -203,15 +203,41 @@ def check_scale_invariance(a: RatMatrix, j: RatMatrix) -> bool:
 def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     """The unique C with J = C E^T, for scale-invariant constraints.
 
-    One elimination of the n x (d + ell) matrix [E | J^T] solves E C^T = J^T.
-    Its first d columns must all be pivots (E has full column rank). A pivot
-    further right means a row of J lies outside the column space of E (when
-    E spans the kernel of the dimension matrix, that is exactly a failure of
-    scale invariance): no exact factorization exists and this refuses.
+    When every column k of E has a unit row, a row r_k whose only nonzero
+    entry s_k is in column k (the canonical kernel basis has one at each
+    free column, and so does the shipped drag override), J = C E^T reads
+    J[:, r_k] = s_k C[:, k] there, so C is one division per column. The
+    certificate C E^T == J then decides: if it fails, a row of J lies
+    outside the column space of E and this raises ScaleInvarianceError.
+
+    Any other E is solved by one elimination of the n x (d + ell) matrix
+    [E | J^T]. Its first d columns must all be pivots, or this raises
+    ValueError (E is not full column rank); a pivot further right raises
+    ScaleInvarianceError. When E spans the kernel of the dimension matrix,
+    a row of J outside its column space is exactly a failure of scale
+    invariance.
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
-    d, ell = e.cols, j.rows
+    d, ell, n = e.cols, j.rows, j.cols
+    units: dict[int, int] = {}
+    for r in range(n):
+        support = [k for k, x in enumerate(e.nums[r * d : (r + 1) * d]) if x]
+        if len(support) == 1:
+            units.setdefault(support[0], r)
+    if len(units) == d:
+        # C[i, k] = (j.nums[i, r_k] / j.den) / (s_k / e.den), over j.den * lcm(s).
+        unit_rows = [units[k] for k in range(d)]
+        diag = [e.nums[r * d + k] for k, r in enumerate(unit_rows)]
+        scale = math.lcm(*diag)
+        factors = [e.den * (scale // s) for s in diag]
+        nums = tuple(
+            j.nums[i * n + r] * f for i in range(ell) for r, f in zip(unit_rows, factors)
+        )
+        c = _matrix(ell, d, nums, j.den * scale)
+        if c @ e.transpose() != j:
+            raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
+        return c
     result = rref(e.transpose().vstack(j).transpose())  # [E | J^T]
     if result.pivot_cols[:d] != tuple(range(d)):
         raise ValueError("kernel basis E is not full column rank")

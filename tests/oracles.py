@@ -48,6 +48,16 @@ DRAG_AUTO_BASIS = RatMatrix.from_columns(
     ]
 )
 
+# A kernel basis of DRAG_A in which no row has a single nonzero entry, so C
+# cannot be read off unit rows of E and needs the [E | J^T] elimination.
+DRAG_MIXED_BASIS = RatMatrix.from_columns(
+    [
+        [1, 0, -1, -1, -1, 0],
+        [0, 1, 2, 2, -1, -1],
+        [1, -1, -1, -1, 0, -1],
+    ]
+)
+
 DRAG_RREF = RatMatrix.from_rows(
     [
         [1, 0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)],
@@ -57,7 +67,9 @@ DRAG_RREF = RatMatrix.from_rows(
 )
 
 
-def drag_model(*, with_basis: bool = True, extra_constraints=()) -> Model:
+def drag_model(
+    *, with_basis: bool = True, extra_constraints=(), basis: RatMatrix = DRAG_CLASSIC_BASIS
+) -> Model:
     dims = DimensionSystem(("M", "L", "T"))
     quantities = (
         Quantity("F_D", (1, 1, -2)),
@@ -74,7 +86,7 @@ def drag_model(*, with_basis: bool = True, extra_constraints=()) -> Model:
         dims,
         quantities,
         constraints,
-        DRAG_CLASSIC_BASIS if with_basis else None,
+        basis if with_basis else None,
     )
 
 
@@ -156,6 +168,21 @@ def random_int_matrix(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+def random_unimodular(rng: random.Random, d: int) -> RatMatrix:
+    """A d x d integer matrix of determinant 1: a unit lower triangular times
+    a unit upper triangular factor, each with entries -1 or 1 off the
+    diagonal, so its rows are dense for d >= 2."""
+
+    def triangle(below: bool) -> RatMatrix:
+        rows = [
+            [1 if i == k else rng.choice((-1, 1)) if (k < i) == below else 0 for k in range(d)]
+            for i in range(d)
+        ]
+        return RatMatrix.from_rows(rows, cols=d)
+
+    return triangle(True) @ triangle(False)
 
 
 def random_positive_fraction(rng: random.Random, hi: int = 12) -> Fraction:

@@ -242,6 +242,22 @@ def test_main_strict_flag(tmp_path: Path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["bogus", "x"], ["analyze", "models/drag.pim", "--format", "xml"],
+])
+def test_main_usage_error_exit_1(argv: list[str], capsys):
+    # exit 2 belongs to --strict's verdict, not to a mistyped command line
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pim")
+
+
+def test_main_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pim")
+
+
 def test_want_color_respects_env(monkeypatch):
     monkeypatch.setattr(cli_module.sys.stdout, "isatty", lambda: True, raising=False)
     monkeypatch.setenv("PIM_COLOR", "0")

@@ -17,8 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pim.reduce as reduce_module
 from pim import RescaleVector, analyze, parse_model
-from pim.model import apply_rescale, evaluate_monomial
+from pim.model import Model, apply_rescale, evaluate_monomial
+
+from oracles import DRAG_MIXED_BASIS, drag_model, random_unimodular
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
@@ -83,6 +86,14 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
     assert deff.via_C_rank == (None if pointwise else made.d - ell)
     if report.scale_invariant:
         assert report.C @ report.E.transpose() == report.J
+    # Another basis of the same kernel, with dense rows, as an override.
+    basis = report.E @ random_unimodular(rng, report.d)
+    other = analyze(Model(model.dims, model.quantities, model.constraints, basis))
+    assert (other.d, other.d_eff) == (report.d, report.d_eff)
+    if report.scale_invariant:
+        assert other.C @ basis.transpose() == other.J
+        assert len(other.relations) == len(report.relations)
+        assert len(other.selected) == len(report.selected)
     values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
     rescale = RescaleVector([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)])
     scaled = apply_rescale(model, values, rescale)
@@ -90,3 +101,24 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
         assert evaluate_monomial(scaled, group.exponents) == evaluate_monomial(
             values, group.exponents
         ), group.label
+
+
+def test_analysis_reads_c_off_unit_rows_without_an_elimination(gen, repo_root, monkeypatch):
+    # Every canonical kernel basis, and the shipped drag override, has a unit
+    # row per column; only an override without one needs rref([E | J^T]).
+    calls = [0]
+    original = reduce_module.rref
+
+    def counted(matrix):
+        calls[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(reduce_module, "rref", counted)
+    texts = [(repo_root / "models" / f"{name}.pim").read_text(encoding="utf-8")
+             for name in ("drag", "drag_auto", "pendulum")]
+    texts += [made.text for made in gen.ladder(1, 1, False)]
+    for text in texts:
+        analyze(parse_model(text))
+    assert calls[0] == 0
+    analyze(drag_model(basis=DRAG_MIXED_BASIS))
+    assert calls[0] == 1

@@ -79,6 +79,27 @@ def test_parse_comments_and_blank_lines():
     assert model.quantity_names == ("a",)
 
 
+@pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_cr_and_lf_end_a_line(mark: str):
+    text = f"dimensions: M\nquantity a = M # note{mark}quantity b = Q\nquantity c = Z\n"
+    errors = _parse_errors(text)
+    assert [(e.span.line, e.span.column, e.message) for e in errors] == [
+        (3, 14, "unknown dimension 'Z'")
+    ]
+    text = f"dimensions: M\nquantity a = M{mark}quantity b = M\nconstraint a / b = 2\n"
+    assert _parse_errors(text)[0].span.line == 2
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_read_as_lf(drag_text, newline: str):
+    assert parse_model(drag_text.replace("\n", newline)) == parse_model(drag_text)
+    text = "dimensions: M\n\nquantity a = M\nquantity b = Q\n"
+    located = [(e.span.line, e.span.column) for e in _parse_errors(text)]
+    assert located == [(4, 14)]
+    crlf = text.replace("\n", newline)
+    assert [(e.span.line, e.span.column) for e in _parse_errors(crlf)] == located
+
+
 def test_parse_basis_block_ends_at_keyword():
     text = (
         "dimensions: M\n"

@@ -42,6 +42,7 @@ from oracles import (
     DRAG_AUTO_BASIS,
     DRAG_CLASSIC_BASIS,
     DRAG_J,
+    DRAG_MIXED_BASIS,
     drag_model,
     minor_rank,
     model_from_matrices,
@@ -49,6 +50,8 @@ from oracles import (
     random_int_matrix,
     random_invariant_jacobian,
     random_positive_fraction,
+    random_unimodular,
+    textbook_rref,
 )
 
 
@@ -220,6 +223,61 @@ def test_redundancy_matrix_factorization_random():
         assert rank(c) == rank(j)
 
 
+def _textbook_solve(j: RatMatrix, e: RatMatrix) -> RatMatrix:
+    """C from a Fraction Gauss-Jordan elimination of [E | J^T]."""
+    d = e.cols
+    rows = [list(e.row(i)) + list(j.column(i)) for i in range(e.rows)]
+    reduced, pivots, _ = textbook_rref(rows, d + j.rows)
+    assert pivots == list(range(d))
+    rows = [[row[d + k] for row in reduced[:d]] for k in range(j.rows)]
+    return RatMatrix.from_rows(rows, cols=d)
+
+
+def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch):
+    # A canonical E, and E with its columns permuted and scaled, have a unit
+    # row for every column: C is read off them without an elimination. E @ U
+    # for a dense unimodular U has none and takes the [E | J^T] elimination.
+    # Both give the solve of the textbook elimination, and both refuse a row
+    # of A, which lies outside the kernel.
+    calls = [0]
+
+    def counted(matrix):
+        calls[0] += 1
+        return rref(matrix)
+
+    monkeypatch.setattr(reduce_module, "rref", counted)
+    rng = random.Random(8128)
+    seen = {0: 0, 1: 0}
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        a = random_int_matrix(rng, m, rng.randint(m + 1, 8), -2, 2)
+        e = nullspace_basis(a)
+        d = e.cols
+        order = rng.sample(range(d), d)
+        scales = [rng.choice((-2, -1, Fraction(1, 3), 1, 3)) for _ in range(d)]
+        shuffled = RatMatrix.from_columns([[x * scales[k] for x in e.column(k)] for k in order])
+        bases = [(e, 0), (shuffled, 0)]
+        for _ in range(10 if d >= 2 else 0):
+            mixed = e @ random_unimodular(rng, d)
+            if not any(sum(map(bool, row)) == 1 for row in mixed.to_rows()):
+                bases.append((mixed, 1))
+                break
+        outside = next((a.row(i) for i in range(m) if any(a.row(i))), None)
+        for basis, elims in bases:
+            j = random_invariant_jacobian(rng, basis, rng.randint(0, 3))
+            calls[0] = 0
+            c = redundancy_matrix(j, basis)
+            assert calls[0] == elims
+            seen[elims] += 1
+            assert c @ basis.transpose() == j
+            assert c == _textbook_solve(j, basis)
+            if outside is not None:
+                bad = j.vstack(RatMatrix.from_rows([outside]))
+                with pytest.raises(ScaleInvarianceError):
+                    redundancy_matrix(bad, basis)
+    assert min(seen.values()) >= 50
+
+
 # ---------------------------------------------------------------------------
 # independent-set selection: the non-pivot columns of rref(C), and its nonzero
 # rows as the relations
@@ -271,6 +329,14 @@ def test_analyze_drag_classic():
     assert [r.label for r in report.relations] == ["pi2 / pi3 = 1"]
     assert report.relations[0].constant == 1
     assert report.warnings == ()
+
+
+def test_analyze_drag_with_a_basis_override_without_unit_rows():
+    report = analyze(drag_model(basis=DRAG_MIXED_BASIS))
+    assert report.d_eff == 2
+    assert report.C == RatMatrix.from_rows([[1, 0, -1]])
+    assert [r.label for r in report.relations] == ["pi1 / pi3 = 1"]
+    assert report.selected == (1, 2)
 
 
 def test_analyze_pendulum_unconstrained():
