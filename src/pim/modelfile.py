@@ -9,7 +9,8 @@ File format (line oriented, ``#`` starts a comment anywhere):
     basis_override:                  # optional; one kernel vector per line
     1, -1, -2, -2, 0, 0
 
-Rationals are written ``p`` or ``p/q`` with an optional leading minus.
+Rationals are written ``p`` or ``p/q`` in ASCII digits with an optional
+leading minus.
 Parsing collects as many errors as it can before giving up; every error
 carries a source span pointing inside the offending token.
 
@@ -23,7 +24,7 @@ import json
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import MAX_DIGITS, DimensionSystem, Model, Quantity
 from .ratlin import RatMatrix, Value
@@ -35,7 +36,11 @@ from .reduce import (
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_DIGITS_RE = re.compile(r"[0-9]+")
+_SPACE_RE = re.compile(r"\s*")
+_WORD_RE = re.compile(r"\S+")
+_BAD_EXPONENT_RE = re.compile(r"[^\s*/()^]*")
 _KEYWORD_RE = re.compile(r"\s*(dimensions|quantity|constraint|jacobian_row|basis_override)\b")
 
 SCHEMA_VERSION = 1
@@ -84,444 +89,286 @@ class ModelFileError(ValueError):
         super().__init__("; ".join(str(e) for e in self.errors) or "parse failed")
 
 
-def _err(
-    errors: list[ParseError],
-    line: int,
-    column: int,
-    length: int,
-    code: ErrorCode,
-    message: str,
-) -> None:
-    errors.append(ParseError(SourceSpan(line, column, max(length, 1)), code, message))
+class _Errors(list):
+    """The errors of one parse, in order; new ones are reported on `line`."""
+
+    line = 1
+
+    def add(self, pos: int, length: int, code: ErrorCode, message: str) -> None:
+        """Report an error at the 0-based position `pos` of the current line."""
+        self.append(ParseError(SourceSpan(self.line, pos + 1, max(length, 1)), code, message))
+
+    def rational(
+        self, token: str, pos: int, code: ErrorCode, template: str, count_any: bool = False
+    ) -> int | Fraction | None:
+        """int from a `p` token, Fraction from a `p/q` token, or None after
+        reporting why the token at `pos` is not one: the digit count of a
+        numerator or denominator longer than MAX_DIGITS (looked for in a token
+        that is not a rational too if `count_any`), `template` formatted with
+        the token, or a zero denominator."""
+        rational = _RATIONAL_RE.fullmatch(token)
+        digits = 0
+        if len(token) > MAX_DIGITS and (rational or count_any):
+            digits = max(map(len, _DIGITS_RE.findall(token)), default=0)
+        if digits > MAX_DIGITS:
+            message = f"number has {digits} digits, more than the {MAX_DIGITS} allowed"
+        elif rational is None:
+            message = template.format(token)
+        elif rational[1] is None:
+            return int(token)
+        elif int(rational[1]):
+            return Fraction(token)
+        else:
+            message = f"rational {token!r} has a zero denominator"
+        self.add(pos, len(token), code, message)
+        return None
 
 
-def _parse_rational_token(text: str) -> int | Fraction | None:
-    """int from a `p` token, Fraction from a `p/q` token, or None when q is
-    zero or the token is too long (see :func:`_too_long`)."""
-    if _too_long(text):
-        return None
-    if "/" not in text:
-        return int(text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        return None
+def _split_commas(text: str, pos: int) -> Iterator[tuple[str, int]]:
+    """Each comma-separated token of `text[pos:]`, stripped, with its position."""
+    for segment in text[pos:].split(","):
+        token = segment.strip()
+        yield token, pos + len(segment) - len(segment.lstrip())
+        pos += len(segment) + 1
 
 
-def _too_long(text: str) -> str | None:
-    """Why a token's numerator or denominator has too many digits to read,
-    or None. Gives the digit count, never the literal itself."""
-    if len(text) <= MAX_DIGITS:
-        return None
-    digits = max(map(len, re.findall(r"\d+", text)), default=0)
-    if digits <= MAX_DIGITS:
-        return None
-    return f"number has {digits} digits, more than the {MAX_DIGITS} allowed"
+def _rationals(errors: _Errors, text: str, pos: int) -> list[int | Fraction] | None:
+    """The comma-separated rationals of `text[pos:]`."""
+    before = len(errors)
+    values = [
+        errors.rational(token, at, ErrorCode.SYNTAX, "expected a rational number, got {!r}")
+        for token, at in _split_commas(text, pos)
+    ]
+    return values if len(errors) == before else None
 
 
 # ---------------------------------------------------------------------------
 # expression parsing
 
 
-def _parse_dimexpr(
-    text: str,
-    line: int,
-    offset: int,
-    dim_index: dict[str, int],
-    errors: list[ParseError],
+def _dimexpr(
+    errors: _Errors, text: str, pos: int, dim_index: dict[str, int]
 ) -> list[int | Fraction] | None:
-    """Whitespace-separated IDENT[^rational] terms; repeated names sum.
-
-    `offset` is the 0-based position of `text` within its source line, so
-    spans land on the original file coordinates.
-    """
-    m = len(dim_index)
-    tokens = list(re.finditer(r"\S+", text))
-    if not tokens:
-        _err(errors, line, offset + 1, 1, ErrorCode.SYNTAX, "expected a dimension expression")
+    """Whitespace-separated IDENT[^rational] terms of `text[pos:]`; repeated
+    names sum."""
+    words = list(_WORD_RE.finditer(text, pos))
+    if not words:
+        errors.add(pos, 1, ErrorCode.SYNTAX, "expected a dimension expression")
         return None
-    if len(tokens) == 1 and tokens[0].group() == "1":
-        return [0] * m
-    exps: list[int | Fraction] = [0] * m
-    ok = True
-    for tok in tokens:
-        word = tok.group()
-        start = offset + tok.start()
-        if word == "1":
-            _err(errors, line, start + 1, 1, ErrorCode.SYNTAX,
-                 "'1' must stand alone as a dimension expression")
-            ok = False
+    exps: list[int | Fraction] = [0] * len(dim_index)
+    if len(words) == 1 and words[0].group() == "1":
+        return exps
+    before = len(errors)
+    for word in words:
+        start, end = word.span()
+        if word.group() == "1":
+            errors.add(start, 1, ErrorCode.SYNTAX, "'1' must stand alone as a dimension expression")
             continue
-        ident = _IDENT_RE.match(word)
+        ident = _IDENT_RE.match(text, start, end)
         if not ident:
-            _err(errors, line, start + 1, len(word), ErrorCode.SYNTAX,
-                 f"expected a dimension name, got {word!r}")
-            ok = False
+            errors.add(start, end - start, ErrorCode.SYNTAX,
+                       f"expected a dimension name, got {word.group()!r}")
             continue
-        name = ident.group()
-        rest = word[ident.end():]
-        exp: int | Fraction = 1
-        if rest:
-            if not rest.startswith("^"):
-                _err(errors, line, start + ident.end() + 1, len(rest), ErrorCode.SYNTAX,
-                     f"unexpected {rest!r} after dimension name {name!r}")
-                ok = False
+        name, at = ident.group(), ident.end()
+        exp: int | Fraction | None = 1
+        if at < end:
+            if text[at] != "^":
+                errors.add(at, end - at, ErrorCode.SYNTAX,
+                           f"unexpected {text[at:end]!r} after dimension name {name!r}")
                 continue
-            exp_text = rest[1:]
-            value = (
-                _parse_rational_token(exp_text)
-                if _RATIONAL_RE.fullmatch(exp_text)
-                else None
-            )
-            if value is None:
-                _err(errors, line, start + ident.end() + 2, len(exp_text),
-                     ErrorCode.BAD_EXPONENT, _too_long(exp_text)
-                     or f"bad exponent {exp_text!r}: expected a rational like -2 or 1/2")
-                ok = False
+            # an exponent with a run of too many digits gives its digit
+            # count, rational or not
+            exp = errors.rational(text[at + 1 : end], at + 1, ErrorCode.BAD_EXPONENT,
+                                  "bad exponent {!r}: expected a rational like -2 or 1/2",
+                                  count_any=True)
+            if exp is None:
                 continue
-            exp = value
-        if name not in dim_index:
-            _err(errors, line, start + 1, len(name), ErrorCode.UNKNOWN_DIMENSION,
-                 f"unknown dimension {name!r}")
-            ok = False
-            continue
-        exps[dim_index[name]] += exp
-    return exps if ok else None
-
-
-class _MonomialAbort(Exception):
-    pass
-
-
-class _MonomialParser:
-    """Recursive-descent parser for `factor (('*'|'/') factor)*` where a
-    factor is IDENT[^rational] or a parenthesized monomial."""
-
-    def __init__(
-        self,
-        text: str,
-        line: int,
-        offset: int,
-        name_index: dict[str, int],
-        errors: list[ParseError],
-    ):
-        self.text = text
-        self.line = line
-        self.offset = offset
-        self.name_index = name_index
-        self.errors = errors
-        self.pos = 0
-        self.failed = False
-        self.exps: list[int | Fraction] = [0] * len(name_index)
-
-    def parse(self) -> list[int | Fraction] | None:
-        try:
-            self._sequence(1)
-            self._skip_ws()
-            if self.pos != len(self.text):
-                self._fail(self.pos, len(self.text) - self.pos, ErrorCode.SYNTAX,
-                           f"unexpected {self.text[self.pos:].strip()!r} after monomial")
-        except _MonomialAbort:
-            pass
-        return None if self.failed else self.exps
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, pos: int, length: int, code: ErrorCode, message: str) -> None:
-        _err(self.errors, self.line, self.offset + pos + 1, length, code, message)
-        self.failed = True
-
-    def _sequence(self, sign: int) -> None:
-        self._factor(sign)
-        while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                self._factor(sign)
-            elif ch == "/":
-                self.pos += 1
-                self._factor(-sign)
-            else:
-                return
-
-    def _factor(self, sign: int) -> None:
-        self._skip_ws()
-        ch = self._peek()
-        if not ch:
-            self._fail(self.pos, 1, ErrorCode.SYNTAX, "expected a quantity name")
-            raise _MonomialAbort
-        if ch == "(":
-            self.pos += 1
-            self._sequence(sign)
-            self._skip_ws()
-            if self._peek() != ")":
-                self._fail(self.pos, 1, ErrorCode.SYNTAX, "missing ')'")
-                raise _MonomialAbort
-            self.pos += 1
-            return
-        ident = _IDENT_RE.match(self.text, self.pos)
-        if not ident:
-            self._fail(self.pos, 1, ErrorCode.SYNTAX,
-                       f"expected a quantity name, got {ch!r}")
-            raise _MonomialAbort
-        name = ident.group()
-        name_pos = self.pos
-        self.pos = ident.end()
-        exp: int | Fraction = 1
-        if self._peek() == "^":
-            self.pos += 1
-            m = _RATIONAL_RE.match(self.text, self.pos)
-            if m:
-                value = _parse_rational_token(m.group())
-                if value is None:
-                    self._fail(self.pos, len(m.group()), ErrorCode.BAD_EXPONENT,
-                               _too_long(m.group())
-                               or f"rational {m.group()!r} has a zero denominator")
-                else:
-                    exp = value
-                self.pos = m.end()
-            else:
-                # skip the malformed exponent token, keep collecting errors
-                bad = re.match(r"[^\s*/()^]*", self.text[self.pos:]).group()
-                self._fail(self.pos, max(len(bad), 1), ErrorCode.BAD_EXPONENT,
-                           "bad exponent: expected a rational like -2 or 1/2")
-                self.pos += len(bad)
-        if name not in self.name_index:
-            self._fail(name_pos, len(name), ErrorCode.UNKNOWN_QUANTITY,
-                       f"unknown quantity {name!r}")
-            return
-        self.exps[self.name_index[name]] += sign * exp
-
-
-def _parse_monomial(
-    text: str,
-    line: int,
-    offset: int,
-    name_index: dict[str, int],
-    errors: list[ParseError],
-) -> list[int | Fraction] | None:
-    return _MonomialParser(text, line, offset, name_index, errors).parse()
-
-
-def _parse_rational_list(
-    text: str, line: int, offset: int, errors: list[ParseError]
-) -> list[int | Fraction] | None:
-    """Comma-separated rationals with source positions."""
-    values: list[int | Fraction] = []
-    ok = True
-    pos = 0
-    for segment in text.split(","):
-        token = segment.strip()
-        start = offset + pos + (len(segment) - len(segment.lstrip()))
-        if not token or not _RATIONAL_RE.fullmatch(token):
-            _err(errors, line, start + 1, len(token), ErrorCode.SYNTAX,
-                 f"expected a rational number, got {token!r}")
-            ok = False
+        if name in dim_index:
+            exps[dim_index[name]] += exp
         else:
-            value = _parse_rational_token(token)
-            if value is None:
-                _err(errors, line, start + 1, len(token), ErrorCode.SYNTAX,
-                     _too_long(token) or f"rational {token!r} has a zero denominator")
-                ok = False
-            else:
-                values.append(value)
-        pos += len(segment) + 1
-    return values if ok else None
+            errors.add(start, len(name), ErrorCode.UNKNOWN_DIMENSION,
+                       f"unknown dimension {name!r}")
+    return exps if len(errors) == before else None
+
+
+def _monomial(
+    errors: _Errors, text: str, pos: int, end: int, name_index: dict[str, int]
+) -> list[int | Fraction] | None:
+    """`factor (('*'|'/') factor)*` in `text[pos:end]`, where a factor is
+    IDENT[^rational] or a parenthesized monomial. Read left to right:
+    `signs` holds the sign of each open parenthesis, and `sign` that of the
+    next factor, so nesting depth costs no stack frames."""
+    exps: list[int | Fraction] = [0] * len(name_index)
+    before = len(errors)
+    signs = [1]
+    sign = 1
+    while True:
+        pos = _SPACE_RE.match(text, pos, end).end()
+        if pos < end and text[pos] == "(":
+            signs.append(sign)
+            pos += 1
+            continue
+        ident = _IDENT_RE.match(text, pos, end)
+        if not ident:
+            errors.add(pos, 1, ErrorCode.SYNTAX, f"expected a quantity name, got {text[pos]!r}"
+                       if pos < end else "expected a quantity name")
+            return None
+        name, pos = ident.group(), ident.end()
+        exp: int | Fraction | None = 1
+        if pos < end and text[pos] == "^":
+            pos += 1
+            # a malformed exponent is skipped up to the next operator, so
+            # errors after it are collected too
+            token = _RATIONAL_RE.match(text, pos, end) or _BAD_EXPONENT_RE.match(text, pos, end)
+            exp = errors.rational(token.group(), pos, ErrorCode.BAD_EXPONENT,
+                                  "bad exponent: expected a rational like -2 or 1/2")
+            pos = token.end()
+        if name not in name_index:
+            errors.add(ident.start(), len(name), ErrorCode.UNKNOWN_QUANTITY,
+                       f"unknown quantity {name!r}")
+        elif exp is not None:
+            exps[name_index[name]] += sign * exp
+        while True:  # after a factor: an operator, a ')' or the end
+            pos = _SPACE_RE.match(text, pos, end).end()
+            if pos < end and text[pos] in "*/":
+                sign = signs[-1] if text[pos] == "*" else -signs[-1]
+                pos += 1
+                break
+            if len(signs) == 1:
+                if pos == end:
+                    return exps if len(errors) == before else None
+                errors.add(pos, end - pos, ErrorCode.SYNTAX,
+                           f"unexpected {text[pos:end].strip()!r} after monomial")
+                return None
+            if pos == end or text[pos] != ")":
+                errors.add(pos, 1, ErrorCode.SYNTAX, "missing ')'")
+                return None
+            signs.pop()
+            pos += 1
 
 
 # ---------------------------------------------------------------------------
 # model file parsing
 
 
-class _QuantityDecl:
-    __slots__ = ("name", "name_span", "rhs", "rhs_offset", "line")
-
-    def __init__(
-        self, name: str, name_span: SourceSpan, rhs: str, rhs_offset: int, line: int
-    ) -> None:
-        self.name = name
-        self.name_span = name_span
-        self.rhs = rhs
-        self.rhs_offset = rhs_offset
-        self.line = line
-
-
-class _ConstraintDecl:
-    __slots__ = ("kind", "line", "lhs", "lhs_offset", "constant", "row", "span")
-
-    def __init__(
-        self, kind: str, line: int, lhs: str = "", lhs_offset: int = 0,
-        constant: int | Fraction | None = None, row: list[int | Fraction] | None = None,
-        span: SourceSpan | None = None,
-    ) -> None:
-        self.kind = kind  # "monomial" | "jacobian_row"
-        self.line = line
-        self.lhs = lhs
-        self.lhs_offset = lhs_offset
-        self.constant = constant
-        self.row = row
-        self.span = span
-
-
 class _Parser:
+    """Scan reads each line on its own; resolve then reads what refers to
+    names, so a constraint may name a quantity declared after it."""
+
     def __init__(self, text: str):
-        self.errors: list[ParseError] = []
+        self.errors = _Errors()
         # Only \r\n, \r and \n end a line; str.splitlines also splits at
         # \x0b, \x0c, \x1c-\x1e, U+0085, U+2028 and U+2029.
         self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        self.dim_names: list[tuple[str, SourceSpan]] | None = None
-        self.quantities: list[_QuantityDecl] = []
-        self.constraints: list[_ConstraintDecl] = []
-        self.basis_rows: list[tuple[list[int | Fraction], SourceSpan]] = []
+        self.dims: list[tuple[str, int]] | None = None  # name, position
+        self.dims_at = (0, 0)  # line and position of the dimensions keyword
+        # line, name position, name, text, position of the expression
+        self.quantities: list[tuple[int, int, str, str, int]] = []
+        # line, text, start, end, value: a monomial in text[start:end] = value,
+        # or with text None a jacobian row of entries value at start..end
+        self.constraints: list[tuple[int, str | None, int, int, object]] = []
+        self.basis_rows: list[tuple[int, int, int, list[int | Fraction]]] = []
         self.seen_basis_block = False
 
     # -- scanning -----------------------------------------------------------
 
     def scan(self) -> None:
+        errors = self.errors
         in_basis = False
         for line_no, raw in enumerate(self.lines, start=1):
             cut = raw.find("#")
             line = raw if cut < 0 else raw[:cut]
             if not line.strip():
                 continue
+            errors.line = line_no
             kw = _KEYWORD_RE.match(line)
             if kw:
                 in_basis = False
                 word = kw.group(1)
-                if word == "dimensions":
-                    self._scan_dimensions(line, line_no, kw.end())
-                elif word == "quantity":
-                    self._scan_quantity(line, line_no, kw.end())
-                elif word == "constraint":
-                    self._scan_constraint(line, line_no, kw.end())
+                if word == "quantity":
+                    self._scan_quantity(line, kw.end())
+                    continue
+                if word == "constraint":
+                    self._scan_constraint(line, kw.end())
+                    continue
+                after = _SPACE_RE.match(line, kw.end()).end()
+                if after == len(line) or line[after] != ":":
+                    errors.add(after, 1, ErrorCode.SYNTAX, f"expected ':' after '{word}'")
+                elif word == "dimensions":
+                    self._scan_dimensions(line, kw.start(1), after + 1)
                 elif word == "jacobian_row":
-                    self._scan_jacobian_row(line, line_no, kw.end())
+                    values = _rationals(errors, line, after + 1)
+                    if values is not None:
+                        start = _SPACE_RE.match(line, after + 1).end()
+                        self.constraints.append(
+                            (line_no, None, start, len(line.rstrip()), values))
                 else:
-                    in_basis = self._scan_basis_header(line, line_no, kw.end())
+                    in_basis = self._scan_basis_header(line, after + 1)
                 continue
+            start = _SPACE_RE.match(line).end()
             if in_basis:
-                content = line.strip()
-                col = len(line) - len(line.lstrip())
-                values = _parse_rational_list(line, line_no, 0, self.errors)
+                values = _rationals(errors, line, 0)
                 if values is not None:
-                    span = SourceSpan(line_no, col + 1, len(content))
-                    self.basis_rows.append((values, span))
+                    self.basis_rows.append((line_no, start, len(line.rstrip()), values))
                 continue
-            col = len(line) - len(line.lstrip()) + 1
-            word = line.strip().split()[0]
-            _err(self.errors, line_no, col, len(word), ErrorCode.SYNTAX,
-                 "expected one of: dimensions:, quantity, constraint, "
-                 "jacobian_row:, basis_override:")
+            errors.add(start, len(line.split()[0]), ErrorCode.SYNTAX,
+                       "expected one of: dimensions:, quantity, constraint, "
+                       "jacobian_row:, basis_override:")
 
-    def _expect_colon(self, line: str, line_no: int, pos: int, keyword: str) -> int | None:
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-        if pos >= len(line) or line[pos] != ":":
-            _err(self.errors, line_no, pos + 1, 1, ErrorCode.SYNTAX,
-                 f"expected ':' after '{keyword}'")
-            return None
-        return pos + 1
-
-    def _scan_dimensions(self, line: str, line_no: int, pos: int) -> None:
-        after = self._expect_colon(line, line_no, pos, "dimensions")
-        if after is None:
+    def _scan_dimensions(self, line: str, keyword: int, pos: int) -> None:
+        if self.dims is not None:
+            self.errors.add(0, len("dimensions"), ErrorCode.SYNTAX,
+                            "duplicate dimensions declaration")
             return
-        if self.dim_names is not None:
-            _err(self.errors, line_no, 1, len("dimensions"), ErrorCode.SYNTAX,
-                 "duplicate dimensions declaration")
-            return
-        names: list[tuple[str, SourceSpan]] = []
-        cursor = after
-        for segment in line[after:].split(","):
-            token = segment.strip()
-            start = cursor + (len(segment) - len(segment.lstrip()))
-            if not token or not _IDENT_RE.fullmatch(token):
-                _err(self.errors, line_no, start + 1, len(token), ErrorCode.SYNTAX,
-                     f"expected a dimension name, got {token!r}")
+        self.dims = []
+        self.dims_at = (self.errors.line, keyword)
+        for token, at in _split_commas(line, pos):
+            if _IDENT_RE.fullmatch(token):
+                self.dims.append((token, at))
             else:
-                names.append((token, SourceSpan(line_no, start + 1, len(token))))
-            cursor += len(segment) + 1
-        self.dim_names = names
+                self.errors.add(at, len(token), ErrorCode.SYNTAX,
+                                f"expected a dimension name, got {token!r}")
 
-    def _scan_quantity(self, line: str, line_no: int, pos: int) -> None:
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
+    def _scan_quantity(self, line: str, pos: int) -> None:
+        pos = _SPACE_RE.match(line, pos).end()
         ident = _IDENT_RE.match(line, pos)
         if not ident:
-            _err(self.errors, line_no, pos + 1, 1, ErrorCode.SYNTAX,
-                 "expected a quantity name after 'quantity'")
+            self.errors.add(pos, 1, ErrorCode.SYNTAX, "expected a quantity name after 'quantity'")
             return
-        name = ident.group()
-        name_span = SourceSpan(line_no, pos + 1, len(name))
-        pos = ident.end()
-        while pos < len(line) and line[pos].isspace():
-            pos += 1
-        if pos >= len(line) or line[pos] != "=":
-            _err(self.errors, line_no, pos + 1, 1, ErrorCode.SYNTAX,
-                 f"expected '=' after quantity name {name!r}")
-            return
-        rhs = line[pos + 1 :]
-        if not rhs.strip():
-            _err(self.errors, line_no, pos + 2, 1, ErrorCode.SYNTAX,
-                 "expected a dimension expression after '='")
-            return
-        self.quantities.append(_QuantityDecl(name, name_span, rhs, pos + 1, line_no))
+        eq = _SPACE_RE.match(line, ident.end()).end()
+        if eq == len(line) or line[eq] != "=":
+            self.errors.add(eq, 1, ErrorCode.SYNTAX,
+                            f"expected '=' after quantity name {ident.group()!r}")
+        elif not line[eq + 1 :].strip():
+            self.errors.add(eq + 1, 1, ErrorCode.SYNTAX,
+                            "expected a dimension expression after '='")
+        else:
+            self.quantities.append((self.errors.line, pos, ident.group(), line, eq + 1))
 
-    def _scan_constraint(self, line: str, line_no: int, pos: int) -> None:
+    def _scan_constraint(self, line: str, pos: int) -> None:
         eq = line.find("=", pos)
         if eq < 0:
-            _err(self.errors, line_no, len(line.rstrip()) + 1, 1, ErrorCode.SYNTAX,
-                 "expected '=' in constraint")
+            self.errors.add(len(line.rstrip()), 1, ErrorCode.SYNTAX, "expected '=' in constraint")
             return
-        lhs = line[pos:eq]
-        rhs = line[eq + 1 :]
-        token = rhs.strip()
-        start = eq + 1 + (len(rhs) - len(rhs.lstrip()))
-        constant: int | Fraction | None = None
-        if not token or not _RATIONAL_RE.fullmatch(token):
-            _err(self.errors, line_no, start + 1, len(token), ErrorCode.BAD_CONSTANT,
-                 f"expected a positive rational constant, got {token!r}")
-        else:
-            constant = _parse_rational_token(token)
-            if constant is None or constant <= 0:
-                _err(self.errors, line_no, start + 1, len(token), ErrorCode.BAD_CONSTANT,
-                     _too_long(token) or f"constraint constant must be positive, got {token!r}")
-                constant = None
-        self.constraints.append(
-            _ConstraintDecl("monomial", line_no, lhs=lhs, lhs_offset=pos, constant=constant)
-        )
+        token = line[eq + 1 :].strip()
+        start = _SPACE_RE.match(line, eq + 1).end()
+        constant = self.errors.rational(token, start, ErrorCode.BAD_CONSTANT,
+                                        "expected a positive rational constant, got {!r}")
+        if constant is not None and constant <= 0:
+            self.errors.add(start, len(token), ErrorCode.BAD_CONSTANT,
+                            f"constraint constant must be positive, got {token!r}")
+            constant = None
+        self.constraints.append((self.errors.line, line, pos, eq, constant))
 
-    def _scan_jacobian_row(self, line: str, line_no: int, pos: int) -> None:
-        after = self._expect_colon(line, line_no, pos, "jacobian_row")
-        if after is None:
-            return
-        rest = line[after:]
-        content = rest.strip()
-        col = after + (len(rest) - len(rest.lstrip()))
-        values = _parse_rational_list(rest, line_no, after, self.errors)
-        if values is not None:
-            span = SourceSpan(line_no, col + 1, max(len(content), 1))
-            self.constraints.append(
-                _ConstraintDecl("jacobian_row", line_no, row=values, span=span)
-            )
-
-    def _scan_basis_header(self, line: str, line_no: int, pos: int) -> bool:
-        after = self._expect_colon(line, line_no, pos, "basis_override")
-        if after is None:
-            return False
-        if line[after:].strip():
-            _err(self.errors, line_no, after + 1, len(line[after:].strip()),
-                 ErrorCode.SYNTAX, "unexpected text after 'basis_override:'")
+    def _scan_basis_header(self, line: str, pos: int) -> bool:
+        rest = line[pos:].strip()
+        if rest:
+            self.errors.add(pos, len(rest), ErrorCode.SYNTAX,
+                            "unexpected text after 'basis_override:'")
             return False
         if self.seen_basis_block:
-            _err(self.errors, line_no, 1, len("basis_override"), ErrorCode.SYNTAX,
-                 "duplicate basis_override block")
+            self.errors.add(0, len("basis_override"), ErrorCode.SYNTAX,
+                            "duplicate basis_override block")
             return False
         self.seen_basis_block = True
         return True
@@ -529,81 +376,70 @@ class _Parser:
     # -- resolution ---------------------------------------------------------
 
     def resolve(self) -> Model | None:
-        if self.dim_names is None:
-            _err(self.errors, 1, 1, 1, ErrorCode.SYNTAX, "missing dimensions declaration")
+        errors = self.errors
+        if self.dims is None:
+            errors.line = 1
+            errors.add(0, 1, ErrorCode.SYNTAX, "missing dimensions declaration")
             return None
-
+        errors.line, keyword = self.dims_at
         dim_index: dict[str, int] = {}
-        dim_names: list[str] = []
-        for name, span in self.dim_names:
+        for name, pos in self.dims:
             if name in dim_index:
-                _err(self.errors, span.line, span.column, span.length,
-                     ErrorCode.DUPLICATE_NAME, f"duplicate dimension name {name!r}")
-                continue
-            dim_index[name] = len(dim_names)
-            dim_names.append(name)
-        if not dim_names:
-            _err(self.errors, 1, 1, 1, ErrorCode.SYNTAX,
-                 "dimension system declares no dimensions")
+                errors.add(pos, len(name), ErrorCode.DUPLICATE_NAME,
+                           f"duplicate dimension name {name!r}")
+            else:
+                dim_index[name] = len(dim_index)
+        if not dim_index:
+            errors.add(keyword, len("dimensions"), ErrorCode.SYNTAX,
+                       "dimension system declares no dimensions")
             return None
 
         name_index: dict[str, int] = {}
         quantities: list[Quantity] = []
-        for decl in self.quantities:
-            if decl.name in name_index:
-                _err(self.errors, decl.name_span.line, decl.name_span.column,
-                     decl.name_span.length, ErrorCode.DUPLICATE_NAME,
-                     f"duplicate quantity name {decl.name!r}")
+        # each loop below sets the line that errors are reported on
+        for errors.line, pos, name, text, start in self.quantities:
+            if name in name_index:
+                errors.add(pos, len(name), ErrorCode.DUPLICATE_NAME,
+                           f"duplicate quantity name {name!r}")
                 continue
-            exps = _parse_dimexpr(decl.rhs, decl.line, decl.rhs_offset, dim_index, self.errors)
+            exps = _dimexpr(errors, text, start, dim_index)
             if exps is None:
-                exps = [0] * len(dim_names)  # keep resolving other lines
-            name_index[decl.name] = len(quantities)
-            quantities.append(Quantity(decl.name, tuple(exps)))
+                exps = [0] * len(dim_index)  # keep resolving other lines
+            name_index[name] = len(quantities)
+            quantities.append(Quantity(name, tuple(exps)))
         n = len(quantities)
 
         constraints: list[Constraint] = []
-        for decl in self.constraints:
-            if decl.kind == "jacobian_row":
-                assert decl.row is not None and decl.span is not None
-                if len(decl.row) != n:
-                    _err(self.errors, decl.span.line, decl.span.column, decl.span.length,
-                         ErrorCode.SYNTAX,
-                         f"jacobian row has {len(decl.row)} entries, expected {n}")
-                    continue
-                constraints.append(JacobianRowConstraint(tuple(decl.row)))
+        for errors.line, text, start, end, value in self.constraints:
+            if text is None:
+                if len(value) != n:
+                    errors.add(start, end - start, ErrorCode.SYNTAX,
+                               f"jacobian row has {len(value)} entries, expected {n}")
+                else:
+                    constraints.append(JacobianRowConstraint(tuple(value)))
                 continue
-            exps = _parse_monomial(decl.lhs, decl.line, decl.lhs_offset, name_index, self.errors)
-            if exps is None or decl.constant is None:
+            exps = _monomial(errors, text, start, end, name_index)
+            if exps is None or value is None:
                 continue
-            if all(e == 0 for e in exps):
-                stripped = decl.lhs.strip()
-                col = decl.lhs_offset + (len(decl.lhs) - len(decl.lhs.lstrip()))
-                _err(self.errors, decl.line, col + 1, max(len(stripped), 1),
-                     ErrorCode.SYNTAX,
-                     "constraint monomial is trivial (all exponents cancel)")
+            if not any(exps):
+                lead = _SPACE_RE.match(text, start, end).end()
+                errors.add(lead, len(text[start:end].strip()), ErrorCode.SYNTAX,
+                           "constraint monomial is trivial (all exponents cancel)")
                 continue
-            constraints.append(MonomialConstraint(tuple(exps), decl.constant))
+            constraints.append(MonomialConstraint(tuple(exps), value))
 
-        basis: RatMatrix | None = None
-        if self.seen_basis_block:  # a block without vectors is an n x 0 override
-            usable = []
-            ok = True
-            for values, span in self.basis_rows:
+        if self.seen_basis_block:
+            for errors.line, start, end, values in self.basis_rows:
                 if len(values) != n:
-                    _err(self.errors, span.line, span.column, span.length,
-                         ErrorCode.SYNTAX,
-                         f"basis vector has {len(values)} entries, expected {n}")
-                    ok = False
-                    continue
-                usable.append(values)
-            if ok:
-                basis = RatMatrix.from_columns(usable, rows=n)
-
-        if self.errors:
+                    errors.add(start, end - start, ErrorCode.SYNTAX,
+                               f"basis vector has {len(values)} entries, expected {n}")
+        if errors:
             return None
+        basis = None
+        if self.seen_basis_block:  # a block without vectors is an n x 0 override
+            basis = RatMatrix.from_columns([row for *_, row in self.basis_rows], rows=n)
         return Model(
-            DimensionSystem(tuple(dim_names)),
+            DimensionSystem(tuple(dim_index)),
             tuple(quantities),
             tuple(constraints),
             basis,
@@ -616,17 +452,16 @@ def parse_model(text: str) -> Model:
     parser = _Parser(text)
     parser.scan()
     model = parser.resolve()
-    if parser.errors or model is None:
+    if model is None:
         raise ModelFileError(parser.errors)
     return model
 
 
 def parse_dimexpr(text: str, dims: DimensionSystem) -> tuple[Fraction, ...]:
     """Parse a dimension expression such as ``M L T^-2`` against `dims`."""
-    errors: list[ParseError] = []
-    index = {name: i for i, name in enumerate(dims.names)}
-    exps = _parse_dimexpr(text, 1, 0, index, errors)
-    if errors or exps is None:
+    errors = _Errors()
+    exps = _dimexpr(errors, text, 0, {name: i for i, name in enumerate(dims.names)})
+    if exps is None:
         raise ModelFileError(errors)
     return tuple(map(Fraction, exps))
 
@@ -634,10 +469,9 @@ def parse_dimexpr(text: str, dims: DimensionSystem) -> tuple[Fraction, ...]:
 def parse_monomial(text: str, names: Sequence[str]) -> tuple[Fraction, ...]:
     """Parse a monomial such as ``(rho*U*L)/mu`` into an exponent vector over
     `names`."""
-    errors: list[ParseError] = []
-    index = {name: i for i, name in enumerate(names)}
-    exps = _parse_monomial(text, 1, 0, index, errors)
-    if errors or exps is None:
+    errors = _Errors()
+    exps = _monomial(errors, text, 0, len(text), {name: i for i, name in enumerate(names)})
+    if exps is None:
         raise ModelFileError(errors)
     return tuple(map(Fraction, exps))
 

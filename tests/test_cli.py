@@ -234,6 +234,20 @@ def test_main_reads_a_file_with_a_byte_order_mark(tmp_path: Path, capsys, drag_t
     assert captured.err == ""
 
 
+def test_main_analyze_deeply_nested_constraint(tmp_path: Path, capsys):
+    # monomial parentheses nest to any depth; this once exhausted the stack
+    path = tmp_path / "nested.pim"
+    nested = "(" * 5000 + "a / b" + ")" * 5000
+    path.write_text(
+        f"dimensions: M\nquantity a = M\nquantity b = M\nconstraint {nested} = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["analyze", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "relation: pi1 = 2" in captured.out
+    assert captured.err == ""
+
+
 def test_main_strict_flag(tmp_path: Path, capsys):
     path = tmp_path / "raw.pim"
     path.write_text(NON_INVARIANT, encoding="utf-8")

@@ -1,8 +1,9 @@
 """A fuzz of the command line's `run` on generated `.pim` text.
 
 Inputs are shipped models mutated token by token, small models built from
-the grammar with exponents up to 10^12, and soups of grammar tokens, with
-literals up to and past CPython's 4,300-digit limit. Every input must end
+the grammar with exponents up to 10^12 and constraints sometimes nested in
+2,000 parentheses, and soups of grammar tokens, with literals up to and
+past CPython's 4,300-digit limit. Every input must end
 in a documented exit code other than 3 (an engine bug), with empty stdout
 whenever the exit code is nonzero.
 """
@@ -28,7 +29,7 @@ CONFIGS = (
 
 NAMES = ("M", "L", "T", "x", "y", "z", "rho", "mu", "nu", "U", "F_D")
 KEYWORDS = ("dimensions:", "quantity", "constraint", "jacobian_row:", "basis_override:")
-PUNCTUATION = ("=", "*", "/", "^", "-", ",", ":", "#", " ", "\n", "(", "1/0", "0/1")
+PUNCTUATION = ("=", "*", "/", "^", "-", ",", ":", "#", " ", "\n", "(", ")", "1/0", "0/1")
 
 digits = st.sampled_from((1, 2, 12, 4299, 4300, 4301, 5000))
 long_literal = st.builds(lambda k, d: d * k, digits, st.sampled_from("1379"))
@@ -84,7 +85,9 @@ def grammar_model(draw) -> str:
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             constant = draw(st.one_of(positive, rational))
-            lines.append(f"constraint {_monomial(draw, names, ' * ')} = {constant}")
+            depth = draw(st.sampled_from((0, 0, 0, 2000)))
+            monomial = "(" * depth + _monomial(draw, names, " * ") + ")" * depth
+            lines.append(f"constraint {monomial} = {constant}")
         else:
             row = ", ".join(draw(rational) for _ in names)
             lines.append(f"jacobian_row: {row}")

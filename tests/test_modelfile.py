@@ -225,9 +225,47 @@ def test_error_bad_monomial_exponent():
     assert errors[0].code is ErrorCode.BAD_EXPONENT
 
 
+def _errors_of(line: str):
+    """Errors of `line` as line 4 of a model with quantities `a` and `b`."""
+    errors = _parse_errors(f"dimensions: M\nquantity a = M\nquantity b = M\n{line}\n")
+    return [(e.code, e.span.line, e.span.column, e.span.length, e.message) for e in errors]
+
+
 def test_error_zero_denominator_exponent():
-    errors = _parse_errors("dimensions: M\nquantity a = M^1/0\n")
-    assert errors[0].code is ErrorCode.BAD_EXPONENT
+    message = "rational '1/0' has a zero denominator"
+    assert _errors_of("quantity c = M^1/0") == [
+        (ErrorCode.BAD_EXPONENT, 4, 16, 3, message)
+    ]
+    assert _errors_of("constraint a^1/0 = 2") == [
+        (ErrorCode.BAD_EXPONENT, 4, 14, 3, message)
+    ]
+
+
+def test_error_zero_denominator_constant():
+    assert _errors_of("constraint a / b = 1/0") == [
+        (ErrorCode.BAD_CONSTANT, 4, 20, 3, "rational '1/0' has a zero denominator")
+    ]
+
+
+@pytest.mark.parametrize("line, code, column, message", [
+    ("quantity c = M^\u0663", ErrorCode.BAD_EXPONENT, 16,
+     "bad exponent '\u0663': expected a rational like -2 or 1/2"),
+    ("constraint a / b^\uff13 = 2", ErrorCode.BAD_EXPONENT, 18,
+     "bad exponent: expected a rational like -2 or 1/2"),
+    ("constraint a / b = \uff13", ErrorCode.BAD_CONSTANT, 20,
+     "expected a positive rational constant, got '\uff13'"),
+])
+def test_only_ascii_digits_make_a_number(line: str, code: ErrorCode, column: int, message: str):
+    # Arabic-Indic and fullwidth digits read like any other non-number text
+    assert _errors_of(line) == [(code, 4, column, 1, message)]
+
+
+@pytest.mark.parametrize("indent", ["", "  "])
+def test_error_no_dimensions_points_at_the_keyword(indent: str):
+    errors = _parse_errors(f"# c\n\n{indent}dimensions: 1, 2\n")
+    assert [(e.span.line, e.span.column, e.span.length, e.message) for e in errors][-1] == (
+        3, len(indent) + 1, len("dimensions"), "dimension system declares no dimensions"
+    )
 
 
 def test_multiple_errors_collected():
@@ -268,6 +306,21 @@ def test_parse_monomial_nested_division():
     names = ("a", "b", "c")
     assert parse_monomial("a / (b / c)", names) == (1, -1, 1)
     assert parse_monomial("a / b / c", names) == (1, -1, -1)
+
+
+def test_parse_monomial_nests_to_any_depth():
+    names = ("a", "b")
+    assert parse_monomial("(" * 5000 + "a / b" + ")" * 5000, names) == (1, -1)
+    assert parse_monomial("a / " + "(" * 5000 + "b / a" + ")" * 5000, names) == (2, -1)
+    model = parse_model(
+        "dimensions: M\nquantity a = M\nquantity b = M\n"
+        f"constraint {'(' * 5000}a / b{')' * 5000} = 2\n"
+    )
+    assert model.constraints == (MonomialConstraint((1, -1), Fraction(2)),)
+    with pytest.raises(ModelFileError) as excinfo:
+        parse_monomial("(" * 5000 + "a / b" + ")" * 4999, names)
+    err = excinfo.value.errors[0]
+    assert (err.code, err.span.column, err.message) == (ErrorCode.SYNTAX, 10005, "missing ')'")
 
 
 def test_parse_monomial_missing_paren():
