@@ -21,21 +21,12 @@ from .reduce import InvariantViolation, analyze
 
 
 class CliConfig(Value):
-    __slots__ = ("command", "input_path", "format", "strict", "color")
+    """One command: ``command`` is "analyze" | "check", ``input_path`` a file
+    path or "-" for standard input, ``format`` "text" | "json", and
+    ``strict`` and ``color`` are flags."""
 
-    def __init__(
-        self,
-        command: str,  # "analyze" | "check"
-        input_path: str,  # file path, or "-" for standard input
-        format: str = "text",  # "text" | "json"
-        strict: bool = False,
-        color: bool = False,
-    ) -> None:
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "input_path", input_path)
-        object.__setattr__(self, "format", format)
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "color", color)
+    __slots__ = ("command", "input_path", "format", "strict", "color")
+    _defaults = {"format": "text", "strict": False, "color": False}
 
 
 def _display_path(path: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .ratlin import (
     RatMatrix,
@@ -23,10 +23,7 @@ from .ratlin import (
     rank,
 )
 
-if TYPE_CHECKING:
-    from .reduce import Constraint
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # CPython's default limit on int/str conversion: a model file literal, and a
 # number in a report, has at most this many digits in its numerator and its
@@ -74,7 +71,7 @@ def _check_printable_matrix(name: str, matrix: RatMatrix) -> None:
 
 
 def _check_identifier(name: str, what: str) -> None:
-    if not _IDENT_RE.match(name):
+    if not _IDENT_RE.fullmatch(name):
         raise ModelError(f"{what} name {name!r} is not a valid identifier")
 
 
@@ -92,7 +89,7 @@ class DimensionSystem(Value):
             if name in seen:
                 raise ModelError(f"duplicate dimension name {name!r}")
             seen.add(name)
-        object.__setattr__(self, "names", names)
+        super().__init__(names)
 
     @property
     def m(self) -> int:
@@ -106,26 +103,19 @@ class Quantity(Value):
 
     def __init__(self, name: str, dim_exponents: tuple[RationalLike, ...]) -> None:
         _check_identifier(name, "quantity")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim_exponents", tuple(as_fraction(x) for x in dim_exponents))
+        super().__init__(name, tuple(map(as_fraction, dim_exponents)))
 
 
 class Model(Value):
-    """A dimension system, its quantities, and any constraints among them."""
+    """A DimensionSystem ``dims``, a tuple of Quantity ``quantities``, a
+    tuple of Constraint ``constraints`` among them, and a kernel basis
+    ``basis_override`` (a RatMatrix with one row per quantity) or None."""
 
     __slots__ = ("dims", "quantities", "constraints", "basis_override")
+    _defaults = {"constraints": (), "basis_override": None}
 
-    def __init__(
-        self,
-        dims: DimensionSystem,
-        quantities: tuple[Quantity, ...],
-        constraints: tuple[Constraint, ...] = (),
-        basis_override: RatMatrix | None = None,
-    ) -> None:
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "quantities", quantities)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "basis_override", basis_override)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         seen: set[str] = set()
         for q in self.quantities:
             if q.name in seen:
@@ -167,15 +157,14 @@ class PiGroup(Value):
     __slots__ = ("exponents", "label")
 
     def __init__(self, exponents: tuple[int, ...], label: str) -> None:
-        if all(e == 0 for e in exponents):
+        if not any(exponents):
             raise ModelError("pi group exponents must not be all zero")
         if gcd(*exponents) != 1:
             raise ModelError("pi group exponents must be primitive (gcd 1)")
-        first = next(e for e in exponents if e != 0)
+        first = next(filter(None, exponents))
         if first < 0:
             raise ModelError("pi group leading exponent must be positive")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "label", label)
+        super().__init__(exponents, label)
 
 
 class RescaleVector(Value):
@@ -184,7 +173,7 @@ class RescaleVector(Value):
     __slots__ = ("scales",)
 
     def __init__(self, scales: tuple[RationalLike, ...]) -> None:
-        object.__setattr__(self, "scales", tuple(as_fraction(x) for x in scales))
+        super().__init__(tuple(map(as_fraction, scales)))
         for i, s in enumerate(self.scales):
             if s <= 0:
                 raise ModelError(f"rescale factor {i} must be positive, got {s}")

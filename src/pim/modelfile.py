@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .model import MAX_DIGITS, DimensionSystem, Model, Quantity
+from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
 from .ratlin import RatMatrix, Value
 from .reduce import (
     AnalysisReport,
@@ -35,7 +35,6 @@ from .reduce import (
     MonomialConstraint,
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SPACE_RE = re.compile(r"\s*")
@@ -56,26 +55,20 @@ class ErrorCode(str, Enum):
 
 
 class SourceSpan(Value):
-    """1-based line/column location of a token in the source text."""
+    """1-based line/column location of a token in the source text, and the
+    token's length."""
 
     __slots__ = ("line", "column", "length")
-
-    def __init__(self, line: int, column: int, length: int = 1) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "length", length)
+    _defaults = {"length": 1}
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
 class ParseError(Value):
-    __slots__ = ("span", "code", "message")
+    """One error of a parse: its SourceSpan, ErrorCode and message."""
 
-    def __init__(self, span: SourceSpan, code: ErrorCode, message: str) -> None:
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
+    __slots__ = ("span", "code", "message")
 
     def __str__(self) -> str:
         return f"{self.span}: {self.code.value}: {self.message}"
@@ -99,16 +92,15 @@ class _Errors(list):
         self.append(ParseError(SourceSpan(self.line, pos + 1, max(length, 1)), code, message))
 
     def rational(
-        self, token: str, pos: int, code: ErrorCode, template: str, count_any: bool = False
+        self, token: str, pos: int, code: ErrorCode, template: str
     ) -> int | Fraction | None:
         """int from a `p` token, Fraction from a `p/q` token, or None after
-        reporting why the token at `pos` is not one: the digit count of a
-        numerator or denominator longer than MAX_DIGITS (looked for in a token
-        that is not a rational too if `count_any`), `template` formatted with
-        the token, or a zero denominator."""
+        reporting why the token at `pos` is not one: the length of a run of
+        more than MAX_DIGITS digits in it, rational or not, `template`
+        formatted with the token, or a zero denominator."""
         rational = _RATIONAL_RE.fullmatch(token)
         digits = 0
-        if len(token) > MAX_DIGITS and (rational or count_any):
+        if len(token) > MAX_DIGITS:
             digits = max(map(len, _DIGITS_RE.findall(token)), default=0)
         if digits > MAX_DIGITS:
             message = f"number has {digits} digits, more than the {MAX_DIGITS} allowed"
@@ -176,11 +168,8 @@ def _dimexpr(
                 errors.add(at, end - at, ErrorCode.SYNTAX,
                            f"unexpected {text[at:end]!r} after dimension name {name!r}")
                 continue
-            # an exponent with a run of too many digits gives its digit
-            # count, rational or not
             exp = errors.rational(text[at + 1 : end], at + 1, ErrorCode.BAD_EXPONENT,
-                                  "bad exponent {!r}: expected a rational like -2 or 1/2",
-                                  count_any=True)
+                                  "bad exponent {!r}: expected a rational like -2 or 1/2")
             if exp is None:
                 continue
         if name in dim_index:
@@ -303,7 +292,7 @@ class _Parser:
                         self.constraints.append(
                             (line_no, None, start, len(line.rstrip()), values))
                 else:
-                    in_basis = self._scan_basis_header(line, after + 1)
+                    in_basis = self._scan_basis_header(line, kw.start(1), after + 1)
                 continue
             start = _SPACE_RE.match(line).end()
             if in_basis:
@@ -317,7 +306,7 @@ class _Parser:
 
     def _scan_dimensions(self, line: str, keyword: int, pos: int) -> None:
         if self.dims is not None:
-            self.errors.add(0, len("dimensions"), ErrorCode.SYNTAX,
+            self.errors.add(keyword, len("dimensions"), ErrorCode.SYNTAX,
                             "duplicate dimensions declaration")
             return
         self.dims = []
@@ -360,14 +349,14 @@ class _Parser:
             constant = None
         self.constraints.append((self.errors.line, line, pos, eq, constant))
 
-    def _scan_basis_header(self, line: str, pos: int) -> bool:
+    def _scan_basis_header(self, line: str, keyword: int, pos: int) -> bool:
         rest = line[pos:].strip()
         if rest:
             self.errors.add(pos, len(rest), ErrorCode.SYNTAX,
                             "unexpected text after 'basis_override:'")
             return False
         if self.seen_basis_block:
-            self.errors.add(0, len("basis_override"), ErrorCode.SYNTAX,
+            self.errors.add(keyword, len("basis_override"), ErrorCode.SYNTAX,
                             "duplicate basis_override block")
             return False
         self.seen_basis_block = True

@@ -31,13 +31,47 @@ def as_fraction(value: RationalLike) -> Fraction:
 class Value:
     """Base of pim's immutable value types.
 
-    A subclass lists its fields in ``__slots__`` in constructor order and
-    sets each one in ``__init__`` with ``object.__setattr__``. Instances of
-    the same class compare and hash by their fields, print as
+    A subclass lists its fields once, in ``__slots__``, and the defaults of
+    those that have one in ``_defaults``. It is built by position or by
+    keyword; one that validates or converts its arguments does so in its own
+    ``__init__``, which passes every field on by position. Instances of the
+    same class compare and hash by their fields, print as
     ``Type(field=value, ...)``, and refuse assignment and deletion.
     """
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
+    _setters: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # slot setters bypass the refusing __setattr__ and are the fastest to call
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, object]) -> list:
+        """One value per field, in order, from a call that names fields or
+        leaves some to their defaults; TypeError as for a Python signature."""
+        names, kind = cls.__slots__, cls.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{kind}() takes {len(names)} positional arguments, got {len(args)}")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{kind}() got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{kind}() got multiple values for argument {name!r}")
+        values = {**cls._defaults, **given, **kwargs}
+        missing = ", ".join(repr(name) for name in names if name not in values)
+        if missing:
+            raise TypeError(f"{kind}() missing required arguments: {missing}")
+        return [values[name] for name in names]
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -80,8 +114,8 @@ def _matrix(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
             nums = tuple(x // g for x in nums)
             den //= g
     matrix = object.__new__(RatMatrix)
-    for name, value in zip(RatMatrix.__slots__, (rows, cols, nums, den)):
-        object.__setattr__(matrix, name, value)
+    for set_field, value in zip(RatMatrix._setters, (rows, cols, nums, den)):
+        set_field(matrix, value)
     return matrix
 
 
@@ -105,9 +139,8 @@ class RatMatrix(Value):
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
         # With the lcm of lowest-term denominators the result is in lowest terms.
-        nums, den = _clear_denominators([as_fraction(x) for x in entries])
-        for name, value in zip(self.__slots__, (rows, cols, tuple(nums), den)):
-            object.__setattr__(self, name, value)
+        nums, den = _clear_denominators(list(map(as_fraction, entries)))
+        super().__init__(rows, cols, tuple(nums), den)
 
     def __reduce__(self) -> tuple:
         return _matrix, self._fields()
@@ -195,13 +228,10 @@ class RatMatrix(Value):
 
 
 class RrefResult(Value):
-    """A reduced row echelon form together with its pivot columns."""
+    """A reduced row echelon form ``rref`` together with its pivot column
+    indices ``pivot_cols``, in increasing order."""
 
     __slots__ = ("rref", "pivot_cols")
-
-    def __init__(self, rref: RatMatrix, pivot_cols: tuple[int, ...]) -> None:
-        object.__setattr__(self, "rref", rref)
-        object.__setattr__(self, "pivot_cols", pivot_cols)
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .model import (
     _SAFE_BITS,
     Model,
-    PiGroup,
     _check_printable,
     _check_printable_matrix,
     build_dimension_matrix,
@@ -60,9 +59,8 @@ class MonomialConstraint(Value):
     def __init__(
         self, exponents: tuple[RationalLike, ...], constant: RationalLike = Fraction(1)
     ) -> None:
-        object.__setattr__(self, "exponents", tuple(as_fraction(x) for x in exponents))
-        object.__setattr__(self, "constant", as_fraction(constant))
-        if all(e == 0 for e in self.exponents):
+        super().__init__(tuple(map(as_fraction, exponents)), as_fraction(constant))
+        if not any(self.exponents):
             raise ValueError("monomial constraint exponents must not be all zero")
         if self.constant <= 0:
             raise ValueError(f"constraint constant must be positive, got {self.constant}")
@@ -80,7 +78,7 @@ class JacobianRowConstraint(Value):
     kind = "jacobian_row"
 
     def __init__(self, entries: tuple[RationalLike, ...]) -> None:
-        object.__setattr__(self, "entries", tuple(as_fraction(x) for x in entries))
+        super().__init__(tuple(map(as_fraction, entries)))
 
     @property
     def vector(self) -> tuple[Fraction, ...]:
@@ -93,23 +91,13 @@ Constraint = MonomialConstraint | JacobianRowConstraint
 class EffectiveCounts(Value):
     """The effective number of independent pi groups, by each formula.
 
-    The three general formulas always agree; the rank-of-C form exists only
-    for scale-invariant constraints (and then agrees with the rest).
+    The three general formulas always agree; the rank-of-C form
+    ``via_C_rank`` exists only for scale-invariant constraints (and then
+    agrees with the rest), and is None otherwise.
     """
 
     __slots__ = ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
-
-    def __init__(
-        self,
-        via_kernel_JE: int,
-        via_stacked_rank: int,
-        via_grassmann: int,
-        via_C_rank: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "via_kernel_JE", via_kernel_JE)
-        object.__setattr__(self, "via_stacked_rank", via_stacked_rank)
-        object.__setattr__(self, "via_grassmann", via_grassmann)
-        object.__setattr__(self, "via_C_rank", via_C_rank)
+    _defaults = {"via_C_rank": None}
 
     @property
     def value(self) -> int:
@@ -123,38 +111,24 @@ class Relation(Value):
     On the constraint manifold the primitive-integer form says
     prod_k pi_k ** pi_exponents[k] equals prod_k K_k ** k_exponents[k],
     a constant built from the monomial constraint constants. ``constant``
-    holds its exact rational value when one exists; it is None when the
-    value is irrational, when a pointwise Jacobian row contributes (then
-    the relation only holds infinitesimally at the analysis point), or when
-    the constant may be too long to print: its size bound, the sum of
+    is that product as a Fraction when every factor K_k ** k_exponents[k]
+    is rational, and None otherwise, even when the product is rational. It
+    is None too when ``pointwise``: a Jacobian row contributes, and the
+    relation only holds infinitesimally at the analysis point; or when the
+    constant may be too long to print: its size bound, the sum of
     ceil(|k_exponents[k]| * bitlen(K_k)) over the K_k != 1, exceeds
     model._SAFE_BITS, the bit length up to which every integer prints in
-    at most 4,300 digits. The label then shows the product of constants
-    symbolically.
+    at most 4,300 digits. The label then shows the product symbolically.
     """
 
     __slots__ = ("coeffs", "pi_exponents", "k_exponents", "constant", "pointwise", "label")
-
-    def __init__(
-        self,
-        coeffs: tuple[Fraction, ...],
-        pi_exponents: tuple[int, ...],
-        k_exponents: tuple[Fraction, ...],
-        constant: Fraction | None,
-        pointwise: bool,
-        label: str,
-    ) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "pi_exponents", pi_exponents)
-        object.__setattr__(self, "k_exponents", k_exponents)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "pointwise", pointwise)
-        object.__setattr__(self, "label", label)
 
 
 class AnalysisReport(Value):
     """Everything the analysis produces, ready for rendering.
 
+    ``n``, ``m``, ``ell`` and ``d`` count quantities, dimensions,
+    constraints and pi groups; ``selected`` holds indices of ``pi_groups``.
     When the constraints are not scale invariant, C, rref_C, selected, and
     relations are None: the effective count is still well defined, but the
     C-based elimination of redundant groups is not.
@@ -165,20 +139,6 @@ class AnalysisReport(Value):
         "pi_groups", "scale_invariant", "deff", "C", "rref_C", "selected", "relations",
         "warnings",
     )
-
-    def __init__(
-        self, dimensions: tuple[str, ...], quantities: tuple[str, ...],
-        constraints: tuple[Constraint, ...], n: int, m: int, ell: int, d: int,
-        A: RatMatrix, J: RatMatrix, E: RatMatrix, pi_groups: tuple[PiGroup, ...],
-        scale_invariant: bool, deff: EffectiveCounts, C: RatMatrix | None,
-        rref_C: RatMatrix | None, selected: tuple[int, ...] | None,
-        relations: tuple[Relation, ...] | None, warnings: tuple[str, ...],
-    ) -> None:
-        for name, value in zip(self.__slots__, (
-            dimensions, quantities, constraints, n, m, ell, d, A, J, E, pi_groups,
-            scale_invariant, deff, C, rref_C, selected, relations, warnings,
-        )):
-            object.__setattr__(self, name, value)
 
     @property
     def d_eff(self) -> int:

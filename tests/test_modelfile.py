@@ -268,6 +268,37 @@ def test_error_no_dimensions_points_at_the_keyword(indent: str):
     )
 
 
+@pytest.mark.parametrize("indent", ["", "  "])
+def test_error_duplicate_declaration_points_at_the_keyword(indent: str):
+    errors = _parse_errors(f"dimensions: M\n{indent}dimensions: L\nquantity a = M\n")
+    assert [(e.span.line, e.span.column, e.span.length, e.message) for e in errors] == [
+        (2, len(indent) + 1, len("dimensions"), "duplicate dimensions declaration")
+    ]
+    errors = _parse_errors(
+        f"dimensions: M\nquantity a = M\nbasis_override:\n1\n{indent}basis_override:\n"
+        "   basis_override:\n"
+    )
+    assert [(e.span.line, e.span.column, e.span.length, e.message) for e in errors] == [
+        (5, len(indent) + 1, len("basis_override"), "duplicate basis_override block"),
+        (6, 4, len("basis_override"), "duplicate basis_override block"),
+    ]
+
+
+@pytest.mark.parametrize("line, code, column", [
+    ("jacobian_row: 1, {}", ErrorCode.SYNTAX, 18),
+    ("basis_override:\n 1, {}", ErrorCode.SYNTAX, 5),
+    ("constraint a / b = {}", ErrorCode.BAD_CONSTANT, 20),
+])
+def test_error_long_digit_run_in_a_non_number_gives_its_digit_count(
+    line: str, code: ErrorCode, column: int
+):
+    # the token is not echoed, as for a dimension exponent
+    token = "7" * 5000 + "x"
+    ((got_code, _, got_column, length, message),) = _errors_of(line.format(token))
+    assert (got_code, got_column, length) == (code, column, len(token))
+    assert message == "number has 5000 digits, more than the 4300 allowed"
+
+
 def test_multiple_errors_collected():
     text = (
         "dimensions: M, M\n"

@@ -1,6 +1,6 @@
 """Value semantics of the public value types: immutable, slotted, equal and
-hashed by their fields within one class, constructible by keyword with
-their defaults."""
+hashed by their fields within one class, constructible by position or by
+keyword with their defaults, and refusing a bad call with TypeError."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pim import (
+    AnalysisReport,
     DimensionSystem,
     EffectiveCounts,
     JacobianRowConstraint,
@@ -40,37 +41,52 @@ def _dims() -> DimensionSystem:
     return DimensionSystem(names=("M",))
 
 
-# (constructor by keyword, fields left to their defaults)
+def _report_fields() -> dict:
+    report = analyze(drag_model())
+    return dict(zip(AnalysisReport.__slots__, report._fields()))
+
+
+# (type, its constructor's arguments by name, fields left to their defaults);
+# each value is built by keyword and, from the same arguments, by position
 CASES = {
-    "RatMatrix": (_matrix, {}),
-    "RrefResult": (lambda: RrefResult(rref=_matrix(), pivot_cols=(0,)), {}),
-    "DimensionSystem": (_dims, {}),
-    "Quantity": (lambda: Quantity(name="x", dim_exponents=(1,)), {}),
+    "RatMatrix": (RatMatrix, lambda: {"rows": 1, "cols": 2, "entries": (1, Fraction(-1, 2))}, {}),
+    "RrefResult": (RrefResult, lambda: {"rref": _matrix(), "pivot_cols": (0,)}, {}),
+    "DimensionSystem": (DimensionSystem, lambda: {"names": ("M",)}, {}),
+    "Quantity": (Quantity, lambda: {"name": "x", "dim_exponents": (1,)}, {}),
     "Model": (
-        lambda: Model(dims=_dims(), quantities=(Quantity("x", (0,)),)),
+        Model,
+        lambda: {"dims": _dims(), "quantities": (Quantity("x", (0,)),)},
         {"constraints": (), "basis_override": None},
     ),
-    "PiGroup": (lambda: PiGroup(exponents=(1, -1), label="x/y"), {}),
-    "RescaleVector": (lambda: RescaleVector(scales=(1, 2)), {}),
-    "MonomialConstraint": (lambda: MonomialConstraint((1, -1)), {"constant": 1}),
+    "PiGroup": (PiGroup, lambda: {"exponents": (1, -1), "label": "x/y"}, {}),
+    "RescaleVector": (RescaleVector, lambda: {"scales": (1, 2)}, {}),
+    "MonomialConstraint": (MonomialConstraint, lambda: {"exponents": (1, -1)}, {"constant": 1}),
     # the same field values as RescaleVector above, in another class
-    "JacobianRowConstraint": (lambda: JacobianRowConstraint(entries=(1, 2)), {}),
-    "EffectiveCounts": (lambda: EffectiveCounts(2, 2, 2), {"via_C_rank": None}),
+    "JacobianRowConstraint": (JacobianRowConstraint, lambda: {"entries": (1, 2)}, {}),
+    "EffectiveCounts": (
+        EffectiveCounts,
+        lambda: {"via_kernel_JE": 2, "via_stacked_rank": 2, "via_grassmann": 2},
+        {"via_C_rank": None},
+    ),
     "Relation": (
-        lambda: Relation(
-            coeffs=(Fraction(1), Fraction(-1)), pi_exponents=(1, -1),
-            k_exponents=(Fraction(1),), constant=Fraction(1), pointwise=False,
-            label="pi1 / pi2 = 1",
-        ),
+        Relation,
+        lambda: {
+            "coeffs": (Fraction(1), Fraction(-1)), "pi_exponents": (1, -1),
+            "k_exponents": (Fraction(1),), "constant": Fraction(1), "pointwise": False,
+            "label": "pi1 / pi2 = 1",
+        },
         {},
     ),
-    "AnalysisReport": (lambda: analyze(drag_model()), {}),
-    "SourceSpan": (lambda: SourceSpan(line=1, column=2), {"length": 1}),
+    "AnalysisReport": (AnalysisReport, _report_fields, {}),
+    "SourceSpan": (SourceSpan, lambda: {"line": 1, "column": 2}, {"length": 1}),
     "ParseError": (
-        lambda: ParseError(span=SourceSpan(1, 2), code=ErrorCode.SYNTAX, message="m"), {}
+        ParseError,
+        lambda: {"span": SourceSpan(1, 2), "code": ErrorCode.SYNTAX, "message": "m"},
+        {},
     ),
     "CliConfig": (
-        lambda: CliConfig(command="analyze", input_path="-"),
+        CliConfig,
+        lambda: {"command": "analyze", "input_path": "-"},
         {"format": "text", "strict": False, "color": False},
     ),
 }
@@ -78,13 +94,13 @@ CASES = {
 
 @pytest.mark.parametrize("name", CASES)
 def test_value_type_semantics(name: str):
-    make, defaults = CASES[name]
-    value, twin = make(), make()
+    cls, arguments, defaults = CASES[name]
+    value, twin = cls(**arguments()), cls(*arguments().values())
     assert type(value).__name__ == name
     assert value is not twin and value == twin and hash(value) == hash(twin)
     assert not hasattr(value, "__dict__")
     for field, default in defaults.items():
-        assert getattr(value, field) == default
+        assert getattr(value, field) == default and getattr(twin, field) == default
     for field in type(value).__slots__:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
@@ -92,12 +108,22 @@ def test_value_type_semantics(name: str):
             delattr(value, field)
     with pytest.raises(AttributeError):
         value.unknown_field = 1
-    for other, (make_other, _) in CASES.items():
+    for other, (other_cls, other_arguments, _) in CASES.items():
         if other != name:
-            assert value != make_other()
+            assert value != other_cls(**other_arguments())
     assert value != tuple(getattr(value, f) for f in type(value).__slots__)
     assert repr(value) == repr(twin) and repr(value).startswith(name + "(")
     assert pickle.loads(pickle.dumps(value)) == value
+    given = arguments()
+    first = next(iter(given))
+    for bad, message in (
+        (lambda: cls(), "missing"),
+        (lambda: cls(**given, unknown_field=1), "unexpected keyword argument 'unknown_field'"),
+        (lambda: cls(*given.values(), **{first: 0}), f"multiple values for argument '{first}'"),
+        (lambda: cls(*range(len(cls.__slots__) + 1)), "positional arguments"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            bad()
 
 
 def test_value_repr_names_every_field():
