@@ -186,11 +186,6 @@ def build_dimension_matrix(model: Model) -> RatMatrix:
     )
 
 
-def buckingham_count(matrix: RatMatrix) -> int:
-    """Number of independent dimensionless groups: columns minus rank."""
-    return matrix.cols - rank(matrix)
-
-
 def format_monomial(
     names: Sequence[str],
     exponents: Sequence[int | Fraction],
@@ -233,7 +228,7 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     if basis is None:
         basis = nullspace_basis(matrix)
     else:
-        d = buckingham_count(matrix)
+        d = matrix.cols - rank(matrix)
         if basis.cols != d:
             raise ModelError(
                 f"basis override has {basis.cols} columns but the kernel "

@@ -20,10 +20,10 @@ entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
 
 from __future__ import annotations
 
-import json
 import re
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
@@ -671,6 +671,41 @@ def _render_text(report: AnalysisReport, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value: object, pad: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte, for
+    the payload's types: dict with str keys, list, str, int, bool and None.
+    pad is the indent of the line that value starts on.
+
+    With an indent, json.dumps runs the pure-Python encoder; this writer
+    calls the same C string encoder and joins each all-string list (every
+    matrix row) in one step.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if all(type(x) is str for x in value):
+        body = sep.join(map(encode_basestring_ascii, value))
+    else:
+        body = sep.join([_json(x, inner) for x in value])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def render_report(report: AnalysisReport, format: str = "text", *, color: bool = False) -> str:
     """Render an analysis report as ``text`` or ``json``.
 
@@ -678,7 +713,7 @@ def render_report(report: AnalysisReport, format: str = "text", *, color: bool =
     (text only) adds ANSI escapes and is off by default.
     """
     if format == "json":
-        return json.dumps(_report_payload(report), indent=2) + "\n"
+        return _json(_report_payload(report), "") + "\n"
     if format == "text":
         return _render_text(report, color)
     raise ValueError(f"unknown report format: {format!r}")

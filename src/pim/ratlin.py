@@ -255,9 +255,9 @@ def _num_rows(matrix: RatMatrix) -> list[tuple[int, ...]]:
 
 
 def _eliminate(
-    rows: Iterable[Sequence[int]], pivot_limit: int
+    rows: Iterable[Sequence[int]], pivot_limit: int, echelon: bool = False
 ) -> tuple[list[Sequence[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
+    """Fraction-free elimination (Bareiss) of integer rows.
 
     A matrix enters as its numerators: den times it has the same pivots,
     rank, kernel and RREF. Returns the eliminated integer rows, the pivot
@@ -268,14 +268,27 @@ def _eliminate(
     Pivot choice is deterministic: columns left to right, first row at or
     below the current pivot row with a nonzero entry.
 
-    Exactness: after k pivots, with prev the k-th pivot, every entry is a
-    k x k or (k+1) x (k+1) minor of the row-permuted input (Sylvester's
-    identity), so each update (p * a - f * b) // prev divides exactly, for
-    rows with f == 0 too, and entries stay as small as those minors. Each
-    row ends as a multiple of the row that Fraction Gauss-Jordan with these
-    pivots would leave: det times it for a pivot row, so the rows divided by
-    det are the RREF, and some nonzero multiple for a row that reduces to
-    zero.
+    Two stopping points. By default each pivot updates every other row
+    (Gauss-Jordan), leaving zeros above and below it. With echelon=True it
+    updates only the rows below it (forward Bareiss), so the rows end in
+    echelon form, each pivot row as it was when it became one. A row update
+    reads only that row and the pivot row, so the rows at or below the
+    current pivot row are the same in both forms at every step; the pivot
+    search reads only those rows, so both forms return the same pivots and
+    det.
+
+    Exactness: after k pivots, with prev the k-th pivot, each entry (i, j)
+    of a row i below the pivot rows is the (k+1) x (k+1) minor of the
+    row-permuted input on the k pivot rows and row i and on the k pivot
+    columns and column j (Sylvester's identity). So each update
+    (p * a - f * b) // prev divides exactly, and so does the rescale
+    p * a // prev that keeps a row with f == 0 a minor; entries stay as
+    small as those minors. This is all the echelon form needs. In the full
+    form every entry of a pivot row is a k x k or (k+1) x (k+1) minor too,
+    and each row ends as a multiple of the row that Fraction Gauss-Jordan
+    with these pivots would leave: det times it for a pivot row, so the
+    rows divided by det are the RREF, and some nonzero multiple for a row
+    that reduces to zero.
     """
     mat = list(rows)
     pivots: list[int] = []
@@ -291,7 +304,7 @@ def _eliminate(
         mat[piv_row], mat[hit] = mat[hit], mat[piv_row]
         prow = mat[piv_row]
         p = prow[col]
-        for r in range(n_rows):
+        for r in range(piv_row + 1 if echelon else 0, n_rows):
             if r == piv_row:
                 continue
             row = mat[r]
@@ -345,8 +358,8 @@ def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
 
 
 def rank(matrix: RatMatrix) -> int:
-    """Exact rank via elimination."""
-    return len(_eliminate(_num_rows(matrix), matrix.cols)[1])
+    """Exact rank: the pivot count of an echelon only elimination."""
+    return len(_eliminate(_num_rows(matrix), matrix.cols, echelon=True)[1])
 
 
 def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
@@ -392,17 +405,17 @@ def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     """Dimensions of the sum and of the intersection of the two row spaces.
 
-    One Zassenhaus elimination of [[a, a], [b, 0]], read for its pivots
-    only: those left of column n span rowspace a + rowspace b, which is
-    rank([a; b]), and the rows whose left half reduces to zero carry a basis
-    of the intersection in their right half, one pivot each.
+    One Zassenhaus elimination of [[a, a], [b, 0]], echelon only, read for
+    its pivots only: those left of column n span rowspace a + rowspace b,
+    which is rank([a; b]), and the rows whose left half reduces to zero
+    carry a basis of the intersection in their right half, one pivot each.
     """
     if a.cols != b.cols:
         raise ShapeError(f"column counts differ: {a.cols} vs {b.cols}")
     n = a.cols
     # Scaling a row by a nonzero integer moves no pivot.
     stacked = [r + r for r in _num_rows(a)] + [r + (0,) * n for r in _num_rows(b)]
-    pivots = _eliminate(stacked, 2 * n)[1]
+    pivots = _eliminate(stacked, 2 * n, echelon=True)[1]
     total = sum(1 for col in pivots if col < n)
     return total, len(pivots) - total
 

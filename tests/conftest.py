@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,20 @@ def drag_text() -> str:
 @pytest.fixture
 def repo_root() -> Path:
     return Path(__file__).resolve().parent.parent
+
+
+GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """bench/gen.py, the benchmark's seeded model generator, loaded from its
+    file and only read."""
+    spec = importlib.util.spec_from_file_location("pim_bench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -1,17 +1,14 @@
 """The benchmark's generated models, analyzed at the sizes the harness runs.
 
 bench/gen.py builds each model so that n, d, d_eff and the scale-invariance
-verdict follow from its construction, without importing pim. It is loaded
-from its file and only read.
+verdict follow from its construction, without importing pim. The ``gen``
+fixture loads it from its file.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,21 +19,6 @@ from pim import RescaleVector, analyze, parse_model
 from pim.model import Model, apply_rescale, evaluate_monomial
 
 from oracles import DRAG_MIXED_BASIS, drag_model, random_unimodular
-
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-
-
-@pytest.fixture(scope="module")
-def gen():
-    spec = importlib.util.spec_from_file_location("pim_bench_gen", GEN_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # @dataclass looks its module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])

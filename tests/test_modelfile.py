@@ -4,11 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pim.model import DimensionSystem, Model, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
+    _json,
+    _report_payload,
     parse_dimexpr,
     parse_model,
     parse_monomial,
@@ -473,3 +477,59 @@ def test_render_report_deterministic(drag_text):
     report2 = analyze(parse_model(drag_text))
     for fmt in ("text", "json"):
         assert render_report(report, fmt) == render_report(report2, fmt)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(payload, indent=2), byte for byte
+
+
+def test_json_report_is_json_dumps_of_its_payload(repo_root, gen):
+    paths = sorted((repo_root / "models").glob("*.pim"))
+    paths += sorted((repo_root / "tests" / "models").glob("*.pim"))
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    texts += [
+        made.text
+        for seed in (1, 2, 3)
+        for pointwise in (False, True)
+        for made in gen.ladder(seed, 1, pointwise)
+    ]
+    for text in texts:
+        report = analyze(parse_model(text))
+        expected = json.dumps(_report_payload(report), indent=2) + "\n"
+        assert render_report(report, "json") == expected
+
+
+def test_golden_json_files_are_json_dumps_indent_2(repo_root):
+    for path in sorted((repo_root / "tests" / "golden").glob("*.json")):
+        golden = path.read_text(encoding="utf-8")
+        assert golden == json.dumps(json.loads(golden), indent=2) + "\n", path.name
+
+
+# Characters that json escapes or passes through differently: quotes,
+# backslashes, control characters, line and paragraph separators, non-ASCII
+# and astral characters (written as surrogate pairs); then any code point,
+# lone surrogates included.
+_TRICKY = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600\U0010ffff'
+_chars = st.one_of(st.sampled_from(_TRICKY), st.integers(0, 0x10FFFF).map(chr))
+_strings = st.text(_chars, max_size=12)
+_ints = st.one_of(
+    st.integers(),
+    st.integers(10**99, 10**130),
+    st.integers(-(10**130), -(10**99)),
+)
+_scalars = st.one_of(_strings, _ints, st.booleans(), st.none())
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_strings, max_size=5),  # the all-string rows of a matrix
+        st.dictionaries(_strings, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json(payload, "") == json.dumps(payload, indent=2)

@@ -7,9 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from pim import parse_model
+from pim.model import build_dimension_matrix
 from pim.ratlin import (
     RatMatrix,
     ShapeError,
+    _eliminate,
+    _num_rows,
     exact_pow,
     normalize_primitive,
     nullspace_basis,
@@ -18,6 +22,7 @@ from pim.ratlin import (
     rref_with_transform,
     sum_intersection_dims,
 )
+from pim.reduce import constraint_jacobian
 
 from oracles import (
     DRAG_A,
@@ -270,6 +275,37 @@ def test_rank_invariant_under_row_permutation_and_scaling():
         assert rank(RatMatrix.from_rows(scaled, cols=m.cols)) == rank(m)
 
 
+def _int_matrices(seed: int):
+    """Random integer matrices up to 30 x 60, of full rank and of every
+    rank bound below it: products of integer factors."""
+    rng = random.Random(seed)
+    for rows, cols in ((1, 1), (3, 7), (7, 3), (12, 20), (20, 12), (30, 30), (30, 60)):
+        for bound in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+            yield random_int_matrix(rng, rows, bound) @ random_int_matrix(rng, bound, cols)
+
+
+def test_rank_matches_rref_and_textbook_oracle():
+    # rank stops at echelon form; rref runs the full elimination
+    for m in _int_matrices(1112):
+        expected = len(textbook_rref(m.to_rows(), m.cols)[1])
+        assert rank(m) == rref(m).rank == expected, (m.rows, m.cols)
+
+
+def test_echelon_and_full_elimination_share_pivots():
+    for m in _int_matrices(1113):
+        for limit in sorted({0, m.cols // 2, m.cols}):
+            full, pivots, det = _eliminate(_num_rows(m), limit)
+            ech, ech_pivots, ech_det = _eliminate(_num_rows(m), limit, echelon=True)
+            assert (ech_pivots, ech_det) == (pivots, det)
+            # rows past the last pivot row were never above a pivot, so both
+            # forms leave them alike, and zero left of pivot_limit
+            top = len(pivots)
+            assert ech[top:] == full[top:]
+            assert not any(x for row in ech[top:] for x in row[:limit])
+            for row, col in zip(ech, pivots):
+                assert not any(row[:col]) and row[col]
+
+
 def test_rank_matches_minor_enumeration_oracle():
     rng = random.Random(1104)
     for _ in range(200):
@@ -389,6 +425,29 @@ def test_sum_intersection_dims_matches_textbook_oracle():
                 RatMatrix.from_rows(a, cols=n), RatMatrix.from_rows(b, cols=n)
             )
             assert dims == (ranks[2], ranks[0] + ranks[1] - ranks[2])
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
+def test_sum_intersection_dims_matches_textbook_oracle_on_generated_pairs(
+    gen, n: int, pointwise: bool
+):
+    # The harness's A and J at m = ell = n/4. Their row spaces meet only in
+    # zero; two more rows, A1 + A2 and 3 A3 + J1, make them meet in a plane.
+    made = gen.make_model(random.Random(n), gen.Rung("drawn", n, n // 4, n // 4), 0, pointwise)
+    model = parse_model(made.text)
+    a = build_dimension_matrix(model)
+    a_rows, j_rows = a.to_rows(), constraint_jacobian(model).to_rows()
+    extra = [
+        [x + y for x, y in zip(a_rows[0], a_rows[1])],
+        [3 * x + y for x, y in zip(a_rows[2], j_rows[0])],
+    ]
+    a_rank = len(textbook_rref(a_rows, n)[1])
+    for b_rows, meet in ((j_rows, 0), (j_rows + extra, 2)):
+        ranks = [len(textbook_rref(rows, n)[1]) for rows in (b_rows, a_rows + b_rows)]
+        dims = sum_intersection_dims(a, RatMatrix.from_rows(b_rows, cols=n))
+        assert dims == (ranks[1], a_rank + ranks[0] - ranks[1])
+        assert dims == (made.m + made.ell, meet)
 
 
 # ---------------------------------------------------------------------------
