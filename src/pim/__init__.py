@@ -18,8 +18,6 @@ from .model import (
     ModelError,
     PiGroup,
     Quantity,
-    RescaleVector,
-    UnsupportedRescaleError,
 )
 from .modelfile import (
     ErrorCode,
@@ -61,11 +59,9 @@ __all__ = [
     "Quantity",
     "RatMatrix",
     "Relation",
-    "RescaleVector",
     "ScaleInvarianceError",
     "ShapeError",
     "SourceSpan",
-    "UnsupportedRescaleError",
     "analyze",
     "parse_model",
     "render_report",

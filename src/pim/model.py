@@ -17,8 +17,8 @@ from .ratlin import (
     RatMatrix,
     RationalLike,
     Value,
+    _primitive,
     as_fraction,
-    normalize_primitive,
     nullspace_basis,
     rank,
 )
@@ -38,10 +38,6 @@ _SAFE_BITS = MAX_DIGITS * 3321928 // 10**6
 
 class ModelError(ValueError):
     """Raised for structurally invalid models or bad inputs to model operations."""
-
-
-class UnsupportedRescaleError(ModelError):
-    """Raised when a rescale would need an irrational power of a scale factor."""
 
 
 def _check_printable(item: str, ints: Sequence[int]) -> None:
@@ -167,18 +163,6 @@ class PiGroup(Value):
         super().__init__(exponents, label)
 
 
-class RescaleVector(Value):
-    """Multiplicative unit changes, one positive factor per base dimension."""
-
-    __slots__ = ("scales",)
-
-    def __init__(self, scales: tuple[RationalLike, ...]) -> None:
-        super().__init__(tuple(map(as_fraction, scales)))
-        for i, s in enumerate(self.scales):
-            if s <= 0:
-                raise ModelError(f"rescale factor {i} must be positive, got {s}")
-
-
 def build_dimension_matrix(model: Model) -> RatMatrix:
     """The m x n matrix whose column j holds quantity j's dimension exponents."""
     return RatMatrix.from_columns(
@@ -246,56 +230,8 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     names = model.quantity_names
     groups = []
     for j in range(basis.cols):
-        exps = normalize_primitive(basis.nums[j :: basis.cols])
+        # a column of a kernel basis (the override's rank was checked) is nonzero
+        exps = _primitive(basis.nums[j :: basis.cols])
         _check_printable(f"pi group {j + 1}", exps)
         groups.append(PiGroup(exps, format_monomial(names, exps)))
     return basis, tuple(groups)
-
-
-def evaluate_monomial(
-    values: Sequence[RationalLike], exponents: Sequence[int]
-) -> Fraction:
-    """Evaluate prod(values[j] ** exponents[j]) exactly. Values must be positive."""
-    if len(values) != len(exponents):
-        raise ModelError(
-            f"{len(values)} values vs {len(exponents)} exponents"
-        )
-    result = Fraction(1)
-    for j, (v, e) in enumerate(zip(values, exponents)):
-        v = as_fraction(v)
-        if v <= 0:
-            raise ModelError(f"monomial evaluation needs positive values; value {j} is {v}")
-        result *= v ** e
-    return result
-
-
-def apply_rescale(
-    model: Model, values: Sequence[RationalLike], rescale: RescaleVector
-) -> tuple[Fraction, ...]:
-    """Rescale quantity values under a multiplicative change of units.
-
-    Quantity j picks up the factor prod_i s_i ** a_ij. To stay exact, any
-    dimension being rescaled (s_i != 1) must have integer exponents on all
-    quantities.
-    """
-    if len(rescale.scales) != model.m:
-        raise ModelError(f"{len(rescale.scales)} scale factors for {model.m} dimensions")
-    if len(values) != model.n:
-        raise ModelError(f"{len(values)} values for {model.n} quantities")
-    out: list[Fraction] = []
-    for j, q in enumerate(model.quantities):
-        v = as_fraction(values[j])
-        if v <= 0:
-            raise ModelError(f"rescale needs positive values; value {j} is {v}")
-        for i, s in enumerate(rescale.scales):
-            if s == 1:
-                continue
-            a = q.dim_exponents[i]
-            if a.denominator != 1:
-                raise UnsupportedRescaleError(
-                    f"quantity {q.name!r} has non-integer exponent {a} on "
-                    f"dimension {model.dims.names[i]!r}; rescaling it is not exact"
-                )
-            v *= s ** a.numerator
-        out.append(v)
-    return tuple(out)

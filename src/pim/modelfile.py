@@ -24,6 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Iterator, Sequence
 
 from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
@@ -482,8 +483,11 @@ def _render_constraint_monomial(names: Sequence[str], exps: Sequence[Fraction]) 
     num: list[str] = []
     den: list[tuple[str, Fraction]] = []
     for name, e in zip(names, exps):
-        if e == 0:
+        p, q = e.as_integer_ratio()
+        if p == 0:
             continue
+        if q == 1:
+            e = p  # a whole exponent compares and prints as an int
         if e > 0:
             num.append(name if e == 1 else f"{name}^{e}")
         else:
@@ -529,10 +533,16 @@ def render_model(model: Model) -> str:
 
 
 def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
-    """Each entry as text, row by row; an integer matrix prints its
-    numerators as they are."""
+    """Each entry as text, row by row, as str(Fraction(x, den)) prints it.
+    den > 0 and gcd(0, den) == den, so a zero prints as 0."""
     den, cols = matrix.den, matrix.cols
-    text = [str(x) if den == 1 else str(Fraction(x, den)) for x in matrix.nums]
+    if den == 1:
+        text = list(map(str, matrix.nums))
+    else:
+        text = []
+        for x in matrix.nums:
+            g = gcd(x, den)
+            text.append(str(x // g) if g == den else f"{x // g}/{den // g}")
     return [text[i * cols : (i + 1) * cols] for i in range(matrix.rows)]
 
 
@@ -677,8 +687,9 @@ def _json(value: object, pad: str) -> str:
     pad is the indent of the line that value starts on.
 
     With an indent, json.dumps runs the pure-Python encoder; this writer
-    calls the same C string encoder and joins each all-string list (every
-    matrix row) in one step.
+    calls the same C string encoder, and writes a list of only strings
+    (every matrix row) or only ints in one join, quoting the strings itself
+    when none of them needs an escape.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -699,8 +710,16 @@ def _json(value: object, pad: str) -> str:
             f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()
         )
         return f"{{\n{inner}{body}\n{pad}}}"
-    if all(type(x) is str for x in value):
-        body = sep.join(map(encode_basestring_ascii, value))
+    types = set(map(type, value))
+    if types == {str}:
+        joined = "".join(value)
+        # the encoder escapes character by character, so no item needs it
+        if encode_basestring_ascii(joined)[1:-1] == joined:
+            body = '"' + ('"' + sep + '"').join(value) + '"'
+        else:
+            body = sep.join(map(encode_basestring_ascii, value))
+    elif types == {int}:  # not bool, which writes true and false
+        body = sep.join(map(int.__repr__, value))
     else:
         body = sep.join([_json(x, inner) for x in value])
     return f"[\n{inner}{body}\n{pad}]"

@@ -23,8 +23,16 @@ class ShapeError(ValueError):
     """Raised when matrix or vector shapes do not line up."""
 
 
+# Fractions are immutable, so one instance can stand for every occurrence of
+# a small whole value; parsed exponents are nearly all within |k| <= 8.
+_SHARED = {k: Fraction(k) for k in range(-64, 65)}
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """value as a Fraction, without copying one that already is."""
+    """value as a Fraction, without copying one that already is. An int in
+    [-64, 64] maps to a shared instance (a bool or int subclass does not)."""
+    if type(value) is int and -64 <= value <= 64:
+        return _SHARED[value]
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -100,8 +108,11 @@ class Value:
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """values times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = lcm(*(q for _, q in ratios))
+    if scale == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _matrix(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
@@ -384,10 +395,10 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """A nonzero integer vector divided by its gcd, signed so that its first
-    nonzero entry is positive."""
+    """The integer vector ints, which must be nonzero, divided by its gcd and
+    signed so that its first nonzero entry is positive."""
     g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
+    if next(filter(None, ints)) < 0:
         g = -g
     return tuple(x // g for x in ints)
 

@@ -30,9 +30,9 @@ from .ratlin import (
     ShapeError,
     Value,
     _matrix,
+    _primitive,
     as_fraction,
     exact_pow,
-    normalize_primitive,
     rank,
     rref,
     rref_with_transform,
@@ -257,8 +257,9 @@ def _build_relations(
     pi_names = [f"pi{k + 1}" for k in range(n_groups)]
     relations = []
     for i in range(n_relations):
+        # rows below the rank of rref(C) are zero, and are never read
         nums = rref_c.nums[i * n_groups : (i + 1) * n_groups]
-        pi_exps = normalize_primitive(nums)
+        pi_exps = _primitive(nums)
         first = next(k for k, x in enumerate(nums) if x)
         # pi_exps is the row scaled by pi_exps[first] / row[first]; so are
         # the constants' exponents, read off the transform row.

@@ -304,3 +304,54 @@ def textbook_product(
         [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
         for row in a
     ]
+
+
+class UnsupportedRescaleError(ValueError):
+    """Raised when a rescale would need an irrational power of a scale factor."""
+
+
+def evaluate_monomial(values: Sequence[Fraction], exponents: Sequence[int]) -> Fraction:
+    """prod(values[j] ** exponents[j]) in Fraction arithmetic. Values must be
+    positive."""
+    if len(values) != len(exponents):
+        raise ValueError(f"{len(values)} values vs {len(exponents)} exponents")
+    result = Fraction(1)
+    for j, (v, e) in enumerate(zip(values, exponents)):
+        v = Fraction(v)
+        if v <= 0:
+            raise ValueError(f"monomial evaluation needs positive values; value {j} is {v}")
+        result *= v ** e
+    return result
+
+
+def apply_rescale(
+    model: Model, values: Sequence[Fraction], scales: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """Quantity values after a change of units that multiplies base dimension
+    i by scales[i] > 0: quantity j picks up prod_i scales[i] ** A[i, j], read
+    off the model's dimension exponents. To stay exact, a dimension that is
+    rescaled (scales[i] != 1) must have integer exponents on all quantities."""
+    if len(scales) != model.m:
+        raise ValueError(f"{len(scales)} scale factors for {model.m} dimensions")
+    if len(values) != model.n:
+        raise ValueError(f"{len(values)} values for {model.n} quantities")
+    for i, s in enumerate(scales):
+        if s <= 0:
+            raise ValueError(f"rescale factor {i} must be positive, got {s}")
+    out: list[Fraction] = []
+    for j, q in enumerate(model.quantities):
+        v = Fraction(values[j])
+        if v <= 0:
+            raise ValueError(f"rescale needs positive values; value {j} is {v}")
+        for i, s in enumerate(scales):
+            if s == 1:
+                continue
+            a = q.dim_exponents[i]
+            if a.denominator != 1:
+                raise UnsupportedRescaleError(
+                    f"quantity {q.name!r} has non-integer exponent {a} on "
+                    f"dimension {model.dims.names[i]!r}; rescaling it is not exact"
+                )
+            v *= Fraction(s) ** a.numerator
+        out.append(v)
+    return tuple(out)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from pim.modelfile import (
     ErrorCode,
     ModelFileError,
     _json,
+    _matrix_cells,
     _report_payload,
+    constraint_label,
     parse_dimexpr,
     parse_model,
     parse_monomial,
@@ -412,6 +415,48 @@ def test_render_model_round_trip_of_a_zero_column_override():
 
 
 # ---------------------------------------------------------------------------
+# matrix cells and constraint labels, printed from integers
+
+
+def test_matrix_cells_print_each_entry_as_its_fraction():
+    rng = random.Random(1213)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        den = rng.choice([1, 2, 6, 12, 30, 36, 720, rng.randint(1, 10**12)])
+        nums = [
+            rng.choice([0, den, -den, rng.randint(-60, 60), rng.randint(-(10**20), 10**20)])
+            for _ in range(rows * cols)
+        ]
+        matrix = RatMatrix(rows, cols, tuple(Fraction(x, den) for x in nums))
+        expected = [[str(x) for x in matrix.row(i)] for i in range(rows)]
+        assert _matrix_cells(matrix) == expected
+
+
+@pytest.mark.parametrize(
+    ("exponents", "label"),
+    [
+        ((-2, -1, 0), "a^-2 * b^-1 = 3/4"),
+        ((1, 2, Fraction(1, 2)), "a * b^2 * c^1/2 = 3/4"),
+        ((Fraction(-3, 2), Fraction(1, 2), 0), "b^1/2 / a^3/2 = 3/4"),
+        ((2, -1, Fraction(-3, 2)), "a^2 / b / c^3/2 = 3/4"),
+        ((-1, Fraction(-3, 2), 0), "a^-1 * b^-3/2 = 3/4"),
+        ((Fraction(1, 2), -2, 1), "a^1/2 * c / b^2 = 3/4"),
+        ((0, Fraction(-3, 2), -2), "b^-3/2 * c^-2 = 3/4"),
+        ((-1, -1, -2), "a^-1 * b^-1 * c^-2 = 3/4"),
+    ],
+)
+def test_constraint_labels_render_and_reparse(exponents, label):
+    constraint = MonomialConstraint(exponents, Fraction(3, 4))
+    assert constraint_label(("a", "b", "c"), constraint) == label
+    model = Model(
+        DimensionSystem(("M",)),
+        tuple(Quantity(name, (1,)) for name in "abc"),
+        (constraint,),
+    )
+    assert parse_model(render_model(model)) == model
+
+
+# ---------------------------------------------------------------------------
 # report rendering
 
 
@@ -527,6 +572,25 @@ _payloads = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+@pytest.mark.parametrize(
+    "char", ['"', "\\", "\n", "\x7f", "\xe9", "\u2028", "\U0001f600", "\ud800"], ids=ascii
+)
+def test_json_string_list_with_one_item_to_escape(char):
+    for at in range(3):
+        items = ["1/2", "-3", "pi1 / pi2 = 1"]
+        items[at] = f"a{char}b"
+        payload = {"row": items, "rows": [items, ["0", "1"]]}
+        assert _json(payload, "") == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "items", [[1, True, 0, False, None], [1, True, 0, False], [True, False], [3, -2, 10**40]]
+)
+def test_json_int_list_keeps_bools_apart(items):
+    payload = {"list": items, "nested": [items]}
+    assert _json(payload, "") == json.dumps(payload, indent=2)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

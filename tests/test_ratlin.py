@@ -14,6 +14,7 @@ from pim.ratlin import (
     ShapeError,
     _eliminate,
     _num_rows,
+    as_fraction,
     exact_pow,
     normalize_primitive,
     nullspace_basis,
@@ -145,6 +146,43 @@ def test_every_result_is_in_lowest_terms():
                 nullspace_basis(m),
             ):
                 _assert_canonical(out)
+
+
+# ---------------------------------------------------------------------------
+# boxing: as_fraction and the integer fields of RatMatrix
+
+
+@pytest.mark.parametrize(
+    "value", [-65, -64, -1, 0, 1, 64, 65, 10**30, True, "3/4", Fraction(5, 2)], ids=repr
+)
+def test_as_fraction_is_an_exact_fraction_of_the_same_value(value):
+    out = as_fraction(value)
+    assert type(out) is Fraction
+    assert out == Fraction(value)
+    assert out.as_integer_ratio() == Fraction(value).as_integer_ratio()
+    assert [type(x) for x in out.as_integer_ratio()] == [int, int]
+
+
+def test_matrix_fields_are_the_lcm_form_in_lowest_terms():
+    rng = random.Random(1212)
+    draws = (
+        lambda: rng.randint(-70, 70),
+        lambda: Fraction(rng.randint(-70, 70)),
+        lambda: rng.choice(
+            [rng.randint(-9, 9), Fraction(rng.randint(-70, 70), rng.randint(1, 12))]
+        ),
+    )
+    for draw in draws:
+        for _ in range(100):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            entries = tuple(draw() for _ in range(rows * cols))
+            matrix = RatMatrix(rows, cols, entries)
+            values = [Fraction(x) for x in entries]
+            scale = math.lcm(*(x.denominator for x in values))
+            nums = tuple(x.numerator * (scale // x.denominator) for x in values)
+            assert (matrix.nums, matrix.den) == (nums, scale)
+            assert math.gcd(matrix.den, *matrix.nums) == 1
+            assert [type(x) for x in (*matrix.nums, matrix.den)] == [int] * (len(nums) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from pim.model import (
     ModelError,
     Quantity,
     build_dimension_matrix,
-    evaluate_monomial,
 )
 import pim.model as model_module
 import pim.ratlin as ratlin_module
@@ -44,6 +43,7 @@ from oracles import (
     DRAG_J,
     DRAG_MIXED_BASIS,
     drag_model,
+    evaluate_monomial,
     minor_rank,
     model_from_matrices,
     pendulum_model,

@@ -21,14 +21,13 @@ from pim import (
     Quantity,
     RatMatrix,
     Relation,
-    RescaleVector,
     SourceSpan,
     analyze,
     parse_model,
 )
 from pim.cli import CliConfig
 from pim.modelfile import ErrorCode, parse_dimexpr, parse_monomial
-from pim.ratlin import RrefResult
+from pim.ratlin import RrefResult, Value
 
 from oracles import drag_model
 
@@ -59,9 +58,7 @@ CASES = {
         {"constraints": (), "basis_override": None},
     ),
     "PiGroup": (PiGroup, lambda: {"exponents": (1, -1), "label": "x/y"}, {}),
-    "RescaleVector": (RescaleVector, lambda: {"scales": (1, 2)}, {}),
     "MonomialConstraint": (MonomialConstraint, lambda: {"exponents": (1, -1)}, {"constant": 1}),
-    # the same field values as RescaleVector above, in another class
     "JacobianRowConstraint": (JacobianRowConstraint, lambda: {"entries": (1, 2)}, {}),
     "EffectiveCounts": (
         EffectiveCounts,
@@ -124,6 +121,16 @@ def test_value_type_semantics(name: str):
     ):
         with pytest.raises(TypeError, match=message):
             bad()
+
+
+def test_equal_fields_in_another_class_differ():
+    class Twin(Value):
+        __slots__ = ("entries",)
+
+    row = JacobianRowConstraint((1, 2))
+    twin = Twin(row.entries)
+    assert twin._fields() == row._fields()
+    assert row != twin and twin != row
 
 
 def test_value_repr_names_every_field():
