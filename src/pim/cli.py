@@ -5,7 +5,8 @@ Exit codes:
     1  usage error, unreadable input, parse error, or model validation error
     2  constraints not scale-invariant and --strict was given
     3  internal invariant violation or any other unexpected error (always a
-       bug, never a modeling error)
+       bug, never a modeling error), on one line
+       ``internal error: <Type>: <message>``
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from .model import ModelError
 from .modelfile import ModelFileError, ParseError, parse_model, render_report
 from .ratlin import Value
-from .reduce import InvariantViolation, analyze
+from .reduce import analyze
 
 
 class CliConfig(Value):
@@ -45,35 +46,34 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
     """Execute one command on already-read input text.
 
     Both commands run the full analysis, so they refuse the same models with
-    the same diagnostics. Returns (exit_code, output, diagnostics). On exit 0
-    the diagnostics are empty (warnings are part of the report); on a nonzero
-    exit code the output is empty and the diagnostics explain why.
+    the same diagnostics. Returns (exit_code, output, diagnostics) and
+    raises no Exception. On exit 0 the diagnostics are empty (warnings are
+    part of the report); on a nonzero exit code the output is empty and the
+    diagnostics explain why.
     """
     try:
-        model = parse_model(input_text)
+        report = analyze(parse_model(input_text))
+        if config.command == "check":
+            return 0, (
+                "model OK\n"
+                f"quantities: {report.n}\n"
+                f"dimensions: {report.m}\n"
+                f"constraints: {report.ell}\n"
+                f"scale invariant: {'yes' if report.scale_invariant else 'no'}\n"
+            ), ""
+        if config.strict and not report.scale_invariant:
+            return 2, "", (
+                "error: constraints are not scale-invariant (J @ A^T != 0) "
+                "and --strict was given\n"
+            )
+        return 0, render_report(report, config.format, color=config.color), ""
     except ModelFileError as exc:
         return 1, "", _format_parse_errors(config.input_path, exc.errors)
-
-    try:
-        report = analyze(model)
     except ModelError as exc:
         return 1, "", f"error: {exc}\n"
-    except InvariantViolation as exc:
-        return 3, "", f"internal error: {exc}\n"
-    if config.command == "check":
-        return 0, (
-            "model OK\n"
-            f"quantities: {report.n}\n"
-            f"dimensions: {report.m}\n"
-            f"constraints: {report.ell}\n"
-            f"scale invariant: {'yes' if report.scale_invariant else 'no'}\n"
-        ), ""
-    if config.strict and not report.scale_invariant:
-        return 2, "", (
-            "error: constraints are not scale-invariant (J @ A^T != 0) "
-            "and --strict was given\n"
-        )
-    return 0, render_report(report, config.format, color=config.color), ""
+    except Exception as exc:  # anything else is an engine bug: exit 3, not a traceback
+        message = " ".join(str(exc).split()) or "no message"
+        return 3, "", f"internal error: {type(exc).__name__}: {message}\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,12 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {_display_path(config.input_path)}: {exc}", file=sys.stderr)
         return 1
-    try:
-        code, output, diagnostics = run(config, text)
-    except Exception as exc:  # anything else is an engine bug: exit 3, not a traceback
-        message = " ".join(str(exc).split()) or "no message"
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 3
+    code, output, diagnostics = run(config, text)
     if output:
         sys.stdout.write(output)
     if diagnostics:

@@ -211,6 +211,8 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     basis = model.basis_override
     if basis is None:
         basis = nullspace_basis(matrix)
+        # canonical columns are already primitive with a positive leading entry
+        columns = [basis.nums[j :: basis.cols] for j in range(basis.cols)]
     else:
         d = matrix.cols - rank(matrix)
         if basis.cols != d:
@@ -227,11 +229,11 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
                 )
         if rank(basis) != basis.cols:
             raise ModelError("basis override is rank-deficient")
+        # full column rank, so no column is zero
+        columns = [_primitive(basis.nums[j :: basis.cols]) for j in range(basis.cols)]
     names = model.quantity_names
     groups = []
-    for j in range(basis.cols):
-        # a column of a kernel basis (the override's rank was checked) is nonzero
-        exps = _primitive(basis.nums[j :: basis.cols])
-        _check_printable(f"pi group {j + 1}", exps)
+    for j, exps in enumerate(columns, 1):
+        _check_printable(f"pi group {j}", exps)
         groups.append(PiGroup(exps, format_monomial(names, exps)))
     return basis, tuple(groups)

@@ -616,68 +616,65 @@ def _paint(text: str, style: str, color: bool) -> str:
     return f"{_ANSI[style]}{text}\x1b[0m"
 
 
-def _matrix_lines(matrix: RatMatrix) -> list[str]:
-    if matrix.rows == 0 or matrix.cols == 0:
-        return ["  (empty)"]
-    cells = _matrix_cells(matrix)
-    widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
-    return [
+def _matrix_lines(name: str, cells: list[list[str]], rows: int, cols: int) -> list[str]:
+    """The heading ``name (rows x cols):`` and the cell rows, each column
+    right-aligned."""
+    heading = f"{name} ({rows}x{cols}):"
+    if rows == 0 or cols == 0:
+        return [heading, "  (empty)"]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return [heading] + [
         "  [" + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "]"
         for row in cells
     ]
 
 
-def _render_text(report: AnalysisReport, color: bool) -> str:
-    lines: list[str] = []
-    lines.append(f"quantities (n = {report.n}): {', '.join(report.quantities)}")
-    lines.append(f"dimensions (m = {report.m}): {', '.join(report.dimensions)}")
-    if report.constraints:
-        lines.append(f"constraints (ell = {report.ell}):")
-        for k, c in enumerate(report.constraints):
-            lines.append(f"  {k + 1}: {constraint_label(report.quantities, c)}")
+def _render_text(payload: dict, color: bool) -> str:
+    """The text report, read off the JSON payload only."""
+    n, m, ell, d = payload["n"], payload["m"], payload["ell"], payload["d"]
+    constraints, groups = payload["constraints"], payload["pi_groups"]
+    lines = [
+        f"quantities (n = {n}): {', '.join(payload['quantities'])}",
+        f"dimensions (m = {m}): {', '.join(payload['dimensions'])}",
+    ]
+    if constraints:
+        lines.append(f"constraints (ell = {ell}):")
+        lines.extend(f"  {k}: {c['label']}" for k, c in enumerate(constraints, 1))
     else:
         lines.append("constraints (ell = 0): none")
-    lines.append(f"A ({report.A.rows}x{report.A.cols}):")
-    lines.extend(_matrix_lines(report.A))
-    lines.append(f"d = {report.d}")
-    if report.pi_groups:
+    lines += _matrix_lines("A", payload["A"], m, n)
+    lines.append(f"d = {d}")
+    if groups:
         lines.append("pi groups:")
-        for k, g in enumerate(report.pi_groups):
-            lines.append(f"  pi{k + 1} = {g.label}")
+        lines.extend(f"  pi{k} = {g['label']}" for k, g in enumerate(groups, 1))
     else:
         lines.append("pi groups: none")
-    if report.constraints:
-        lines.append(f"J ({report.J.rows}x{report.J.cols}):")
-        lines.extend(_matrix_lines(report.J))
-    verdict = "yes" if report.scale_invariant else "no"
-    lines.append(
-        "scale invariant: "
-        + _paint(verdict, "green" if report.scale_invariant else "red", color)
-    )
-    for warning in report.warnings:
-        lines.append(_paint(f"warning: {warning}", "yellow", color))
-    lines.append(f"d_eff = {report.d_eff}")
-    lines.append(f"  via kernel of J*E:  {report.deff.via_kernel_JE}")
-    lines.append(f"  via stacked rank:   {report.deff.via_stacked_rank}")
-    lines.append(f"  via grassmann:      {report.deff.via_grassmann}")
-    via_c = "n/a" if report.deff.via_C_rank is None else str(report.deff.via_C_rank)
-    lines.append(f"  via rank of C:      {via_c}")
-    if report.scale_invariant and report.C is not None:
-        lines.append(f"C ({report.C.rows}x{report.C.cols}):")
-        lines.extend(_matrix_lines(report.C))
-        lines.append(f"rref(C) ({report.rref_C.rows}x{report.rref_C.cols}):")
-        lines.extend(_matrix_lines(report.rref_C))
-        if report.relations:
+    if constraints:
+        lines += _matrix_lines("J", payload["J"], ell, n)
+    invariant = payload["scale_invariant"]
+    verdict = _paint("yes", "green", color) if invariant else _paint("no", "red", color)
+    lines.append(f"scale invariant: {verdict}")
+    lines.extend(_paint(f"warning: {w}", "yellow", color) for w in payload["warnings"])
+    forms = payload["d_eff_formulas"]
+    via_c = forms["via_C_rank"]
+    lines += [
+        f"d_eff = {payload['d_eff']}",
+        f"  via kernel of J*E:  {forms['via_kernel_JE']}",
+        f"  via stacked rank:   {forms['via_stacked_rank']}",
+        f"  via grassmann:      {forms['via_grassmann']}",
+        f"  via rank of C:      {'n/a' if via_c is None else via_c}",
+    ]
+    if invariant and payload["C"] is not None:
+        lines += _matrix_lines("C", payload["C"], ell, d)
+        lines += _matrix_lines("rref(C)", payload["rref_C"], ell, d)
+        if payload["relations"]:
             lines.append("relations among pi groups:")
-            for r in report.relations:
-                lines.append(f"  relation: {r.label}")
+            lines.extend(f"  relation: {r['label']}" for r in payload["relations"])
         else:
             lines.append("relations among pi groups: none")
-        chosen = ", ".join(f"pi{k + 1}" for k in report.selected)
-        lines.append(
-            f"independent set ({len(report.selected)} of {report.d}): "
-            + (chosen if chosen else "(empty)")
-        )
+        selected = payload["selected"]
+        chosen = ", ".join(f"pi{k + 1}" for k in selected)
+        lines.append(f"independent set ({len(selected)} of {d}): {chosen or '(empty)'}")
     return "\n".join(lines) + "\n"
 
 
@@ -728,11 +725,14 @@ def _json(value: object, pad: str) -> str:
 def render_report(report: AnalysisReport, format: str = "text", *, color: bool = False) -> str:
     """Render an analysis report as ``text`` or ``json``.
 
-    Both formats are deterministic byte for byte for a given report; color
-    (text only) adds ANSI escapes and is off by default.
+    Both formats print the one schema-v1 payload of the report, so they
+    agree on every label and cell. Both are deterministic byte for byte for
+    a given report; color (text only) adds ANSI escapes and is off by
+    default.
     """
+    if format not in ("text", "json"):
+        raise ValueError(f"unknown report format: {format!r}")
+    payload = _report_payload(report)
     if format == "json":
-        return _json(_report_payload(report), "") + "\n"
-    if format == "text":
-        return _render_text(report, color)
-    raise ValueError(f"unknown report format: {format!r}")
+        return _json(payload, "") + "\n"
+    return _render_text(payload, color)

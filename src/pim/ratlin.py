@@ -403,16 +403,6 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def normalize_primitive(vector: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to integers with gcd 1 and a positive
-    first nonzero entry. An integer vector is taken as it is."""
-    if not all(type(x) is int for x in vector):
-        vector = _clear_denominators([as_fraction(x) for x in vector])[0]
-    if not any(vector):
-        raise ValueError("cannot normalize zero vector")
-    return _primitive(vector)
-
-
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     """Dimensions of the sum and of the intersection of the two row spaces.
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from pim.cli import CliConfig, main, run
-from pim.reduce import InvariantViolation
+from pim.modelfile import parse_model, render_report
+from pim.reduce import InvariantViolation, analyze
 
 import pim.cli as cli_module
 
@@ -182,6 +184,55 @@ def test_main_unexpected_error_exit_3(monkeypatch, tmp_path: Path, capsys, drag_
     assert captured.out == ""
     assert captured.err.startswith("internal error: ValueError: Exceeds the limit")
     assert captured.err.count("\n") == 1
+
+
+MULTI_LINE = (
+    "Exceeds the limit (4300 digits) for integer string conversion;\n"
+    "  use sys.set_int_max_str_digits()\n"
+)
+
+
+@pytest.mark.parametrize("exc, line", [
+    (InvariantViolation("formulas disagree"), "InvariantViolation: formulas disagree"),
+    (ValueError(MULTI_LINE), "ValueError: Exceeds the limit (4300 digits) for integer "
+     "string conversion; use sys.set_int_max_str_digits()"),
+    (RuntimeError(" \n "), "RuntimeError: no message"),
+])
+@pytest.mark.parametrize("target", ["analyze", "render_report"])
+def test_unexpected_error_is_one_internal_error_line(
+    monkeypatch, tmp_path: Path, capsys, drag_text, target: str, exc: Exception, line: str
+):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_module, target, boom)
+    expected = f"internal error: {line}\n"
+    assert run(_analyze(), drag_text) == (3, "", expected)
+    path = tmp_path / "drag.pim"
+    path.write_text(drag_text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr() == ("", expected)
+
+
+_ANSI_RE = re.compile(r"\x1b\[[0-9;]*m")
+
+
+@pytest.mark.parametrize("invariant", [True, False])
+def test_colored_text_is_the_plain_report_painted(drag_text, invariant: bool):
+    text = drag_text if invariant else NON_INVARIANT
+    report = analyze(parse_model(text))
+    plain = render_report(report, "text")
+    colored = render_report(report, "text", color=True)
+    assert run(CliConfig(command="analyze", input_path="m.pim", color=True), text) == (
+        0, colored, ""
+    )
+    assert _ANSI_RE.sub("", colored) == plain
+    verdict = "\x1b[32myes\x1b[0m" if invariant else "\x1b[31mno\x1b[0m"
+    assert f"\nscale invariant: {verdict}\n" in colored
+    warnings = [line for line in plain.splitlines() if line.startswith("warning: ")]
+    assert bool(warnings) is not invariant
+    for warning in warnings:
+        assert f"\n\x1b[33m{warning}\x1b[0m\n" in colored
 
 
 def test_run_deterministic(drag_text):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ from pim.model import (
     format_monomial,
     pi_basis,
 )
-from pim.modelfile import parse_monomial
+from pim.modelfile import parse_monomial, render_report
 from pim.ratlin import RatMatrix, nullspace_basis, rank
+from pim.reduce import JacobianRowConstraint, analyze
 
 from oracles import (
     DRAG_A,
@@ -51,6 +53,8 @@ def test_model_validation():
         Model(dims, (Quantity("x", (1,)),))
     with pytest.raises(ModelError, match="basis override"):
         Model(dims, (Quantity("x", (1, 0)),), basis_override=RatMatrix.zero(3, 1))
+    with pytest.raises(ModelError, match="constraint 1 has 2 coefficients, expected 1"):
+        Model(dims, (Quantity("x", (1, 0)),), (JacobianRowConstraint((1, 0)),))
 
 
 def test_pi_group_invariants():
@@ -133,6 +137,19 @@ def test_pi_basis_pendulum_auto():
     assert groups[0].exponents == (2, 0, -1, 1)
     assert groups[0].label == "(T^2*g)/L_p"
     assert (a @ basis).is_zero()
+
+
+def test_pi_basis_scales_override_columns_but_keeps_e_as_given():
+    model = drag_model()
+    cols = [list(model.basis_override.column(k)) for k in range(3)]
+    cols[1] = [-2 * x for x in cols[1]]
+    scaled = RatMatrix.from_columns(cols)
+    changed = Model(model.dims, model.quantities, model.constraints, scaled)
+    basis, groups = pi_basis(changed, DRAG_A)
+    assert groups == pi_basis(model, DRAG_A)[1]
+    assert basis == scaled
+    payload = json.loads(render_report(analyze(changed), "json"))
+    assert [row[1] for row in payload["E"]] == ["0", "-2", "-2", "-2", "2", "0"]
 
 
 def test_pi_basis_override_wrong_shape():

@@ -306,6 +306,39 @@ def test_error_long_digit_run_in_a_non_number_gives_its_digit_count(
     assert message == "number has 5000 digits, more than the 4300 allowed"
 
 
+def _dimexpr_errors(text: str):
+    with pytest.raises(ModelFileError) as excinfo:
+        parse_dimexpr(text, DimensionSystem(("M",)))
+    return excinfo.value.errors
+
+
+_A = "dimensions: M\nquantity a = M\n"
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (_parse_errors, _A + "constraint a b = 1\n", [(3, 14, "unexpected 'b' after monomial")]),
+    (_parse_errors, _A + "constraint * a = 1\n", [(3, 12, "expected a quantity name, got '*'")]),
+    (_parse_errors, "dimensions: M\nquantity a = M 1\n",
+     [(2, 16, "'1' must stand alone as a dimension expression")]),
+    (_parse_errors, "dimensions M\nquantity a = M\n",
+     [(1, 12, "expected ':' after 'dimensions'"), (1, 1, "missing dimensions declaration")]),
+    (_parse_errors, _A + "constraint a 1\n", [(3, 15, "expected '=' in constraint")]),
+    (_parse_errors, _A + "basis_override: x\n",
+     [(3, 16, "unexpected text after 'basis_override:'")]),
+    (_parse_errors, _A + "quantity b = M\nbasis_override:\n1\n",
+     [(5, 1, "basis vector has 1 entries, expected 2")]),
+    (_dimexpr_errors, "", [(1, 1, "expected a dimension expression")]),
+], ids=[
+    "after-monomial", "no-quantity-name", "one-not-alone", "no-colon", "no-equals",
+    "text-after-basis-header", "short-basis-vector", "empty-dimexpr",
+])
+def test_syntax_error_diagnostics(parse, text: str, expected: list):
+    errors = parse(text)
+    assert [(e.code, e.span.line, e.span.column, e.message) for e in errors] == [
+        (ErrorCode.SYNTAX, *error) for error in expected
+    ]
+
+
 def test_multiple_errors_collected():
     text = (
         "dimensions: M, M\n"

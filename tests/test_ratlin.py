@@ -14,9 +14,9 @@ from pim.ratlin import (
     ShapeError,
     _eliminate,
     _num_rows,
+    _primitive,
     as_fraction,
     exact_pow,
-    normalize_primitive,
     nullspace_basis,
     rank,
     rref,
@@ -64,6 +64,15 @@ def test_matrix_shape_validation():
         RatMatrix(2, 2, (Fraction(1),))
     with pytest.raises(ShapeError):
         RatMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ShapeError, match="negative matrix shape -1x2"):
+        RatMatrix(-1, 2, ())
+
+
+def test_matrix_index_out_of_range():
+    m = RatMatrix.from_rows([[1, 2]])
+    assert m[0, 1] == 2
+    with pytest.raises(IndexError, match=r"index \(1, 0\) out of range for 1x2"):
+        m[1, 0]
 
 
 def test_empty_matrices_are_legal():
@@ -383,41 +392,24 @@ def test_nullspace_properties_random():
 
 
 # ---------------------------------------------------------------------------
-# normalize_primitive
+# _primitive
 
 
-def test_normalize_primitive_examples():
-    assert normalize_primitive(
-        (Fraction(-1, 2), Fraction(1, 2), 1, 1, 0, 0)
-    ) == (1, -1, -2, -2, 0, 0)
-    assert normalize_primitive((2, 4, 6)) == (1, 2, 3)
+def test_primitive_examples():
+    assert _primitive((2, 4, 6)) == (1, 2, 3)
+    assert _primitive((-1, 1, 2, 2, 0, 0)) == (1, -1, -2, -2, 0, 0)
     # flips sign to make the first nonzero entry positive, then gcd is 1
-    assert normalize_primitive((0, Fraction(-3, 2))) == (0, 1)
-    assert normalize_primitive((0, Fraction(-3, 2), Fraction(1, 2))) == (0, 3, -1)
+    assert _primitive((0, -3)) == (0, 1)
+    assert _primitive((0, -3, 1)) == (0, 3, -1)
 
 
-def test_normalize_primitive_zero_vector():
-    with pytest.raises(ValueError, match="cannot normalize zero vector"):
-        normalize_primitive((0, Fraction(0), 0))
-
-
-def test_normalize_primitive_random():
+def test_primitive_random():
     rng = random.Random(1106)
-    from math import gcd
-
     for _ in range(100):
-        vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))]
-        if all(x == 0 for x in vec):
+        vec = [rng.randint(-12, 12) for _ in range(rng.randint(1, 6))]
+        if not any(vec):
             continue
-        out = normalize_primitive(vec)
-        assert gcd(*out) == 1
-        first = next(x for x in out if x != 0)
-        assert first > 0
-        # collinear with the input: out is a nonzero rational multiple of vec
-        j = next(i for i, x in enumerate(vec) if x != 0)
-        scale = Fraction(out[j]) / vec[j]
-        assert scale != 0
-        assert all(Fraction(o) == scale * v for o, v in zip(out, vec))
+        assert list(_primitive(vec)) == primitive_integer_vector(list(map(Fraction, vec)))
 
 
 # ---------------------------------------------------------------------------

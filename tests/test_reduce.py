@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -13,6 +14,7 @@ from pim.model import (
     Quantity,
     build_dimension_matrix,
 )
+from pim.modelfile import parse_model, render_report
 import pim.model as model_module
 import pim.ratlin as ratlin_module
 import pim.reduce as reduce_module
@@ -202,6 +204,11 @@ def test_redundancy_matrix_refuses_non_invariant_rows():
     e = RatMatrix.from_columns([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="not full column rank"):
         redundancy_matrix(RatMatrix.from_rows([[1, 0]]), e)
+
+
+def test_redundancy_matrix_shape_check():
+    with pytest.raises(ShapeError, match="J has 5 columns but E has 6 rows"):
+        redundancy_matrix(RatMatrix.zero(1, 5), DRAG_CLASSIC_BASIS)
 
 
 def test_redundancy_matrix_factorization_random():
@@ -400,6 +407,20 @@ def test_relation_constant_past_the_bit_budget_is_symbolic():
     assert over.constant is None
     assert over.k_exponents == (-(power + 1), 1)
     assert over.label == f"pi2 = K1^(-{power + 1}) * K2"
+
+
+def test_symbolic_relation_skips_a_zero_constant_exponent():
+    # pi1 = a/b = 2^(1/2) is irrational and needs only K1
+    model = parse_model(
+        "dimensions: M\nquantity a = M\nquantity b = M\nquantity c = M\n"
+        "constraint a^2 / b^2 = 2\nconstraint c / b = 3\n"
+    )
+    report = analyze(model)
+    assert "\n  relation: pi1 = K1^(1/2)\n" in render_report(report, "text")
+    relation = json.loads(render_report(report, "json"))["relations"][0]
+    assert relation["label"] == "pi1 = K1^(1/2)"
+    assert relation["k_exponents"] == ["1/2", "0"]
+    assert relation["constant"] is None
 
 
 def test_analyze_refuses_a_constraint_constant_too_long_to_print():
