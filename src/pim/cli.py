@@ -49,8 +49,13 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
     the same diagnostics. Returns (exit_code, output, diagnostics) and
     raises no Exception. On exit 0 the diagnostics are empty (warnings are
     part of the report); on a nonzero exit code the output is empty and the
-    diagnostics explain why.
+    diagnostics explain why. A command or format that CliConfig does not
+    name is a usage error (exit 1), refused before the input is parsed.
     """
+    for field, allowed in (("command", ("analyze", "check")), ("format", ("text", "json"))):
+        value = getattr(config, field)
+        if value not in allowed:
+            return 1, "", f"error: unknown {field} {value!r}; expected {' or '.join(allowed)}\n"
     try:
         report = analyze(parse_model(input_text))
         if config.command == "check":

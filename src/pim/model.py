@@ -9,7 +9,6 @@ order; its kernel spans the exponent vectors of all dimensionless monomials.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .ratlin import (
     RatMatrix,
     RationalLike,
     Value,
+    _matrix,
     _primitive,
     as_fraction,
     nullspace_basis,
@@ -172,7 +172,7 @@ def build_dimension_matrix(model: Model) -> RatMatrix:
 
 def format_monomial(
     names: Sequence[str],
-    exponents: Sequence[int | Fraction],
+    exponents: Sequence[int],
     *,
     spaced: bool = False,
 ) -> str:
@@ -204,15 +204,14 @@ def format_monomial(
 
 
 def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup, ...]]:
-    """The kernel basis E of the dimension matrix, plus the rendered pi
-    groups. E is the model's basis override once validated as a genuine
-    kernel basis, otherwise the canonical RREF free-variable basis. Group
-    exponents are always reported in primitive integer form."""
+    """The kernel basis E of the dimension matrix and its columns as rendered
+    pi groups. E is the validated basis override with each column made
+    primitive (integer, gcd 1, positive leading entry), or else the canonical
+    RREF free-variable basis, which already is; column k is pi group k."""
     basis = model.basis_override
     if basis is None:
-        basis = nullspace_basis(matrix)
         # canonical columns are already primitive with a positive leading entry
-        columns = [basis.nums[j :: basis.cols] for j in range(basis.cols)]
+        basis = nullspace_basis(matrix)
     else:
         d = matrix.cols - rank(matrix)
         if basis.cols != d:
@@ -231,9 +230,12 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
             raise ModelError("basis override is rank-deficient")
         # full column rank, so no column is zero
         columns = [_primitive(basis.nums[j :: basis.cols]) for j in range(basis.cols)]
+        nums = tuple(x for row in zip(*columns) for x in row)
+        basis = _matrix(basis.rows, basis.cols, nums, 1)
     names = model.quantity_names
     groups = []
-    for j, exps in enumerate(columns, 1):
-        _check_printable(f"pi group {j}", exps)
+    for j in range(basis.cols):
+        exps = basis.nums[j :: basis.cols]
+        _check_printable(f"pi group {j + 1}", exps)
         groups.append(PiGroup(exps, format_monomial(names, exps)))
     return basis, tuple(groups)

@@ -549,20 +549,12 @@ def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
 def _report_payload(report: AnalysisReport) -> dict:
     constraints = []
     for c in report.constraints:
-        label = constraint_label(report.quantities, c)
+        entry = {"kind": c.kind, "label": constraint_label(report.quantities, c)}
         if c.kind == "monomial":
-            constraints.append({
-                "kind": "monomial",
-                "label": label,
-                "exponents": [str(x) for x in c.exponents],
-                "constant": str(c.constant),
-            })
+            entry |= {"exponents": [str(x) for x in c.exponents], "constant": str(c.constant)}
         else:
-            constraints.append({
-                "kind": "jacobian_row",
-                "label": label,
-                "entries": [str(x) for x in c.entries],
-            })
+            entry["entries"] = [str(x) for x in c.entries]
+        constraints.append(entry)
     relations = None
     if report.relations is not None:
         relations = [

@@ -161,7 +161,8 @@ def check_scale_invariance(a: RatMatrix, j: RatMatrix) -> bool:
 
 
 def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
-    """The unique C with J = C E^T, for scale-invariant constraints.
+    """The unique C with J = C E^T, for scale-invariant constraints. With E
+    from pi_basis, column k of C and of rref(C) refers to pi group k.
 
     When every column k of E has a unit row, a row r_k whose only nonzero
     entry s_k is in column k (the canonical kernel basis has one at each
@@ -349,7 +350,7 @@ def analyze(model: Model) -> AnalysisReport:
         raise InvariantViolation(
             f"effective-count formulas disagree: {counts!r}, d = {d}, rank J = {rank_j}"
         )
-    for name, matrix in (("A", a), ("J", j), ("E", e), ("C", c), ("rref_C", rref_c)):
+    for name, matrix in (("A", a), ("J", j), ("C", c), ("rref_C", rref_c)):
         if matrix is not None:
             _check_printable_matrix(name, matrix)
     for k, con in enumerate(model.constraints):

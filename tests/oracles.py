@@ -355,3 +355,31 @@ def apply_rescale(
             v *= Fraction(s) ** a.numerator
         out.append(v)
     return tuple(out)
+
+
+def false_relations(model: Model, report) -> list[str]:
+    """The labels of the report's relations that do not hold, read from the
+    model and the pi groups only, never from E, C or rref(C).
+
+    A relation prod_k pi_k ** p_k = prod_i K_i ** t_i holds when its two
+    sides have the same exponent vector over the quantities: sum_k p_k times
+    pi group k's exponents equals sum_i t_i times constraint i's vector. A
+    pointwise relation is checked the same way. When every t_i is an integer
+    and the constant is evaluated, it must equal prod_i K_i ** t_i."""
+    groups = [g.exponents for g in report.pi_groups]
+    vectors = [c.vector for c in model.constraints]
+    false = []
+    for relation in report.relations or ():
+        p, t = relation.pi_exponents, relation.k_exponents
+        left = [sum(p[k] * g[j] for k, g in enumerate(groups)) for j in range(model.n)]
+        right = [sum(t[i] * v[j] for i, v in enumerate(vectors)) for j in range(model.n)]
+        holds = left == right
+        if holds and relation.constant is not None and all(x.denominator == 1 for x in t):
+            product = Fraction(1)
+            for x, constraint in zip(t, model.constraints):
+                if x:
+                    product *= constraint.constant ** x.numerator
+            holds = relation.constant == product
+        if not holds:
+            false.append(relation.label)
+    return false

@@ -27,6 +27,7 @@ from pim.reduce import analyze, redundancy_matrix
 from oracles import (
     apply_rescale,
     evaluate_monomial,
+    false_relations,
     minor_rank,
     model_from_matrices,
     random_int_matrix,
@@ -103,9 +104,12 @@ def _criterion_3_cases(seed: int):
 
 
 def test_criterion_3_formula_agreement():
-    with criterion(3, "formula agreement on 500 random constrained models"):
+    with criterion(3, "formula agreement, true relations, 500 random constrained models"):
         for a, e, j in _criterion_3_cases(40301):
-            counts = analyze(model_from_matrices(a, j, e)).deff
+            model = model_from_matrices(a, j, e)
+            report = analyze(model)
+            assert false_relations(model, report) == []
+            counts = report.deff
             assert (
                 counts.via_kernel_JE
                 == counts.via_stacked_rank

@@ -151,6 +151,53 @@ def test_check_refuses_what_analyze_refuses(text: str):
         assert err.startswith("error: ")
 
 
+SCALED_OVERRIDE = (
+    "dimensions: M\nquantity a = M\nquantity b = M\n"
+    "constraint a/b = 3\nbasis_override:\n-1, 1\n"
+)
+
+
+def test_run_override_column_is_scaled_before_the_relations_are_read():
+    # The column (-1, 1) is the group a/b; a/b = 3, not 1/3.
+    code, out, err = run(_analyze(), SCALED_OVERRIDE)
+    assert (code, err) == (0, "")
+    assert "  pi1 = a/b\n" in out
+    assert "relation: pi1 = 3\n" in out
+    payload = json.loads(run(_analyze("json"), SCALED_OVERRIDE)[1])
+    assert payload["E"] == [["1"], ["-1"]]
+    assert payload["C"] == [["1"]]
+
+
+@pytest.mark.parametrize("row", ["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
+def test_run_drag_with_a_rescaled_override_row_keeps_its_relation(drag_text, row: str):
+    text = drag_text.replace("0, 1, 1, 1, -1, 0", row)
+    assert text != drag_text
+    code, out, err = run(_analyze(), text)
+    assert (code, err) == (0, "")
+    assert out == run(_analyze(), drag_text)[1]
+    assert "relation: pi2 / pi3 = 1\n" in out
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (CliConfig(command="chek", input_path="m.pim"),
+         "error: unknown command 'chek'; expected analyze or check\n"),
+        (CliConfig(command="analyze", input_path="m.pim", format="xml"),
+         "error: unknown format 'xml'; expected text or json\n"),
+        (CliConfig(command="check", input_path="m.pim", format="xml"),
+         "error: unknown format 'xml'; expected text or json\n"),
+    ],
+    ids=["command", "format", "format-of-check"],
+)
+def test_run_refuses_a_config_it_cannot_serve(monkeypatch, drag_text, config, message):
+    def refuse(text):
+        raise AssertionError("the input was parsed")
+
+    monkeypatch.setattr(cli_module, "parse_model", refuse)
+    assert run(config, drag_text) == (1, "", message)
+
+
 def test_run_empty_basis_override_block_is_a_zero_column_override():
     for command in ("analyze", "check"):
         code, out, err = run(CliConfig(command, "m.pim"), BAD_OVERRIDES["empty-block"])

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 import pim.reduce as reduce_module
 from pim import analyze, parse_model
 from pim.model import Model
+from pim.ratlin import RatMatrix
 
 from oracles import (
     DRAG_MIXED_BASIS,
     apply_rescale,
     drag_model,
     evaluate_monomial,
+    false_relations,
     random_unimodular,
 )
 
@@ -74,12 +76,18 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
     assert deff.via_C_rank == (None if pointwise else made.d - ell)
     if report.scale_invariant:
         assert report.C @ report.E.transpose() == report.J
+    assert false_relations(model, report) == []
     # Another basis of the same kernel, with dense rows, as an override.
     basis = report.E @ random_unimodular(rng, report.d)
-    other = analyze(Model(model.dims, model.quantities, model.constraints, basis))
+    changed = Model(model.dims, model.quantities, model.constraints, basis)
+    other = analyze(changed)
     assert (other.d, other.d_eff) == (report.d, report.d_eff)
+    assert false_relations(changed, other) == []
+    assert [other.E.column(k) for k in range(other.d)] == [
+        g.exponents for g in other.pi_groups
+    ]
     if report.scale_invariant:
-        assert other.C @ basis.transpose() == other.J
+        assert other.C @ other.E.transpose() == other.J
         assert len(other.relations) == len(report.relations)
         assert len(other.selected) == len(report.selected)
     values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
@@ -89,6 +97,38 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
         assert evaluate_monomial(scaled, group.exponents) == evaluate_monomial(
             values, group.exponents
         ), group.label
+
+
+_SCALES = {"negated": Fraction(-1), "doubled": Fraction(2), "halved": Fraction(1, 2)}
+
+
+def _other_basis(variant: str, rng: random.Random, e: RatMatrix) -> RatMatrix:
+    """Another basis of the kernel spanned by e: e times a random unimodular
+    matrix, or e with its column 1 (0 when d = 1) scaled by _SCALES[variant]."""
+    if variant == "unimodular":
+        return e @ random_unimodular(rng, e.cols)
+    cols = [list(e.column(j)) for j in range(e.cols)]
+    k = min(1, e.cols - 1)
+    cols[k] = [_SCALES[variant] * x for x in cols[k]]
+    return RatMatrix.from_columns(cols, rows=e.rows)
+
+
+@pytest.mark.parametrize("variant", ["negated", "doubled", "halved", "unimodular"])
+@pytest.mark.parametrize("source", ["ladder-1", "ladder-2", "drag"])
+def test_overridden_bases_print_true_relations(gen, source: str, variant: str):
+    if source == "drag":
+        models = [drag_model()]
+    else:
+        seed = int(source.split("-")[1])
+        models = [parse_model(made.text) for made in gen.ladder(seed, 1, False)]
+    rng = random.Random(source)
+    for model in models:
+        report = analyze(model)
+        basis = _other_basis(variant, rng, report.E)
+        changed = Model(model.dims, model.quantities, model.constraints, basis)
+        other = analyze(changed)
+        assert len(other.relations) == len(report.relations)
+        assert false_relations(changed, other) == []
 
 
 def test_analysis_reads_c_off_unit_rows_without_an_elimination(gen, repo_root, monkeypatch):

@@ -139,7 +139,7 @@ def test_pi_basis_pendulum_auto():
     assert (a @ basis).is_zero()
 
 
-def test_pi_basis_scales_override_columns_but_keeps_e_as_given():
+def test_pi_basis_scales_override_columns_and_e_is_the_groups():
     model = drag_model()
     cols = [list(model.basis_override.column(k)) for k in range(3)]
     cols[1] = [-2 * x for x in cols[1]]
@@ -147,9 +147,9 @@ def test_pi_basis_scales_override_columns_but_keeps_e_as_given():
     changed = Model(model.dims, model.quantities, model.constraints, scaled)
     basis, groups = pi_basis(changed, DRAG_A)
     assert groups == pi_basis(model, DRAG_A)[1]
-    assert basis == scaled
+    assert basis == DRAG_CLASSIC_BASIS
     payload = json.loads(render_report(analyze(changed), "json"))
-    assert [row[1] for row in payload["E"]] == ["0", "-2", "-2", "-2", "2", "0"]
+    assert [row[1] for row in payload["E"]] == ["0", "1", "1", "1", "-1", "0"]
 
 
 def test_pi_basis_override_wrong_shape():
