@@ -168,6 +168,25 @@ def test_run_override_column_is_scaled_before_the_relations_are_read():
     assert payload["C"] == [["1"]]
 
 
+CONSTANT_ONE_FACTOR = (
+    "dimensions: M\nquantity x = M\nquantity y = M\nquantity z = M\n"
+    "constraint x^3 / y^3 = 1\nconstraint y^2 / z^2 = 4\n"
+)
+
+
+def test_run_constant_one_factor_with_a_fractional_exponent():
+    # pi2 = y/z = K1^(1/3) * K2^(1/2): the factor 1^(1/3) is exactly 1.
+    code, out, err = run(_analyze(), CONSTANT_ONE_FACTOR)
+    assert (code, err) == (0, "")
+    assert "relation: pi2 = 2\n" in out
+    (relation,) = [
+        r for r in json.loads(run(_analyze("json"), CONSTANT_ONE_FACTOR)[1])["relations"]
+        if r["label"] == "pi2 = 2"
+    ]
+    assert relation["k_exponents"] == ["1/3", "1/2"]
+    assert relation["constant"] == "2"
+
+
 @pytest.mark.parametrize("row", ["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
 def test_run_drag_with_a_rescaled_override_row_keeps_its_relation(drag_text, row: str):
     text = drag_text.replace("0, 1, 1, 1, -1, 0", row)
