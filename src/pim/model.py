@@ -9,8 +9,8 @@ order; its kernel spans the exponent vectors of all dimensionless monomials.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 from .ratlin import (
     RatMatrix,

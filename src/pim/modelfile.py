@@ -21,11 +21,11 @@ entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import Iterator, Sequence
 
 from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
 from .ratlin import RatMatrix, Value
@@ -599,7 +599,7 @@ def _report_payload(report: AnalysisReport) -> dict:
     }
 
 
-_ANSI = {"green": "\x1b[32m", "red": "\x1b[31m", "yellow": "\x1b[33m", "bold": "\x1b[1m"}
+_ANSI = {"green": "\x1b[32m", "red": "\x1b[31m", "yellow": "\x1b[33m"}
 
 
 def _paint(text: str, style: str, color: bool) -> str:

@@ -11,10 +11,10 @@ scale), immutable, and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 RationalLike = Fraction | int | str
 

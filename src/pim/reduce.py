@@ -18,6 +18,7 @@ from fractions import Fraction
 from .model import (
     _SAFE_BITS,
     Model,
+    ModelError,
     _check_printable,
     _check_printable_matrix,
     build_dimension_matrix,
@@ -27,6 +28,7 @@ from .model import (
 from .ratlin import (
     RatMatrix,
     RationalLike,
+    RrefResult,
     ShapeError,
     Value,
     _matrix,
@@ -61,9 +63,9 @@ class MonomialConstraint(Value):
     ) -> None:
         super().__init__(tuple(map(as_fraction, exponents)), as_fraction(constant))
         if not any(self.exponents):
-            raise ValueError("monomial constraint exponents must not be all zero")
+            raise ModelError("monomial constraint exponents must not be all zero")
         if self.constant <= 0:
-            raise ValueError(f"constraint constant must be positive, got {self.constant}")
+            raise ModelError(f"constraint constant must be positive, got {self.constant}")
 
     @property
     def vector(self) -> tuple[Fraction, ...]:
@@ -116,9 +118,11 @@ class Relation(Value):
     is None too when ``pointwise``: a Jacobian row contributes, and the
     relation only holds infinitesimally at the analysis point; or when the
     constant may be too long to print: its size bound, the sum of
-    ceil(|k_exponents[k]| * bitlen(K_k)) over the K_k != 1, exceeds
-    model._SAFE_BITS, the bit length up to which every integer prints in
-    at most 4,300 digits. The label then shows the product symbolically.
+    ceil(|k_exponents[k]| * bitlen(K_k)) over the factors whose constant
+    K_k is not 1, exceeds model._SAFE_BITS, the bit length up to which
+    every integer prints in at most 4,300 digits. A factor 1 ** t is
+    exactly 1 for any t, so it counts neither in the bound nor as a root.
+    The label then shows the product symbolically.
     """
 
     __slots__ = ("coeffs", "pi_exponents", "k_exponents", "constant", "pointwise", "label")
@@ -167,16 +171,16 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     When every column k of E has a unit row, a row r_k whose only nonzero
     entry s_k is in column k (the canonical kernel basis has one at each
     free column, and so does the shipped drag override), J = C E^T reads
-    J[:, r_k] = s_k C[:, k] there, so C is one division per column. The
-    certificate C E^T == J then decides: if it fails, a row of J lies
-    outside the column space of E and this raises ScaleInvarianceError.
+    J[:, r_k] = s_k C[:, k] there, so C is one division per column. Any
+    other E is solved by one elimination of the n x (d + ell) matrix
+    [E | J^T], whose first d columns must all be pivots, or this raises
+    ValueError (E is not full column rank); C transposed is then the top
+    right block of the RREF.
 
-    Any other E is solved by one elimination of the n x (d + ell) matrix
-    [E | J^T]. Its first d columns must all be pivots, or this raises
-    ValueError (E is not full column rank); a pivot further right raises
+    Either way the certificate C E^T == J alone decides: if it fails, a row
+    of J lies outside the column space of E and this raises
     ScaleInvarianceError. When E spans the kernel of the dimension matrix,
-    a row of J outside its column space is exactly a failure of scale
-    invariance.
+    that is exactly a failure of scale invariance.
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
@@ -196,24 +200,15 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
             j.nums[i * n + r] * f for i in range(ell) for r, f in zip(unit_rows, factors)
         )
         c = _matrix(ell, d, nums, j.den * scale)
-        if c @ e.transpose() != j:
-            raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
-        return c
-    result = rref(e.transpose().vstack(j).transpose())  # [E | J^T]
-    if result.pivot_cols[:d] != tuple(range(d)):
-        raise ValueError("kernel basis E is not full column rank")
-    if result.rank > d:
-        raise ScaleInvarianceError(
-            "C-factorization requires scale-invariant constraints"
-        )
-    # C transposed is the top right d x ell block of the RREF.
-    r = result.rref
-    block = tuple(r.nums[i * (d + ell) + d + k] for k in range(ell) for i in range(d))
-    c = _matrix(ell, d, block, r.den)
+    else:
+        result = rref(e.transpose().vstack(j).transpose())  # [E | J^T]
+        if result.pivot_cols[:d] != tuple(range(d)):
+            raise ValueError("kernel basis E is not full column rank")
+        r = result.rref
+        block = tuple(r.nums[i * (d + ell) + d + k] for k in range(ell) for i in range(d))
+        c = _matrix(ell, d, block, r.den)
     if c @ e.transpose() != j:
-        raise InvariantViolation(
-            "redundancy matrix failed to reproduce the Jacobian: C @ E^T != J"
-        )
+        raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
     return c
 
 
@@ -233,57 +228,48 @@ def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def _constant_bits(constraints: tuple[Constraint, ...], k_exps: tuple[Fraction, ...]) -> int:
-    """Upper bound on the bit length of the numerator and the denominator of
-    prod_k K_k ** t_k when it is rational. With bitlen(K) the larger bit
-    length of K's numerator and denominator, K ** (p/q) has bit length at
-    most ceil(|p/q| * bitlen(K)), bit lengths add at most under products,
-    and a constant 1 contributes nothing."""
-    total = 0
-    for k, t in enumerate(k_exps):
-        base = constraints[k].constant if t else 1
-        if base != 1:
-            bits = max(base.numerator.bit_length(), base.denominator.bit_length())
-            total += math.ceil(abs(t) * bits)
-    return total
+def _constant(factors: list[tuple[Fraction, Fraction]]) -> Fraction | None:
+    """prod K ** t over the factors (K, t), each K != 1, when that is
+    rational and its size bound is at most model._SAFE_BITS; else None.
+    With bitlen(K) the larger bit length of K's numerator and denominator,
+    K ** (p/q) has bit length at most ceil(|p/q| * bitlen(K)), and bit
+    lengths add at most under products."""
+    bound = 0
+    for k, t in factors:
+        bound += math.ceil(abs(t) * max(k.numerator.bit_length(), k.denominator.bit_length()))
+    if bound > _SAFE_BITS:
+        return None
+    constant = Fraction(1)
+    for k, t in factors:
+        term = exact_pow(k, t)
+        if term is None:
+            return None
+        constant *= term
+    return constant
 
 
 def _build_relations(
-    constraints: tuple[Constraint, ...],
-    rref_c: RatMatrix,
-    transform: RatMatrix,
-    n_relations: int,
-    n_groups: int,
+    constraints: tuple[Constraint, ...], result: RrefResult, transform: RatMatrix
 ) -> tuple[Relation, ...]:
+    rref_c = result.rref
+    n_groups = rref_c.cols
     pi_names = [f"pi{k + 1}" for k in range(n_groups)]
     relations = []
-    for i in range(n_relations):
-        # rows below the rank of rref(C) are zero, and are never read
+    for i, pivot in enumerate(result.pivot_cols):
         nums = rref_c.nums[i * n_groups : (i + 1) * n_groups]
         pi_exps = _primitive(nums)
-        first = next(k for k, x in enumerate(nums) if x)
-        # pi_exps is the row scaled by pi_exps[first] / row[first]; so are
-        # the constants' exponents, read off the transform row.
-        num, den = pi_exps[first] * rref_c.den, nums[first] * transform.den
+        # Row i of rref(C) is 1 at its pivot, so pi_exps is the row times
+        # pi_exps[pivot]; so are the constants' exponents, read off row i of T.
         t_row = transform.nums[i * transform.cols : (i + 1) * transform.cols]
-        k_exps = tuple(Fraction(num * t, den) for t in t_row)
+        k_exps = tuple(Fraction(pi_exps[pivot] * t, transform.den) for t in t_row)
         parts = [p for t in k_exps for p in (t.numerator, t.denominator)]
         _check_printable(f"relation {i + 1}", [*pi_exps, *parts])
-        pointwise = any(
-            t != 0 and constraints[k].kind == "jacobian_row"
-            for k, t in enumerate(k_exps)
-        )
-        constant: Fraction | None = None
-        if not pointwise and _constant_bits(constraints, k_exps) <= _SAFE_BITS:
-            constant = Fraction(1)
-            for k, t in enumerate(k_exps):
-                if t == 0:
-                    continue
-                term = exact_pow(constraints[k].constant, t)
-                if term is None:
-                    constant = None
-                    break
-                constant *= term
+        factors = [(constraints[k], t) for k, t in enumerate(k_exps) if t]
+        pointwise = any(con.kind == "jacobian_row" for con, _ in factors)
+        constant = None
+        if not pointwise:
+            # a factor 1 ** t is exactly 1, whatever t
+            constant = _constant([(con.constant, t) for con, t in factors if con.constant != 1])
         left = format_monomial(pi_names, pi_exps, spaced=True)
         if pointwise:
             right = "const (pointwise)"
@@ -336,7 +322,7 @@ def analyze(model: Model) -> AnalysisReport:
         via_c = d - result.rank
         rref_c = result.rref
         selected = result.free_cols
-        relations = _build_relations(model.constraints, rref_c, transform, result.rank, d)
+        relations = _build_relations(model.constraints, result, transform)
     else:
         warnings.append(
             "constraints are not scale-invariant (J @ A^T != 0); "

@@ -487,13 +487,18 @@ def test_run_long_matrix_entry_is_named():
     assert err.startswith("error: matrix A has a number of 4301 digits")
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Together they took about two thirds of the CLI's import time.
+def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
+    # dataclasses and inspect took about two thirds of the CLI's import time,
+    # and typing about 2 ms of 28. -S skips site, whose .pth files may load
+    # any of them first.
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, pim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys, pim.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -85,9 +85,9 @@ def test_constraint_jacobian_declaration_order():
 
 
 def test_monomial_constraint_validation():
-    with pytest.raises(ValueError, match="all zero"):
+    with pytest.raises(ModelError, match="all zero"):
         MonomialConstraint((0, 0, 0))
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ModelError, match="positive"):
         MonomialConstraint((1, 0, 0), Fraction(-2))
 
 

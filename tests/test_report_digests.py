@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pim.reduce as reduce_module
 from pim.cli import CliConfig, run
+from pim.model import Model
 from pim.modelfile import render_model
 from pim.ratlin import RatMatrix, rref
 
@@ -101,14 +102,7 @@ def _built_models() -> dict[str, str]:
         model, kernel, rng = _invariant(seed)
         texts[f"invariant-{seed}"] = render_model(model)
         basis = kernel @ random_unimodular(rng, kernel.cols)
-        overridden = model_from_matrices(
-            RatMatrix.from_columns(
-                [q.dim_exponents for q in model.quantities], rows=model.m
-            ),
-            RatMatrix.from_rows([c.vector for c in model.constraints], cols=model.n),
-            basis,
-            [c.constant for c in model.constraints],
-        )
+        overridden = Model(model.dims, model.quantities, model.constraints, basis)
         texts[f"override-{seed}"] = render_model(overridden)
     for seed in range(1, 21):
         texts[f"pointwise-{seed}"] = render_model(_pointwise(seed))
