@@ -7,9 +7,16 @@ the effective number of independent groups under the constraints (by four
 cross-checked formulas), and a mechanically selected independent subset,
 together with the relations that make the remaining groups redundant.
 
-The package namespace holds the documented entry points (``parse_model``,
-``analyze``, ``render_report``), the model and constraint types, and the
-error types; the building blocks live in the submodules.
+The package namespace, ``__all__``, holds the documented entry points
+(``parse_model``, ``analyze``, ``render_report``); the model and constraint
+types (``Model``, ``DimensionSystem``, ``Quantity``, ``PiGroup``,
+``Constraint``, ``MonomialConstraint``, ``JacobianRowConstraint``); the
+report types (``AnalysisReport``, ``EffectiveCounts``, ``Relation``);
+``RatMatrix``, the type of a report's matrices; ``ParseError``,
+``SourceSpan`` and ``ErrorCode``, which describe one parse error; and the
+error types (``ModelError``, ``ModelFileError``, ``InvariantViolation``,
+``ScaleInvarianceError``, ``ShapeError``). The building blocks live in the
+submodules.
 """
 
 from .model import (

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .model import ModelError
+from .model import MAX_DIGITS, ModelError
 from .modelfile import ModelFileError, ParseError, parse_model, render_report
 from .ratlin import Value
 from .reduce import analyze
@@ -100,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_p = sub.add_parser("check", help="validate a model file only")
     check_p.add_argument("input", help="model file, or '-' for standard input")
+    check_p.set_defaults(format="text", strict=False)
     return parser
 
 
@@ -108,6 +109,10 @@ def _want_color() -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A model literal or report number may have MAX_DIGITS digits; a limit of 0
+    # is none, and Python 3.10 before 3.10.7 has neither the limit nor its functions.
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < MAX_DIGITS:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, which --strict owns
@@ -115,9 +120,9 @@ def main(argv: list[str] | None = None) -> int:
     config = CliConfig(
         command=args.command,
         input_path=args.input,
-        format=getattr(args, "format", "text"),
-        strict=getattr(args, "strict", False),
-        color=_want_color() and getattr(args, "format", "text") == "text",
+        format=args.format,
+        strict=args.strict,
+        color=_want_color() and args.format == "text",
     )
     try:
         if config.input_path == "-":

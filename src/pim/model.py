@@ -108,10 +108,15 @@ class Model(Value):
     ``basis_override`` (a RatMatrix with one row per quantity) or None."""
 
     __slots__ = ("dims", "quantities", "constraints", "basis_override")
-    _defaults = {"constraints": (), "basis_override": None}
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        dims: DimensionSystem,
+        quantities: tuple[Quantity, ...],
+        constraints: tuple = (),
+        basis_override: RatMatrix | None = None,
+    ) -> None:
+        super().__init__(dims, quantities, constraints, basis_override)
         seen: set[str] = set()
         for q in self.quantities:
             if q.name in seen:

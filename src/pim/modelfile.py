@@ -418,11 +418,10 @@ class _Parser:
                 continue
             constraints.append(MonomialConstraint(tuple(exps), value))
 
-        if self.seen_basis_block:
-            for errors.line, start, end, values in self.basis_rows:
-                if len(values) != n:
-                    errors.add(start, end - start, ErrorCode.SYNTAX,
-                               f"basis vector has {len(values)} entries, expected {n}")
+        for errors.line, start, end, values in self.basis_rows:
+            if len(values) != n:
+                errors.add(start, end - start, ErrorCode.SYNTAX,
+                           f"basis vector has {len(values)} entries, expected {n}")
         if errors:
             return None
         basis = None

@@ -40,11 +40,13 @@ class Value:
     """Base of pim's immutable value types.
 
     A subclass lists its fields once, in ``__slots__``, and the defaults of
-    those that have one in ``_defaults``. It is built by position or by
-    keyword; one that validates or converts its arguments does so in its own
-    ``__init__``, which passes every field on by position. Instances of the
-    same class compare and hash by their fields, print as
-    ``Type(field=value, ...)``, and refuse assignment and deletion.
+    those that have one in ``_defaults``. Without an ``__init__`` of its own
+    it gets one generated with those parameters, so Python binds each call
+    and ``import pim`` loads neither dataclasses nor inspect nor typing; one
+    that validates or converts its arguments does so in its own ``__init__``,
+    which passes every field on by position. Instances of the same class
+    compare and hash by their fields, print as ``Type(field=value, ...)``,
+    and refuse assignment and deletion.
     """
 
     __slots__ = ()
@@ -54,32 +56,18 @@ class Value:
     def __init_subclass__(cls) -> None:
         # slot setters bypass the refusing __setattr__ and are the fastest to call
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        if "__init__" not in cls.__dict__:
+            # one def per class from the field names, as namedtuple builds its __new__
+            names, defaults = cls.__slots__, cls._defaults
+            params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in names)
+            namespace = {"_d": defaults, "_init": Value.__init__}
+            exec(f"def __init__(self, {params}): _init(self, {', '.join(names)})", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
-        for set_field, value in zip(setters, args):
+    def __init__(self, *args: object) -> None:
+        for set_field, value in zip(self._setters, args):
             set_field(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict[str, object]) -> list:
-        """One value per field, in order, from a call that names fields or
-        leaves some to their defaults; TypeError as for a Python signature."""
-        names, kind = cls.__slots__, cls.__qualname__
-        if len(args) > len(names):
-            raise TypeError(f"{kind}() takes {len(names)} positional arguments, got {len(args)}")
-        given = dict(zip(names, args))
-        for name in kwargs:
-            if name not in names:
-                raise TypeError(f"{kind}() got an unexpected keyword argument {name!r}")
-            if name in given:
-                raise TypeError(f"{kind}() got multiple values for argument {name!r}")
-        values = {**cls._defaults, **given, **kwargs}
-        missing = ", ".join(repr(name) for name in names if name not in values)
-        if missing:
-            raise TypeError(f"{kind}() missing required arguments: {missing}")
-        return [values[name] for name in names]
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -125,8 +113,7 @@ def _matrix(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
             nums = tuple(x // g for x in nums)
             den //= g
     matrix = object.__new__(RatMatrix)
-    for set_field, value in zip(RatMatrix._setters, (rows, cols, nums, den)):
-        set_field(matrix, value)
+    Value.__init__(matrix, rows, cols, nums, den)
     return matrix
 
 

@@ -4,7 +4,8 @@ The rank oracle enumerates minors with cofactor determinants, so it shares
 no code path with the elimination-based rank under test. The textbook
 oracles (``textbook_rref``, ``textbook_kernel``, ``textbook_product``) redo
 Gauss-Jordan elimination and products in plain Fraction arithmetic, apart
-from the integer kernel of ``pim.ratlin``. The drag-force
+from the integer kernel of ``pim.ratlin``; ``verify_report`` checks a whole
+report with them. The drag-force
 fixtures pin the classical worked example: six quantities over M, L, T with
 kinematic viscosity tied to mu/rho by a monomial constraint.
 """
@@ -383,3 +384,73 @@ def false_relations(model: Model, report) -> list[str]:
         if not holds:
             false.append(relation.label)
     return false
+
+
+def _rows(matrix) -> list[list[Fraction]]:
+    """A report matrix's entries, read off its stored fields only."""
+    nums, cols, den = matrix.nums, matrix.cols, matrix.den
+    return [[Fraction(x, den) for x in nums[i * cols : (i + 1) * cols]] for i in range(matrix.rows)]
+
+
+def _rank(rows: list[list[Fraction]], cols: int) -> int:
+    return len(textbook_rref(rows, cols)[1])
+
+
+def _transpose(rows: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    return [[row[j] for row in rows] for j in range(cols)]
+
+
+def verify_report(model: Model, report) -> list[str]:
+    """The claims of an analysis report that do not hold, each by its name.
+
+    Reads only the model and the report, and recomputes every claim with
+    textbook_rref, textbook_product and false_relations in Fraction
+    arithmetic, never with the elimination kernel of pim.ratlin.
+    """
+    n, m, ell = model.n, model.m, len(model.constraints)
+    failed: list[str] = []
+
+    def claim(name: str, holds: bool) -> None:
+        if not holds:
+            failed.append(name)
+
+    a = [[q.dim_exponents[i] for q in model.quantities] for i in range(m)]
+    j = [list(c.vector) for c in model.constraints]
+    claim("A is the model's dimension matrix", (report.n, report.m, _rows(report.A)) == (n, m, a))
+    claim("J holds the model's constraint rows", report.ell == ell and _rows(report.J) == j)
+    e, d = _rows(report.E), report.E.cols
+    e_fits = report.E.rows == n
+    claim("A E = 0", e_fits and not any(map(any, textbook_product(a, e, n, d))))
+    claim("E has full column rank", _rank(e, d) == d)
+    claim("d = n - rank A", report.d == d == n - _rank(a, n))
+    groups = [list(g.exponents) for g in report.pi_groups]
+    claim("the pi groups are the columns of E", e_fits and groups == _transpose(e, d))
+    invariant = not any(map(any, textbook_product(j, _transpose(a, n), n, m)))
+    claim("scale_invariant is J A^T == 0", report.scale_invariant == invariant)
+    d_eff = n - _rank(a + j, n)
+    forms = [getattr(report.deff, name) for name in type(report.deff).__slots__]
+    claim("each d_eff form is n - rank [A; J]", all(f in (None, d_eff) for f in forms))
+    if not invariant:
+        late = (report.C, report.rref_C, report.selected, report.relations)
+        claim("C, rref_C, selected and relations are None", late == (None,) * 4)
+        return failed
+    if report.C is None or (report.C.rows, report.C.cols) != (ell, d):
+        return failed + ["C E^T = J"]
+    c = _rows(report.C)
+    claim("C E^T = J", e_fits and textbook_product(c, _transpose(e, d), d, n) == j)
+    reduced, pivots, _ = textbook_rref(c, d)
+    claim("rref_C is the RREF of C", report.rref_C is not None and _rows(report.rref_C) == reduced)
+    free = [k for k in range(d) if k not in pivots]
+    selected = list(report.selected or ())
+    claim(
+        "selected is the free columns of rref(C), d_eff of them",
+        selected == free and len(free) == d_eff,
+    )
+    # the groups left out are solved for from the kept ones, so those are independent
+    left_out = [k for k in range(d) if k not in selected]
+    rank_left_out = _rank([[row[k] for k in left_out] for row in c], len(left_out))
+    claim("C on the columns not selected has rank C", rank_left_out == len(pivots))
+    coeffs = [list(r.coeffs) for r in report.relations or ()]
+    claim("one relation per pivot, in pivot order", coeffs == reduced[: len(pivots)])
+    claim("no relation is false", not false_relations(model, report))
+    return failed

@@ -505,3 +505,38 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+def _cli(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    return subprocess.run(
+        [sys.executable, "-m", "pim", *args],
+        env={**base, "PYTHONPATH": path, **env},
+        capture_output=True,
+    )
+
+
+def test_main_prints_literals_up_to_max_digits_under_a_lower_int_limit(tmp_path):
+    # 640 is the lowest limit CPython accepts; main raises it to 4,300 for itself.
+    def constant_model(digits: int) -> str:
+        path = tmp_path / f"c{digits}.pim"
+        path.write_text(
+            f"dimensions: M\nquantity x = M\nquantity y = M\nconstraint x / y = {'7' * digits}\n"
+        )
+        return str(path)
+
+    for digits in (1000, 4300):
+        for fmt in ("text", "json"):
+            args = ["analyze", "--format", fmt, constant_model(digits)]
+            default, limited = _cli(args), _cli(args, PYTHONINTMAXSTRDIGITS="640")
+            assert default.returncode == limited.returncode == 0
+            assert "7" * digits in default.stdout.decode()
+            assert (limited.stdout, limited.stderr) == (default.stdout, default.stderr)
+    path = constant_model(4301)
+    limited = _cli(["analyze", path], PYTHONINTMAXSTRDIGITS="640")
+    assert (limited.returncode, limited.stdout) == (1, b"")
+    assert limited.stderr.decode() == (
+        f"{path}:4:20: error[bad-constant]: number has 4301 digits, more than the 4300 allowed\n"
+    )

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pim
 from pim.cli import CliConfig, run
 
 
@@ -45,3 +46,10 @@ def test_library_snippet_runs_from_the_repository_root(
     out = capsys.readouterr().out
     assert out.startswith("{\n")
     assert '"d_eff": 2' in out
+
+
+def test_readme_and_package_docstring_name_every_export(repo_root: Path):
+    paragraph = _readme(repo_root).split("The package namespace, `pim.__all__`,")[1]
+    paragraph = paragraph.split("\n\n")[0]
+    assert [name for name in pim.__all__ if f"`{name}`" not in paragraph] == []
+    assert [name for name in pim.__all__ if f"``{name}``" not in pim.__doc__] == []

@@ -4,6 +4,7 @@ keyword with their defaults, and refusing a bad call with TypeError."""
 
 from __future__ import annotations
 
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -176,3 +177,41 @@ def test_public_values_hold_fractions_not_ints():
         values += [*relation.coeffs, *relation.k_exponents]
     assert len(values) > 100
     assert [type(x) for x in values] == [Fraction] * len(values)
+
+
+def _value_types(cls: type = Value) -> list[type]:
+    found = []
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("pim."):
+            found.append(sub)
+        found += _value_types(sub)
+    return found
+
+
+def test_value_types_without_an_init_take_their_fields_as_parameters():
+    assert sorted(t.__name__ for t in _value_types()) == sorted(CASES)
+    # a generated __init__ is compiled from a string, not from a source file
+    generated = [t for t in _value_types() if t.__init__.__code__.co_filename == "<string>"]
+    assert sorted(t.__name__ for t in generated) == [
+        "AnalysisReport", "CliConfig", "EffectiveCounts", "ParseError", "Relation",
+        "RrefResult", "SourceSpan",
+    ]
+    for cls in generated:
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls.__slots__)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert {p.name: p.default for p in params if p.default is not p.empty} == cls._defaults
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    params = inspect.signature(Model).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("dims", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("quantities", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("constraints", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
+        ("basis_override", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    ]
+    with pytest.raises(TypeError) as info:
+        EffectiveCounts()
+    assert str(info.value) == (
+        "EffectiveCounts.__init__() missing 3 required positional arguments: "
+        "'via_kernel_JE', 'via_stacked_rank', and 'via_grassmann'"
+    )
