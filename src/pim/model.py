@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
+from itertools import chain
 from math import gcd
 
 from .ratlin import (
     RatMatrix,
     RationalLike,
     Value,
+    _clear_denominators,
     _matrix,
+    _num_rows,
     _primitive,
     as_fraction,
     nullspace_basis,
@@ -170,9 +173,8 @@ class PiGroup(Value):
 
 def build_dimension_matrix(model: Model) -> RatMatrix:
     """The m x n matrix whose column j holds quantity j's dimension exponents."""
-    return RatMatrix.from_columns(
-        [q.dim_exponents for q in model.quantities], rows=model.m
-    )
+    columns = [q.dim_exponents for q in model.quantities]
+    return _matrix(model.m, model.n, *_clear_denominators(list(chain.from_iterable(zip(*columns)))))
 
 
 def format_monomial(
@@ -234,13 +236,11 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
         if rank(basis) != basis.cols:
             raise ModelError("basis override is rank-deficient")
         # full column rank, so no column is zero
-        columns = [_primitive(basis.nums[j :: basis.cols]) for j in range(basis.cols)]
-        nums = tuple(x for row in zip(*columns) for x in row)
-        basis = _matrix(basis.rows, basis.cols, nums, 1)
+        columns = [_primitive(column) for column in zip(*_num_rows(basis))]
+        basis = _matrix(basis.rows, basis.cols, tuple(chain.from_iterable(zip(*columns))), 1)
+    columns = list(zip(*_num_rows(basis)))
+    if max(map(int.bit_length, basis.nums), default=0) > _SAFE_BITS:
+        for j, exps in enumerate(columns):
+            _check_printable(f"pi group {j + 1}", exps)
     names = model.quantity_names
-    groups = []
-    for j in range(basis.cols):
-        exps = basis.nums[j :: basis.cols]
-        _check_printable(f"pi group {j + 1}", exps)
-        groups.append(PiGroup(exps, format_monomial(names, exps)))
-    return basis, tuple(groups)
+    return basis, tuple(PiGroup(exps, format_monomial(names, exps)) for exps in columns)

@@ -10,9 +10,11 @@ File format (line oriented, ``#`` starts a comment anywhere):
     1, -1, -2, -2, 0, 0
 
 Rationals are written ``p`` or ``p/q`` in ASCII digits with an optional
-leading minus.
-Parsing collects as many errors as it can before giving up; every error
-carries a source span pointing inside the offending token.
+leading minus. One regex match reads a term ``NAME^p`` (the longest name,
+then the longest rational after a ``^``) or a row of whole numbers; what
+does not match is read token by token, to say why. Parsing collects as
+many errors as it can; every error carries a source span pointing inside
+the offending token.
 
 Reports render as human-readable text or as JSON in which every matrix
 entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
@@ -37,9 +39,16 @@ from .reduce import (
 )
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+# A term NAME^p: the longest name, then what _RATIONAL_RE reads after a '^'.
+_TERM = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+(/[0-9]+)?))?"
+_TERM_RE = re.compile(r"\s*" + _TERM)
+# A whitespace-separated word: a whole term (the name group set), or any other.
+_WORD_RE = re.compile(_TERM + r"(?!\S)|\S+")
+# Comma-separated ASCII integers of at most MAX_DIGITS digits each.
+_INT = rf"[ \t]*-?[0-9]{{1,{MAX_DIGITS}}}[ \t]*"
+_INTEGERS_RE = re.compile(f"{_INT}(?:,{_INT})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SPACE_RE = re.compile(r"\s*")
-_WORD_RE = re.compile(r"\S+")
 _BAD_EXPONENT_RE = re.compile(r"[^\s*/()^]*")
 _KEYWORD_RE = re.compile(r"\s*(dimensions|quantity|constraint|jacobian_row|basis_override)\b")
 
@@ -116,6 +125,16 @@ class _Errors(list):
         self.add(pos, len(token), code, message)
         return None
 
+    def exponent(self, term: re.Match) -> int | Fraction | None:
+        """The exponent of a term read by _TERM_RE or _WORD_RE: 1 if it has
+        none, int() of a short whole one, else what `rational` makes of it."""
+        token = term[2]
+        if token is None:
+            return 1
+        if term[3] is None and len(token) <= MAX_DIGITS:
+            return int(token)
+        return self.rational(token, term.start(2), ErrorCode.BAD_EXPONENT, "")  # not malformed
+
 
 def _split_commas(text: str, pos: int) -> Iterator[tuple[str, int]]:
     """Each comma-separated token of `text[pos:]`, stripped, with its position."""
@@ -127,6 +146,8 @@ def _split_commas(text: str, pos: int) -> Iterator[tuple[str, int]]:
 
 def _rationals(errors: _Errors, text: str, pos: int) -> list[int | Fraction] | None:
     """The comma-separated rationals of `text[pos:]`."""
+    if _INTEGERS_RE.fullmatch(text, pos):
+        return list(map(int, text[pos:].split(",")))
     before = len(errors)
     values = [
         errors.rational(token, at, ErrorCode.SYNTAX, "expected a rational number, got {!r}")
@@ -154,25 +175,26 @@ def _dimexpr(
     before = len(errors)
     for word in words:
         start, end = word.span()
-        if word.group() == "1":
-            errors.add(start, 1, ErrorCode.SYNTAX, "'1' must stand alone as a dimension expression")
-            continue
-        ident = _IDENT_RE.match(text, start, end)
-        if not ident:
-            errors.add(start, end - start, ErrorCode.SYNTAX,
-                       f"expected a dimension name, got {word.group()!r}")
-            continue
-        name, at = ident.group(), ident.end()
-        exp: int | Fraction | None = 1
-        if at < end:
-            if text[at] != "^":
+        name = word[1]
+        if name is None:  # not a whole term: say why
+            ident = _IDENT_RE.match(text, start, end)
+            at = ident.end() if ident else start
+            if word.group() == "1":
+                errors.add(start, 1, ErrorCode.SYNTAX,
+                           "'1' must stand alone as a dimension expression")
+            elif not ident:
+                errors.add(start, end - start, ErrorCode.SYNTAX,
+                           f"expected a dimension name, got {word.group()!r}")
+            elif text[at] != "^":
                 errors.add(at, end - at, ErrorCode.SYNTAX,
-                           f"unexpected {text[at:end]!r} after dimension name {name!r}")
-                continue
-            exp = errors.rational(text[at + 1 : end], at + 1, ErrorCode.BAD_EXPONENT,
-                                  "bad exponent {!r}: expected a rational like -2 or 1/2")
-            if exp is None:
-                continue
+                           f"unexpected {text[at:end]!r} after dimension name {ident.group()!r}")
+            else:
+                errors.rational(text[at + 1 : end], at + 1, ErrorCode.BAD_EXPONENT,
+                                "bad exponent {!r}: expected a rational like -2 or 1/2")
+            continue
+        exp = errors.exponent(word)
+        if exp is None:
+            continue
         if name in dim_index:
             exps[dim_index[name]] += exp
         else:
@@ -193,28 +215,28 @@ def _monomial(
     signs = [1]
     sign = 1
     while True:
-        pos = _SPACE_RE.match(text, pos, end).end()
-        if pos < end and text[pos] == "(":
-            signs.append(sign)
-            pos += 1
-            continue
-        ident = _IDENT_RE.match(text, pos, end)
-        if not ident:
+        term = _TERM_RE.match(text, pos, end)
+        if not term:
+            pos = _SPACE_RE.match(text, pos, end).end()
+            if pos < end and text[pos] == "(":
+                signs.append(sign)
+                pos += 1
+                continue
             errors.add(pos, 1, ErrorCode.SYNTAX, f"expected a quantity name, got {text[pos]!r}"
                        if pos < end else "expected a quantity name")
             return None
-        name, pos = ident.group(), ident.end()
-        exp: int | Fraction | None = 1
-        if pos < end and text[pos] == "^":
-            pos += 1
+        name, pos = term[1], term.end()
+        if term[2] is None and pos < end and text[pos] == "^":
             # a malformed exponent is skipped up to the next operator, so
             # errors after it are collected too
-            token = _RATIONAL_RE.match(text, pos, end) or _BAD_EXPONENT_RE.match(text, pos, end)
-            exp = errors.rational(token.group(), pos, ErrorCode.BAD_EXPONENT,
+            token = _BAD_EXPONENT_RE.match(text, pos + 1, end)
+            exp = errors.rational(token.group(), pos + 1, ErrorCode.BAD_EXPONENT,
                                   "bad exponent: expected a rational like -2 or 1/2")
             pos = token.end()
+        else:
+            exp = errors.exponent(term)
         if name not in name_index:
-            errors.add(ident.start(), len(name), ErrorCode.UNKNOWN_QUANTITY,
+            errors.add(term.start(1), len(name), ErrorCode.UNKNOWN_QUANTITY,
                        f"unknown quantity {name!r}")
         elif exp is not None:
             exps[name_index[name]] += sign * exp
@@ -679,16 +701,17 @@ def _json(value: object, pad: str) -> str:
     (every matrix row) or only ints in one join, quoting the strings itself
     when none of them needs an escape.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    if not isinstance(value, list):  # most values are lists: every matrix row is one
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = pad + "  "

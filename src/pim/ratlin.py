@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -94,13 +95,16 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """values times the lcm of their denominators, and that lcm."""
-    ratios = [x.as_integer_ratio() for x in values]
-    scale = lcm(*(q for _, q in ratios))
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """values times the lcm of their denominators, and that lcm. With
+    lowest-term denominators the result is in lowest terms."""
+    if not values:
+        return (), 1
+    nums, dens = zip(*[x.as_integer_ratio() for x in values])
+    scale = lcm(*dens)
     if scale == 1:
-        return [p for p, _ in ratios], 1
-    return [p * (scale // q) for p, q in ratios], scale
+        return nums, 1
+    return tuple(p * (scale // q) for p, q in zip(nums, dens)), scale
 
 
 def _matrix(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
@@ -136,9 +140,7 @@ class RatMatrix(Value):
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        # With the lcm of lowest-term denominators the result is in lowest terms.
-        nums, den = _clear_denominators(list(map(as_fraction, entries)))
-        super().__init__(rows, cols, tuple(nums), den)
+        super().__init__(rows, cols, *_clear_denominators(list(map(as_fraction, entries))))
 
     def __reduce__(self) -> tuple:
         return _matrix, self._fields()
@@ -164,9 +166,9 @@ class RatMatrix(Value):
         columns = list(columns)
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        return cls.from_rows(
-            [[col[i] for col in columns] for i in range(rows)], cols=len(columns)
-        )
+        if any(len(col) != rows for col in columns):
+            raise ShapeError(f"ragged columns: expected {rows} entries in each")
+        return cls.from_rows(list(zip(*columns)) if columns else [()] * rows, cols=len(columns))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> RatMatrix:
@@ -196,7 +198,7 @@ class RatMatrix(Value):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> RatMatrix:
-        nums = tuple(x for j in range(self.cols) for x in self.nums[j :: self.cols])
+        nums = tuple(chain.from_iterable(zip(*_num_rows(self))))
         return _matrix(self.cols, self.rows, nums, self.den)
 
     def vstack(self, other: RatMatrix) -> RatMatrix:
@@ -377,7 +379,7 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
         for row, piv_col in zip(mat, pivots):
             vec[piv_col] = -row[free]
         columns.append(_primitive(vec))
-    nums = tuple(col[i] for i in range(matrix.cols) for col in columns)
+    nums = tuple(chain.from_iterable(zip(*columns)))
     return _matrix(matrix.cols, len(columns), nums, 1)
 
 
@@ -387,7 +389,7 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
 def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .model import (
     _SAFE_BITS,
@@ -31,7 +32,9 @@ from .ratlin import (
     RrefResult,
     ShapeError,
     Value,
+    _clear_denominators,
     _matrix,
+    _num_rows,
     _primitive,
     as_fraction,
     exact_pow,
@@ -151,17 +154,18 @@ class AnalysisReport(Value):
 
 def constraint_jacobian(model: Model) -> RatMatrix:
     """Stack the constraints' log-space Jacobian rows (ell x n; ell may be 0)."""
-    return RatMatrix.from_rows(
-        [c.vector for c in model.constraints], cols=model.n
-    )
+    entries = [x for c in model.constraints for x in c.vector]
+    return _matrix(len(model.constraints), model.n, *_clear_denominators(entries))
 
 
 def check_scale_invariance(a: RatMatrix, j: RatMatrix) -> bool:
     """True iff J @ A^T == 0, i.e. scaling directions are tangent to the
-    constraint manifold. Vacuously true with no constraints."""
+    constraint manifold; the first nonzero dot product of a row of J and a
+    row of A decides. Vacuously true with no constraints."""
     if a.cols != j.cols:
         raise ShapeError(f"column counts differ: A has {a.cols}, J has {j.cols}")
-    return (j @ a.transpose()).is_zero()
+    a_rows = _num_rows(a)
+    return not any(sum(map(mul, j_row, a_row)) for j_row in _num_rows(j) for a_row in a_rows)
 
 
 def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:

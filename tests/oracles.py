@@ -12,15 +12,34 @@ kinematic viscosity tied to mu/rho by a monomial constraint.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 from typing import Sequence
 
 from pim.model import DimensionSystem, Model, Quantity
 from pim.ratlin import RatMatrix
 from pim.reduce import JacobianRowConstraint, MonomialConstraint
+
+GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+
+
+def load_gen():
+    """bench/gen.py, the benchmark's seeded model generator, loaded from its
+    file without importing pim."""
+    spec = importlib.util.spec_from_file_location("pim_bench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # @dataclass looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
 
 DRAG_A = RatMatrix.from_rows(
     [

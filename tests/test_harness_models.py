@@ -26,6 +26,7 @@ from oracles import (
     evaluate_monomial,
     false_relations,
     random_unimodular,
+    verify_report,
 )
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -77,12 +78,14 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
     if report.scale_invariant:
         assert report.C @ report.E.transpose() == report.J
     assert false_relations(model, report) == []
+    assert verify_report(model, report) == []
     # Another basis of the same kernel, with dense rows, as an override.
     basis = report.E @ random_unimodular(rng, report.d)
     changed = Model(model.dims, model.quantities, model.constraints, basis)
     other = analyze(changed)
     assert (other.d, other.d_eff) == (report.d, report.d_eff)
     assert false_relations(changed, other) == []
+    assert verify_report(changed, other) == []
     assert [other.E.column(k) for k in range(other.d)] == [
         g.exponents for g in other.pi_groups
     ]

@@ -64,6 +64,10 @@ def test_matrix_shape_validation():
         RatMatrix(2, 2, (Fraction(1),))
     with pytest.raises(ShapeError):
         RatMatrix.from_rows([[1, 2], [3]])
+    for columns, rows in (([[1, 2], [3]], None), ([[1, 2], [3, 4]], 3), ([[1, 2, 3]], 2)):
+        with pytest.raises(ShapeError, match="ragged columns"):
+            RatMatrix.from_columns(columns, rows=rows)
+    assert RatMatrix.from_columns([], rows=2) == RatMatrix.zero(2, 0)
     with pytest.raises(ShapeError, match="negative matrix shape -1x2"):
         RatMatrix(-1, 2, ())
 

@@ -109,6 +109,35 @@ def test_scale_invariance_broken_by_fixing_one_quantity():
     assert check_scale_invariance(DRAG_A, j) is False
 
 
+LAST_ENTRY_TEXT = """\
+dimensions: M, L
+quantity a = M
+quantity b = M
+quantity c = L
+quantity d = L
+constraint a / b = 2
+constraint c * d^-1 = 3
+"""
+
+
+@pytest.mark.parametrize("last", ["c = 5", "c / d = 5"], ids=["broken", "kept"])
+def test_scale_invariance_reads_up_to_the_last_entry(last: str):
+    # The invariance check stops at the first nonzero entry of J A^T; here
+    # only the last entry (last constraint, last dimension) can be nonzero.
+    model = parse_model(LAST_ENTRY_TEXT.replace("c * d^-1 = 3", last))
+    a, j = build_dimension_matrix(model), constraint_jacobian(model)
+    product = j @ a.transpose()
+    assert product.nums[:-1] == (0,) * (product.rows * product.cols - 1)
+    invariant = last == "c / d = 5"
+    assert bool(product.nums[-1]) is not invariant
+    assert check_scale_invariance(a, j) is invariant
+    assert analyze(model).scale_invariant is invariant
+    # without constraints the same dimensions stay invariant
+    assert check_scale_invariance(a, RatMatrix.zero(0, a.cols)) is True
+    no_constraints = Model(model.dims, model.quantities)
+    assert analyze(no_constraints).scale_invariant is True
+
+
 def test_scale_invariance_shape_check():
     with pytest.raises(ShapeError):
         check_scale_invariance(DRAG_A, RatMatrix.zero(1, 5))
