@@ -277,9 +277,9 @@ class _Parser:
         # line, name position, name, text, position of the expression
         self.quantities: list[tuple[int, int, str, str, int]] = []
         # line, text, start, end, value: a monomial in text[start:end] = value,
-        # or with text None a jacobian row of entries value at start..end
+        # or with text None a row (_scan_row) of entries value at start..end
         self.constraints: list[tuple[int, str | None, int, int, object]] = []
-        self.basis_rows: list[tuple[int, int, int, list[int | Fraction]]] = []
+        self.basis_rows: list[tuple[int, None, int, int, list[int | Fraction]]] = []
         self.seen_basis_block = False
 
     # -- scanning -----------------------------------------------------------
@@ -309,23 +309,24 @@ class _Parser:
                 elif word == "dimensions":
                     self._scan_dimensions(line, kw.start(1), after + 1)
                 elif word == "jacobian_row":
-                    values = _rationals(errors, line, after + 1)
-                    if values is not None:
-                        start = _SPACE_RE.match(line, after + 1).end()
-                        self.constraints.append(
-                            (line_no, None, start, len(line.rstrip()), values))
+                    self._scan_row(line, after + 1, self.constraints)
                 else:
                     in_basis = self._scan_basis_header(line, kw.start(1), after + 1)
                 continue
-            start = _SPACE_RE.match(line).end()
             if in_basis:
-                values = _rationals(errors, line, 0)
-                if values is not None:
-                    self.basis_rows.append((line_no, start, len(line.rstrip()), values))
+                self._scan_row(line, 0, self.basis_rows)
                 continue
-            errors.add(start, len(line.split()[0]), ErrorCode.SYNTAX,
+            errors.add(_SPACE_RE.match(line).end(), len(line.split()[0]), ErrorCode.SYNTAX,
                        "expected one of: dimensions:, quantity, constraint, "
                        "jacobian_row:, basis_override:")
+
+    def _scan_row(self, line: str, pos: int, rows: list) -> None:
+        """Append the comma-separated rationals of `line[pos:]` to `rows` as
+        (line, None, start, end, values), the span of their stripped text."""
+        values = _rationals(self.errors, line, pos)
+        if values is not None:
+            start = _SPACE_RE.match(line, pos).end()
+            rows.append((self.errors.line, None, start, len(line.rstrip()), values))
 
     def _scan_dimensions(self, line: str, keyword: int, pos: int) -> None:
         if self.dims is not None:
@@ -440,7 +441,7 @@ class _Parser:
                 continue
             constraints.append(MonomialConstraint(tuple(exps), value))
 
-        for errors.line, start, end, values in self.basis_rows:
+        for errors.line, _, start, end, values in self.basis_rows:
             if len(values) != n:
                 errors.add(start, end - start, ErrorCode.SYNTAX,
                            f"basis vector has {len(values)} entries, expected {n}")
@@ -500,35 +501,37 @@ def _render_dimexpr(dim_names: Sequence[str], exps: Sequence[Fraction]) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _render_constraint_monomial(names: Sequence[str], exps: Sequence[Fraction]) -> str:
+def _render_constraint_monomial(names: Sequence[str], exps: Sequence[str]) -> str:
+    """The monomial with exponents `exps`, each as str(Fraction) prints it."""
     num: list[str] = []
-    den: list[tuple[str, Fraction]] = []
+    den: list[tuple[str, str]] = []
     for name, e in zip(names, exps):
-        p, q = e.as_integer_ratio()
-        if p == 0:
+        if e == "0":
             continue
-        if q == 1:
-            e = p  # a whole exponent compares and prints as an int
-        if e > 0:
-            num.append(name if e == 1 else f"{name}^{e}")
+        if e[0] == "-":
+            den.append((name, e))
         else:
-            den.append((name, -e))
+            num.append(name if e == "1" else f"{name}^{e}")
     if not num:
         # all exponents negative: keep them explicit so the text reparses
-        return " * ".join(f"{name}^{-e}" for name, e in den)
+        return " * ".join(f"{name}^{e}" for name, e in den)
     out = " * ".join(num)
     for name, e in den:
-        out += " / " + (name if e == 1 else f"{name}^{e}")
+        out += " / " + (name if e == "-1" else f"{name}^{e[1:]}")
     return out
 
 
-def constraint_label(names: Sequence[str], constraint: Constraint) -> str:
-    """Human-readable one-line form of a constraint."""
-    if constraint.kind == "monomial":
-        lhs = _render_constraint_monomial(names, constraint.exponents)
-        return f"{lhs} = {constraint.constant}"
-    entries = ", ".join(str(x) for x in constraint.entries)
-    return f"jacobian row [{entries}] (pointwise)"
+def _constraint_entry(names: Sequence[str], c: Constraint) -> dict:
+    """The schema-v1 entry of a constraint: its kind, its one-line label,
+    then its exponents and constant or its entries. Each number is
+    formatted once, and the label is built from those strings."""
+    if c.kind == "monomial":
+        exponents, constant = [str(x) for x in c.exponents], str(c.constant)
+        label = f"{_render_constraint_monomial(names, exponents)} = {constant}"
+        return {"kind": c.kind, "label": label, "exponents": exponents, "constant": constant}
+    entries = [str(x) for x in c.entries]
+    label = f"jacobian row [{', '.join(entries)}] (pointwise)"
+    return {"kind": c.kind, "label": label, "entries": entries}
 
 
 def render_model(model: Model) -> str:
@@ -538,10 +541,11 @@ def render_model(model: Model) -> str:
         lines.append(f"quantity {q.name} = {_render_dimexpr(model.dims.names, q.dim_exponents)}")
     names = model.quantity_names
     for c in model.constraints:
+        entry = _constraint_entry(names, c)
         if c.kind == "monomial":
-            lines.append("constraint " + constraint_label(names, c))
+            lines.append("constraint " + entry["label"])
         else:
-            lines.append("jacobian_row: " + ", ".join(str(x) for x in c.entries))
+            lines.append("jacobian_row: " + ", ".join(entry["entries"]))
     if model.basis_override is not None:
         lines.append("basis_override:")
         for j in range(model.basis_override.cols):
@@ -566,14 +570,6 @@ def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
 
 
 def _report_payload(report: AnalysisReport) -> dict:
-    constraints = []
-    for c in report.constraints:
-        entry = {"kind": c.kind, "label": constraint_label(report.quantities, c)}
-        if c.kind == "monomial":
-            entry |= {"exponents": [str(x) for x in c.exponents], "constant": str(c.constant)}
-        else:
-            entry["entries"] = [str(x) for x in c.entries]
-        constraints.append(entry)
     relations = None
     if report.relations is not None:
         relations = [
@@ -606,7 +602,7 @@ def _report_payload(report: AnalysisReport) -> dict:
         "pi_groups": [
             {"label": g.label, "exponents": list(g.exponents)} for g in report.pi_groups
         ],
-        "constraints": constraints,
+        "constraints": [_constraint_entry(report.quantities, c) for c in report.constraints],
         "A": _matrix_cells(report.A),
         "J": _matrix_cells(report.J),
         "E": _matrix_cells(report.E),

@@ -160,12 +160,10 @@ class RatMatrix(Value):
         rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        entries: list[RationalLike] = []
         for row in rows:
             if len(row) != cols:
                 raise ShapeError(f"ragged row: expected {cols} entries, got {len(row)}")
-            entries.extend(row)
-        return cls(len(rows), cols, tuple(entries))
+        return _matrix(cols, *_clear_denominators([list(map(as_fraction, r)) for r in rows]))
 
     @classmethod
     def from_columns(

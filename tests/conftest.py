@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import load_gen
+from oracles import load_bench
 
 DRAG_TEXT = """\
 # Drag force on a body moving through a viscous fluid.
@@ -37,4 +37,4 @@ def repo_root() -> Path:
 def gen():
     """bench/gen.py, the benchmark's seeded model generator, loaded from its
     file and only read."""
-    return load_gen()
+    return load_bench("gen")

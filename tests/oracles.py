@@ -25,13 +25,13 @@ from pim.model import DimensionSystem, Model, Quantity
 from pim.ratlin import RatMatrix
 from pim.reduce import JacobianRowConstraint, MonomialConstraint
 
-GEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_gen():
-    """bench/gen.py, the benchmark's seeded model generator, loaded from its
-    file without importing pim."""
-    spec = importlib.util.spec_from_file_location("pim_bench_gen", GEN_PATH)
+def load_bench(name: str):
+    """bench/<name>.py, a module of the benchmark, loaded from its file
+    without putting bench/ on the import path."""
+    spec = importlib.util.spec_from_file_location(f"pim_bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # @dataclass looks its module up
     try:

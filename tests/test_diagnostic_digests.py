@@ -28,7 +28,7 @@ import pytest
 
 from pim.cli import CliConfig, run
 
-from oracles import load_gen
+from oracles import load_bench
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "diagnostic_digests.json"
@@ -52,7 +52,7 @@ def _bases() -> list[str]:
         for folder in (ROOT / "models", ROOT / "tests" / "models")
         for path in sorted(folder.glob("*.pim"))
     ]
-    gen = load_gen()
+    gen = load_bench("gen")
     texts += [made.text for pointwise in (False, True) for made in gen.ladder(1, 1, pointwise)]
     return texts
 

@@ -12,10 +12,10 @@ from pim.model import DimensionSystem, Model, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
+    _constraint_entry,
     _json,
     _matrix_cells,
     _report_payload,
-    constraint_label,
     parse_dimexpr,
     parse_model,
     parse_monomial,
@@ -480,7 +480,7 @@ def test_matrix_cells_print_each_entry_as_its_fraction():
 )
 def test_constraint_labels_render_and_reparse(exponents, label):
     constraint = MonomialConstraint(exponents, Fraction(3, 4))
-    assert constraint_label(("a", "b", "c"), constraint) == label
+    assert _constraint_entry(("a", "b", "c"), constraint)["label"] == label
     model = Model(
         DimensionSystem(("M",)),
         tuple(Quantity(name, (1,)) for name in "abc"),
@@ -555,6 +555,26 @@ def test_render_report_deterministic(drag_text):
     report2 = analyze(parse_model(drag_text))
     for fmt in ("text", "json"):
         assert render_report(report, fmt) == render_report(report2, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_formats_each_jacobian_entry_once(monkeypatch, fmt: str):
+    text = (
+        "dimensions: M, L\nquantity a = M\nquantity b = L\nquantity c = M L\n"
+        "jacobian_row: 1, 1/2, -3\njacobian_row: 0, 2, 7/3\n"
+    )
+    report = analyze(parse_model(text))
+    assert not report.scale_invariant
+    calls = [0]
+    original = Fraction.__str__
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counted)
+    render_report(report, fmt)
+    assert calls[0] == sum(len(c.entries) for c in report.constraints) == 6
 
 
 # ---------------------------------------------------------------------------
