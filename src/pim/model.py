@@ -239,8 +239,7 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
         # full column rank, so no column is zero
         columns = [_primitive(column) for column in _transpose(basis.nums, basis.cols)]
         basis = _matrix(basis.cols, _transpose(columns, basis.rows), 1)
-    if max(map(int.bit_length, chain.from_iterable(columns)), default=0) > _SAFE_BITS:
-        for j, exps in enumerate(columns):
-            _check_printable(f"pi group {j + 1}", exps)
+    for j, exps in enumerate(columns):
+        _check_printable(f"pi group {j + 1}", exps)
     names = model.quantity_names
     return basis, tuple(PiGroup(exps, format_monomial(names, exps)) for exps in columns)

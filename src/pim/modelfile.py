@@ -40,7 +40,7 @@ from .reduce import (
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 # A term NAME^p: the longest name, then what _RATIONAL_RE reads after a '^'.
-_TERM = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+(/[0-9]+)?))?"
+_TERM = rf"({_IDENT_RE.pattern})(?:\^(-?[0-9]+(/[0-9]+)?))?"
 _TERM_RE = re.compile(r"\s*" + _TERM)
 # A whitespace-separated word: a whole term (the name group set), or any other.
 _WORD_RE = re.compile(_TERM + r"(?!\S)|\S+")
@@ -279,8 +279,7 @@ class _Parser:
         # line, text, start, end, value: a monomial in text[start:end] = value,
         # or with text None a row (_scan_row) of entries value at start..end
         self.constraints: list[tuple[int, str | None, int, int, object]] = []
-        self.basis_rows: list[tuple[int, None, int, int, list[int | Fraction]]] = []
-        self.seen_basis_block = False
+        self.basis_rows: list[tuple[int, None, int, int, list[int | Fraction]]] | None = None
 
     # -- scanning -----------------------------------------------------------
 
@@ -379,11 +378,11 @@ class _Parser:
             self.errors.add(pos, len(rest), ErrorCode.SYNTAX,
                             "unexpected text after 'basis_override:'")
             return False
-        if self.seen_basis_block:
+        if self.basis_rows is not None:
             self.errors.add(keyword, len("basis_override"), ErrorCode.SYNTAX,
                             "duplicate basis_override block")
             return False
-        self.seen_basis_block = True
+        self.basis_rows = []
         return True
 
     # -- resolution ---------------------------------------------------------
@@ -441,14 +440,14 @@ class _Parser:
                 continue
             constraints.append(MonomialConstraint(tuple(exps), value))
 
-        for errors.line, _, start, end, values in self.basis_rows:
+        for errors.line, _, start, end, values in self.basis_rows or ():
             if len(values) != n:
                 errors.add(start, end - start, ErrorCode.SYNTAX,
                            f"basis vector has {len(values)} entries, expected {n}")
         if errors:
             return None
         basis = None
-        if self.seen_basis_block:  # a block without vectors is an n x 0 override
+        if self.basis_rows is not None:  # a block without vectors is an n x 0 override
             basis = RatMatrix.from_columns([row for *_, row in self.basis_rows], rows=n)
         return Model(
             DimensionSystem(tuple(dim_index)),
@@ -469,23 +468,24 @@ def parse_model(text: str) -> Model:
     return model
 
 
-def parse_dimexpr(text: str, dims: DimensionSystem) -> tuple[Fraction, ...]:
-    """Parse a dimension expression such as ``M L T^-2`` against `dims`."""
+def _read_exponents(read, text: str, names: Sequence[str], *end: int) -> tuple[Fraction, ...]:
+    """What `read` (_dimexpr or _monomial) finds in `text`, or ModelFileError."""
     errors = _Errors()
-    exps = _dimexpr(errors, text, 0, {name: i for i, name in enumerate(dims.names)})
+    exps = read(errors, text, 0, *end, {name: i for i, name in enumerate(names)})
     if exps is None:
         raise ModelFileError(errors)
     return tuple(map(Fraction, exps))
+
+
+def parse_dimexpr(text: str, dims: DimensionSystem) -> tuple[Fraction, ...]:
+    """Parse a dimension expression such as ``M L T^-2`` against `dims`."""
+    return _read_exponents(_dimexpr, text, dims.names)
 
 
 def parse_monomial(text: str, names: Sequence[str]) -> tuple[Fraction, ...]:
     """Parse a monomial such as ``(rho*U*L)/mu`` into an exponent vector over
     `names`."""
-    errors = _Errors()
-    exps = _monomial(errors, text, 0, len(text), {name: i for i, name in enumerate(names)})
-    if exps is None:
-        raise ModelFileError(errors)
-    return tuple(map(Fraction, exps))
+    return _read_exponents(_monomial, text, names, len(text))
 
 
 # ---------------------------------------------------------------------------

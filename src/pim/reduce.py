@@ -104,10 +104,6 @@ class EffectiveCounts(Value):
     __slots__ = ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
     _defaults = {"via_C_rank": None}
 
-    @property
-    def value(self) -> int:
-        return self.via_kernel_JE
-
 
 class Relation(Value):
     """One linear relation among the candidate pi groups.
@@ -149,7 +145,7 @@ class AnalysisReport(Value):
 
     @property
     def d_eff(self) -> int:
-        return self.deff.value
+        return self.deff.via_kernel_JE
 
 
 def constraint_jacobian(model: Model) -> RatMatrix:
@@ -187,6 +183,7 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
     d = e.cols
+    e_t = e.transpose()
     units: dict[int, int] = {}
     for r, e_row in enumerate(e.nums):
         support = [k for k, x in enumerate(e_row) if x]
@@ -201,12 +198,12 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
         nums = [[row[r] * f for r, f in zip(unit_rows, factors)] for row in j.nums]
         c = _matrix(d, nums, j.den * scale)
     else:
-        result = rref(e.transpose().vstack(j).transpose())  # [E | J^T]
+        result = rref(e_t.vstack(j).transpose())  # [E | J^T]
         if result.pivot_cols[:d] != tuple(range(d)):
             raise ValueError("kernel basis E is not full column rank")
         r = result.rref
         c = _matrix(d, _transpose([row[d:] for row in r.nums[:d]], j.rows), r.den)
-    if c @ e.transpose() != j:
+    if c @ e_t != j:
         raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
     return c
 
@@ -301,7 +298,8 @@ def analyze(model: Model) -> AnalysisReport:
     d = e.cols
     rank_j = rank(j)
     stacked, meet = sum_intersection_dims(a, j)
-    via_kernel = d - rank(j @ e)
+    general = (d - rank(j @ e), a.cols - stacked, d - rank_j + meet)
+    forms = set(general)
     warnings: list[str] = []
     c = rref_c = None
     via_c: int | None = None
@@ -316,6 +314,7 @@ def analyze(model: Model) -> AnalysisReport:
             ) from exc
         result, transform = rref_with_transform(c)
         via_c = d - result.rank
+        forms |= {via_c, d - rank_j}
         rref_c = result.rref
         selected = result.free_cols
         relations = _build_relations(model.constraints, result, transform)
@@ -324,10 +323,7 @@ def analyze(model: Model) -> AnalysisReport:
             "constraints are not scale-invariant (J @ A^T != 0); "
             "the C-based elimination of redundant pi groups is skipped"
         )
-    counts = EffectiveCounts(via_kernel, a.cols - stacked, d - rank_j + meet, via_c)
-    forms = {counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann}
-    if invariant:
-        forms |= {via_c, d - rank_j}
+    counts = EffectiveCounts(*general, via_c)
     if len(forms) != 1:
         raise InvariantViolation(
             f"effective-count formulas disagree: {counts!r}, d = {d}, rank J = {rank_j}"

@@ -187,7 +187,46 @@ def test_run_constant_one_factor_with_a_fractional_exponent():
     assert relation["constant"] == "2"
 
 
-@pytest.mark.parametrize("row", ["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
+def _two_constraints(second_quantity: str, first: str, second: str) -> str:
+    return (f"dimensions: M\nquantity x = M\nquantity y = {second_quantity}\n"
+            f"constraint {first}\nconstraint {second}\n")
+
+
+# x / y = 2 forces x^2 / y^2 = 4, and x = 2 forces x^2 = 4: no point satisfies either pair.
+INCONSISTENT = {
+    "invariant": _two_constraints("M", "x / y = 2", "x^2 / y^2 = 5"),
+    "non-invariant": _two_constraints("1", "x = 2", "x^2 = 5"),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("name", INCONSISTENT)
+def test_run_refuses_inconsistent_constraint_constants(name: str):
+    for command in ("analyze", "check"):
+        code, out, _ = run(CliConfig(command, "m.pim"), INCONSISTENT[name])
+        assert (code, out) == (1, "")
+
+
+def test_run_accepts_consistent_dependent_constraint_constants():
+    text = _two_constraints("M", "x / y = 2", "x^2 / y^2 = 4")
+    for command in ("analyze", "check"):
+        code, out, err = run(CliConfig(command, "m.pim"), text)
+        assert (code, err) == (0, "")
+    assert "relation: pi1 = 2\n" in run(_analyze(), text)[1]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_run_rational_product_of_irrational_factors_is_evaluated():
+    # pi1 = a/b = K1^(-1/2) * K2^(-1/2) = 1/4 and pi2 = a/c = K1^(-1/2) * K2^(1/2) = 2
+    text = ("dimensions: M\nquantity a = M\nquantity b = M\nquantity c = M\n"
+            "constraint b * c / a^2 = 2\nconstraint b / c = 8\n")
+    code, out, err = run(_analyze(), text)
+    assert (code, err) == (0, "")
+    assert "relation: pi1 = 1/4\n" in out
+    assert "relation: pi2 = 2\n" in out
+
+
+@pytest.mark.parametrize("row",["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
 def test_run_drag_with_a_rescaled_override_row_keeps_its_relation(drag_text, row: str):
     text = drag_text.replace("0, 1, 1, 1, -1, 0", row)
     assert text != drag_text

@@ -98,7 +98,7 @@ def test_dimension_matrix_pendulum():
 # buckingham count
 
 
-def test_buckingham_count_examples():
+def test_kernel_dimension_is_columns_minus_rank():
     # the Buckingham count is columns minus rank, and the kernel basis has
     # that many columns
     for a, count in ((DRAG_A, 3), (RatMatrix.zero(2, 5), 5), (PENDULUM_A, 1)):

@@ -425,7 +425,7 @@ def test_primitive_random():
 # row space sum and intersection
 
 
-def test_row_intersection_examples():
+def test_sum_intersection_dims_examples():
     assert sum_intersection_dims(DRAG_A, DRAG_J) == (4, 0)
     assert sum_intersection_dims(DRAG_A, DRAG_A) == (3, rank(DRAG_A))
     assert sum_intersection_dims(
@@ -436,12 +436,12 @@ def test_row_intersection_examples():
     assert sum_intersection_dims(RatMatrix.zero(0, 3), RatMatrix.identity(3)) == (3, 0)
 
 
-def test_row_intersection_shape_check():
+def test_sum_intersection_dims_shape_check():
     with pytest.raises(ShapeError):
         sum_intersection_dims(RatMatrix.zero(1, 2), RatMatrix.zero(1, 3))
 
 
-def test_row_intersection_nonnegative_random():
+def test_sum_intersection_dims_nonnegative_random():
     # Zassenhaus against the rank form of the Grassmann dimension formula
     rng = random.Random(1107)
     for _ in range(100):

@@ -4,6 +4,7 @@ Library snippet must keep matching what the code does."""
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,10 @@ def test_library_snippet_runs_from_the_repository_root(
 ):
     snippet = _block(_readme(repo_root), "## Library", "python")
     monkeypatch.chdir(repo_root)
-    exec(compile(snippet, "README.md", "exec"), {"__name__": "readme"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(snippet, "README.md", "exec"), {"__name__": "readme"})
+    assert [str(w.message) for w in caught] == []  # e.g. a ResourceWarning for an open file
     out = capsys.readouterr().out
     assert out.startswith("{\n")
     assert '"d_eff": 2' in out

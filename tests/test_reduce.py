@@ -178,14 +178,14 @@ def test_effective_counts_drag():
         counts.via_grassmann,
         counts.via_C_rank,
     ) == (2, 2, 2, 2)
-    assert counts.value == 2
+    assert counts.via_kernel_JE == 2
 
 
 def test_effective_counts_unconstrained_degenerates():
     report = analyze(model_from_matrices(DRAG_A, RatMatrix.zero(0, 6), DRAG_AUTO_BASIS))
     counts = report.deff
     assert report.E == DRAG_AUTO_BASIS
-    assert counts.value == 3
+    assert counts.via_kernel_JE == 3
     assert counts.via_C_rank == 3
 
 
@@ -194,7 +194,7 @@ def test_effective_counts_fixed_reynolds():
     stacked = DRAG_A.vstack(j)
     assert minor_rank(stacked) == 5
     counts = analyze(model_from_matrices(DRAG_A, j, DRAG_CLASSIC_BASIS)).deff
-    assert counts.value == 1
+    assert counts.via_kernel_JE == 1
     assert counts.via_C_rank == 1
 
 
