@@ -2,7 +2,8 @@
 
 Exit codes:
     0  success
-    1  usage error, unreadable input, parse error, or model validation error
+    1  usage error, unreadable input, unwritable output, parse error, or
+       model validation error
     2  constraints not scale-invariant and --strict was given
     3  internal invariant violation or any other unexpected error (always a
        bug, never a modeling error), on one line
@@ -136,7 +137,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     code, output, diagnostics = run(config, text)
     if output:
-        sys.stdout.write(output)
+        try:
+            sys.stdout.write(output)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Python flushes stdout again at exit; send what is left to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     if diagnostics:
         sys.stderr.write(diagnostics)
     return code

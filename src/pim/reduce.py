@@ -178,12 +178,13 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     Either way the certificate C E^T == J alone decides: if it fails, a row
     of J lies outside the column space of E and this raises
     ScaleInvarianceError. When E spans the kernel of the dimension matrix,
-    that is exactly a failure of scale invariance.
+    that is exactly a failure of scale invariance. On the unit-row path it
+    is checked only at the other rows of E: at r_k, (C E^T)[:, r_k] =
+    s_k C[:, k] equals J[:, r_k] by the definition of C.
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
     d = e.cols
-    e_t = e.transpose()
     units: dict[int, int] = {}
     for r, e_row in enumerate(e.nums):
         support = [k for k, x in enumerate(e_row) if x]
@@ -197,13 +198,23 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
         factors = [e.den * (scale // s) for s in diag]
         nums = [[row[r] * f for r, f in zip(unit_rows, factors)] for row in j.nums]
         c = _matrix(d, nums, j.den * scale)
+        # (C E^T)[i, r] against J[i, r] at the other rows r, both over j.den * scale * e.den
+        unit_set = set(unit_rows)
+        others = [(r, e_row) for r, e_row in enumerate(e.nums) if r not in unit_set]
+        holds = all(
+            sum(map(mul, c_row, e_row)) == j_row[r] * scale * e.den
+            for c_row, j_row in zip(nums, j.nums)
+            for r, e_row in others
+        )
     else:
+        e_t = e.transpose()
         result = rref(e_t.vstack(j).transpose())  # [E | J^T]
         if result.pivot_cols[:d] != tuple(range(d)):
             raise ValueError("kernel basis E is not full column rank")
         r = result.rref
         c = _matrix(d, _transpose([row[d:] for row in r.nums[:d]], j.rows), r.den)
-    if c @ e_t != j:
+        holds = c @ e_t == j
+    if not holds:
         raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
     return c
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -224,6 +225,37 @@ def test_run_rational_product_of_irrational_factors_is_evaluated():
     assert (code, err) == (0, "")
     assert "relation: pi1 = 1/4\n" in out
     assert "relation: pi2 = 2\n" in out
+
+
+# The same non-invariant system in two namings: u = a*s/b, w = b/s. In both s
+# is unconstrained, so pi1 = s takes every positive value.
+RENAMED_PAIR = (
+    "dimensions: D1, D2\nquantity a = D1^2 D2^-1\nquantity b = D1^-1 D2^2\n"
+    "quantity s = 1\nconstraint a^2 / b = 3\n",
+    "dimensions: D1, D2\nquantity u = D1^3 D2^-3\nquantity w = D1^-1 D2^2\n"
+    "quantity s = 1\nconstraint u^2 * w / s = 3\n",
+)
+
+
+def _d_eff_line(text: str) -> str:
+    code, out, err = run(_analyze(), text)
+    assert (code, err) == (0, "")
+    return next(line for line in out.splitlines() if line.startswith("d_eff"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_run_d_eff_does_not_depend_on_the_naming():
+    first, second = RENAMED_PAIR
+    assert "  pi1 = s\n" in run(_analyze(), first)[1]
+    assert "  pi1 = s\n" in run(_analyze(), second)[1]
+    assert _d_eff_line(first) == _d_eff_line(second)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+def test_run_d_eff_counts_a_ratio_the_constraint_leaves_free():
+    # x = 2 fixes x, but pi1 = x/y still takes every positive value
+    text = "dimensions: L\nquantity x = L\nquantity y = L\nconstraint x = 2\n"
+    assert _d_eff_line(text) == "d_eff = 1"
 
 
 @pytest.mark.parametrize("row",["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
@@ -546,14 +578,15 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
     assert proc.stdout == "[]\n"
 
 
-def _cli(args: list[str], **env: str) -> subprocess.CompletedProcess:
+def _cli(args: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     return subprocess.run(
         [sys.executable, "-m", "pim", *args],
         env={**base, "PYTHONPATH": path, **env},
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
     )
 
 
@@ -579,3 +612,37 @@ def test_main_prints_literals_up_to_max_digits_under_a_lower_int_limit(tmp_path)
     assert limited.stderr.decode() == (
         f"{path}:4:20: error[bad-constant]: number has 4301 digits, more than the 4300 allowed\n"
     )
+
+
+NO_SPACE = f"error: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_main_unwritable_output_is_one_error_line(
+    monkeypatch, tmp_path: Path, capsys, repo_root: Path
+):
+    class Full(io.StringIO):
+        def write(self, text: str) -> int:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self) -> int:
+            return sink.fileno()  # main points it at devnull
+
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", Full())
+        for command in ("analyze", "check"):
+            assert main([command, str(repo_root / "models" / "drag.pim")]) == 1
+            assert capsys.readouterr().err == NO_SPACE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_writing_to_a_full_device(repo_root: Path, unbuffered: str):
+    # Nothing more may follow the one line, not even at interpreter shutdown.
+    for command in ("analyze", "check"):
+        with open("/dev/full", "w") as full:
+            proc = _cli(
+                [command, str(repo_root / "models" / "drag.pim")],
+                stdout=full,
+                PYTHONUNBUFFERED=unbuffered,
+            )
+        assert (proc.returncode, proc.stderr.decode()) == (1, NO_SPACE)

@@ -425,7 +425,17 @@ def test_primitive_random():
 # row space sum and intersection
 
 
-def test_sum_intersection_dims_examples():
+def _textbook_zassenhaus(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
+    """(sum, intersection) dims from the pivots of a Fraction Gauss-Jordan
+    elimination of [[a, a], [b, 0]], left of column n and from it on."""
+    n = a.cols
+    rows = [r + r for r in a.to_rows()] + [r + [Fraction(0)] * n for r in b.to_rows()]
+    pivots = textbook_rref(rows, 2 * n)[1]
+    total = sum(1 for col in pivots if col < n)
+    return total, len(pivots) - total
+
+
+def test_sum_intersection_dims_examples(repo_root):
     assert sum_intersection_dims(DRAG_A, DRAG_J) == (4, 0)
     assert sum_intersection_dims(DRAG_A, DRAG_A) == (3, rank(DRAG_A))
     assert sum_intersection_dims(
@@ -434,6 +444,21 @@ def test_sum_intersection_dims_examples():
     # a constraint row that repeats a row of A
     assert sum_intersection_dims(DRAG_A, RatMatrix.from_rows([DRAG_A.row(0)])) == (3, 1)
     assert sum_intersection_dims(RatMatrix.zero(0, 3), RatMatrix.identity(3)) == (3, 0)
+    # Stacks [a; b] with a dependent row, which skip the full-rank early exit:
+    # a repeated row of A, a repeated row of J, a J row inside rowspace A, and
+    # large_constant.pim, whose A is one zero row.
+    text = (repo_root / "tests" / "models" / "large_constant.pim").read_text()
+    model = parse_model(text)
+    inside = [x + 2 * y for x, y in zip(DRAG_A.row(0), DRAG_A.row(2))]
+    cases = [
+        (DRAG_A.vstack(RatMatrix.from_rows([DRAG_A.row(1)])), DRAG_J, (4, 0)),
+        (DRAG_A, DRAG_J.vstack(DRAG_J), (4, 0)),
+        (DRAG_A, DRAG_J.vstack(RatMatrix.from_rows([inside])), (4, 1)),
+        (build_dimension_matrix(model), constraint_jacobian(model), (2, 0)),
+    ]
+    for a, b, expected in cases:
+        assert rank(a.vstack(b)) < a.rows + b.rows
+        assert sum_intersection_dims(a, b) == _textbook_zassenhaus(a, b) == expected
 
 
 def test_sum_intersection_dims_shape_check():

@@ -315,6 +315,38 @@ def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch)
     assert min(seen.values()) >= 50
 
 
+def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
+    # The unit-row solve checks C E^T == J only off the unit rows; it must
+    # still refuse J exactly when J @ A^T != 0, for the canonical E and for
+    # E with its columns permuted and rescaled, and whichever entry of an
+    # invariant J is changed, at a unit row or not.
+    rng = random.Random(2113)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        a = random_int_matrix(rng, m, rng.randint(m + 1, 8), -2, 2)
+        e = nullspace_basis(a)
+        d = e.cols
+        order = rng.sample(range(d), d)
+        scales = [rng.choice((-2, -1, Fraction(1, 3), 1, 3)) for _ in range(d)]
+        shuffled = RatMatrix.from_columns([[x * scales[k] for x in e.column(k)] for k in order])
+        for basis in (e, shuffled):
+            j = random_invariant_jacobian(rng, basis, rng.randint(1, 3))
+            if rng.random() < 0.7:
+                rows = j.to_rows()
+                step = rng.choice((-1, 1, Fraction(1, 2)))
+                rows[rng.randrange(j.rows)][rng.randrange(j.cols)] += step
+                j = RatMatrix.from_rows(rows, cols=j.cols)
+            invariant = check_scale_invariance(a, j)
+            seen[invariant] += 1
+            if invariant:
+                assert redundancy_matrix(j, basis) @ basis.transpose() == j
+            else:
+                with pytest.raises(ScaleInvarianceError):
+                    redundancy_matrix(j, basis)
+    assert min(seen.values()) >= 50
+
+
 # ---------------------------------------------------------------------------
 # independent-set selection: the non-pivot columns of rref(C), and its nonzero
 # rows as the relations
