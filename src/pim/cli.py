@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _want_color() -> bool:
-    return sys.stdout.isatty() and os.environ.get("PIM_COLOR", "1") != "0"
+    stdout = sys.stdout  # None when standard output is closed
+    return stdout is not None and stdout.isatty() and os.environ.get("PIM_COLOR", "1") != "0"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,16 +127,22 @@ def main(argv: list[str] | None = None) -> int:
         color=_want_color() and args.format == "text",
     )
     try:
-        if config.input_path == "-":
-            data = sys.stdin.buffer.read()
-        else:
+        if config.input_path != "-":
             with open(config.input_path, "rb") as handle:
                 data = handle.read()
+        elif sys.stdin is None:  # as Python sets it when descriptor 0 is closed
+            raise OSError("standard input is closed")
+        else:
+            data = sys.stdin.buffer.read()
         text = data.decode("utf-8-sig")  # one decoder for files and stdin
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {_display_path(config.input_path)}: {exc}", file=sys.stderr)
-        return 1
-    code, output, diagnostics = run(config, text)
+        code, output = 1, ""
+        diagnostics = f"error: cannot read {_display_path(config.input_path)}: {exc}\n"
+    else:
+        code, output, diagnostics = run(config, text)
+    if output and sys.stdout is None:
+        code, output = 1, ""
+        diagnostics = "error: cannot write output: standard output is closed\n"
     if output:
         try:
             sys.stdout.write(output)
@@ -145,8 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 1
-    if diagnostics:
+            code, diagnostics = 1, f"error: cannot write output: {exc}\n"
+    if diagnostics and sys.stderr is not None:  # a closed stderr drops them
         sys.stderr.write(diagnostics)
     return code

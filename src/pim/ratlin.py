@@ -318,21 +318,14 @@ def _eliminate(
     return mat, pivots, prev
 
 
-def rref(matrix: RatMatrix) -> RrefResult:
-    """Fully reduced row echelon form (zeros above and below each pivot).
+def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
+    """The fully reduced row echelon form of matrix (zeros above and below
+    each pivot), and the transform T with T @ matrix == rref.
 
     Deterministic and exact, so equal inputs always produce identical
-    output, pivot columns, and rank.
-    """
-    mat, pivots, det = _eliminate(matrix.nums, matrix.cols)
-    return RrefResult(_matrix(matrix.cols, mat, det), tuple(pivots))
-
-
-def rref_with_transform(matrix: RatMatrix) -> tuple[RrefResult, RatMatrix]:
-    """Like :func:`rref`, but also return the transform T with T @ matrix == rref.
-
-    T records the row operations, which is how callers trace each reduced
-    row back to a combination of the original rows. Both are read off one
+    output, pivot columns, and rank. T records the row operations, which
+    is how callers trace each reduced row back to a combination of the
+    original rows. Both are read off one
     elimination of [den * matrix | I], whose rows each end as det times
     their Gauss-Jordan row: a pivot row's right half is det / den times its
     row of T. A row that reduces to zero is its original row minus a

@@ -33,13 +33,13 @@ from .ratlin import (
     ShapeError,
     Value,
     _clear_denominators,
+    _eliminate,
     _matrix,
     _primitive,
     _transpose,
     as_fraction,
     exact_pow,
     rank,
-    rref,
     rref_with_transform,
     sum_intersection_dims,
 )
@@ -170,17 +170,18 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     entry s_k is in column k (the canonical kernel basis has one at each
     free column, and so does the shipped drag override), J = C E^T reads
     J[:, r_k] = s_k C[:, k] there, so C is one division per column. Any
-    other E is solved by one elimination of the n x (d + ell) matrix
+    other E is solved by one full elimination of the n x (d + ell) matrix
     [E | J^T], whose first d columns must all be pivots, or this raises
     ValueError (E is not full column rank); C transposed is then the top
     right block of the RREF.
 
-    Either way the certificate C E^T == J alone decides: if it fails, a row
-    of J lies outside the column space of E and this raises
-    ScaleInvarianceError. When E spans the kernel of the dimension matrix,
-    that is exactly a failure of scale invariance. On the unit-row path it
-    is checked only at the other rows of E: at r_k, (C E^T)[:, r_k] =
-    s_k C[:, k] equals J[:, r_k] by the definition of C.
+    Either way one certificate decides, the product C E^T against J, so it
+    does not rest on the kernel that solved for C: if they differ, a row of
+    J lies outside the column space of E and this raises
+    ScaleInvarianceError; when E spans the kernel of the dimension matrix,
+    that is exactly a failure of scale invariance. It is checked at every
+    row of E after the elimination, and only at the other rows after the
+    unit-row read-off: at r_k, (C E^T)[:, r_k] = s_k C[:, k] is J[:, r_k].
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
@@ -198,23 +199,22 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
         factors = [e.den * (scale // s) for s in diag]
         nums = [[row[r] * f for r, f in zip(unit_rows, factors)] for row in j.nums]
         c = _matrix(d, nums, j.den * scale)
-        # (C E^T)[i, r] against J[i, r] at the other rows r, both over j.den * scale * e.den
-        unit_set = set(unit_rows)
-        others = [(r, e_row) for r, e_row in enumerate(e.nums) if r not in unit_set]
-        holds = all(
-            sum(map(mul, c_row, e_row)) == j_row[r] * scale * e.den
-            for c_row, j_row in zip(nums, j.nums)
-            for r, e_row in others
-        )
+        skip = set(unit_rows)
     else:
-        e_t = e.transpose()
-        result = rref(e_t.vstack(j).transpose())  # [E | J^T]
-        if result.pivot_cols[:d] != tuple(range(d)):
+        augmented = e.transpose().vstack(j).transpose()  # [E | J^T]
+        mat, pivots, det = _eliminate(augmented.nums, augmented.cols)
+        if pivots[:d] != list(range(d)):
             raise ValueError("kernel basis E is not full column rank")
-        r = result.rref
-        c = _matrix(d, _transpose([row[d:] for row in r.nums[:d]], j.rows), r.den)
-        holds = c @ e_t == j
-    if not holds:
+        c = _matrix(d, _transpose([row[d:] for row in mat[:d]], j.rows), det)
+        skip = set()
+    # (C E^T)[i, r] against J[i, r] at the rows r not skipped, over c.den * e.den * j.den
+    checked = [(r, e_row) for r, e_row in enumerate(e.nums) if r not in skip]
+    den = c.den * e.den
+    if not all(
+        sum(map(mul, c_row, e_row)) * j.den == j_row[r] * den
+        for c_row, j_row in zip(c.nums, j.nums)
+        for r, e_row in checked
+    ):
         raise ScaleInvarianceError("C-factorization requires scale-invariant constraints")
     return c
 

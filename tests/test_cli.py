@@ -578,12 +578,17 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
     assert proc.stdout == "[]\n"
 
 
-def _cli(args: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+def _cli(
+    args: list[str], stdout=subprocess.PIPE, redirect: str = "", **env: str
+) -> subprocess.CompletedProcess:
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    command = [sys.executable, "-m", "pim", *args]
+    if redirect:  # sh applies it, e.g. "<&-" to start the interpreter with stdin closed
+        command = ["sh", "-c", f'"$0" "$@" {redirect}', *command]
     return subprocess.run(
-        [sys.executable, "-m", "pim", *args],
+        command,
         env={**base, "PYTHONPATH": path, **env},
         stdout=stdout,
         stderr=subprocess.PIPE,
@@ -646,3 +651,46 @@ def test_cli_writing_to_a_full_device(repo_root: Path, unbuffered: str):
                 PYTHONUNBUFFERED=unbuffered,
             )
         assert (proc.returncode, proc.stderr.decode()) == (1, NO_SPACE)
+
+
+STDIN_CLOSED = "error: cannot read <stdin>: standard input is closed\n"
+STDOUT_CLOSED = "error: cannot write output: standard output is closed\n"
+
+
+def test_main_with_stdin_closed(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)
+    for command in ("analyze", "check"):
+        assert main([command, "-"]) == 1
+        assert capsys.readouterr() == ("", STDIN_CLOSED)
+
+
+def test_main_with_stdout_closed(monkeypatch, capsys, repo_root: Path):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli_module._want_color() is False
+    for command in ("analyze", "check"):
+        assert main([command, str(repo_root / "models" / "drag.pim")]) == 1
+        assert capsys.readouterr().err == STDOUT_CLOSED
+
+
+def test_main_with_stderr_closed_keeps_the_exit_code(monkeypatch, capsys, tmp_path: Path):
+    path = tmp_path / "raw.pim"
+    path.write_text(NON_INVARIANT, encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", None)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"bogus\n")))
+    assert main(["analyze", str(tmp_path / "nope.pim")]) == 1
+    assert main(["analyze", "-"]) == 1
+    assert main(["analyze", str(path), "--strict"]) == 2
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("redirect, target, err", [
+    ("<&-", "-", STDIN_CLOSED),
+    (">&-", "drag", STDOUT_CLOSED),
+    ("2>&-", "missing", ""),
+], ids=["stdin", "stdout", "stderr"])
+def test_cli_with_a_closed_standard_stream(
+    repo_root: Path, tmp_path: Path, redirect: str, target: str, err: str
+):
+    path = {"-": "-", "drag": repo_root / "models" / "drag.pim", "missing": tmp_path / "nope"}
+    proc = _cli(["analyze", str(path[target])], redirect=redirect)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"", err)

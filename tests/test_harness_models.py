@@ -136,15 +136,16 @@ def test_overridden_bases_print_true_relations(gen, source: str, variant: str):
 
 def test_analysis_reads_c_off_unit_rows_without_an_elimination(gen, repo_root, monkeypatch):
     # Every canonical kernel basis, and the shipped drag override, has a unit
-    # row per column; only an override without one needs rref([E | J^T]).
+    # row per column; only an override without one needs the elimination
+    # of [E | J^T].
     calls = [0]
-    original = reduce_module.rref
+    original = reduce_module._eliminate
 
-    def counted(matrix):
+    def counted(*args):
         calls[0] += 1
-        return original(matrix)
+        return original(*args)
 
-    monkeypatch.setattr(reduce_module, "rref", counted)
+    monkeypatch.setattr(reduce_module, "_eliminate", counted)
     texts = [(repo_root / "models" / f"{name}.pim").read_text(encoding="utf-8")
              for name in ("drag", "drag_auto", "pendulum")]
     texts += [made.text for made in gen.ladder(1, 1, False)]

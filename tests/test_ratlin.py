@@ -18,7 +18,6 @@ from pim.ratlin import (
     exact_pow,
     nullspace_basis,
     rank,
-    rref,
     rref_with_transform,
     sum_intersection_dims,
 )
@@ -156,7 +155,6 @@ def test_every_result_is_in_lowest_terms():
                 m.vstack(below),
                 m @ right,
                 m @ m.transpose(),
-                rref(m).rref,
                 result.rref,
                 transform,
                 nullspace_basis(m),
@@ -208,7 +206,7 @@ def test_matrix_fields_are_the_lcm_form_in_lowest_terms():
 
 
 def test_rref_single_row():
-    result = rref(RatMatrix.from_rows([[0, 1, -1]]))
+    result = rref_with_transform(RatMatrix.from_rows([[0, 1, -1]]))[0]
     assert result.rref == RatMatrix.from_rows([[0, 1, -1]])
     assert result.pivot_cols == (1,)
     assert result.rank == 1
@@ -216,14 +214,14 @@ def test_rref_single_row():
 
 def test_rref_zero_matrix():
     zero = RatMatrix.zero(2, 2)
-    result = rref(zero)
+    result = rref_with_transform(zero)[0]
     assert result.rref == zero
     assert result.pivot_cols == ()
     assert result.rank == 0
 
 
 def test_rref_drag_matrix():
-    result = rref(DRAG_A)
+    result = rref_with_transform(DRAG_A)[0]
     assert result.rref == DRAG_RREF
     assert result.pivot_cols == (0, 1, 2)
 
@@ -246,9 +244,9 @@ def test_rref_structure_and_idempotence_random():
     rng = random.Random(1101)
     for _ in range(150):
         m = random_int_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
-        result = rref(m)
+        result = rref_with_transform(m)[0]
         _assert_is_rref(result.rref, result.pivot_cols)
-        again = rref(result.rref)
+        again = rref_with_transform(result.rref)[0]
         assert again.rref == result.rref
         assert again.pivot_cols == result.pivot_cols
         # row equivalence: stacking changes nothing about the row space
@@ -261,19 +259,19 @@ def test_rref_transform_reproduces_reduction():
         m = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         result, transform = rref_with_transform(m)
         assert transform @ m == result.rref
-        assert result == rref(m)
+        reduced, pivots, _ = textbook_rref(m.to_rows(), m.cols)
+        assert result.rref.to_rows() == reduced
+        assert result.pivot_cols == tuple(pivots)
 
 
 def test_kernel_matches_textbook_oracle():
     for rows, cols in _oracle_cases(1109):
         matrix = RatMatrix.from_rows(rows, cols=cols)
         reduced, pivots, transform = textbook_rref(rows, cols)
-        result = rref(matrix)
+        result, t = rref_with_transform(matrix)
         assert result.rref.to_rows() == reduced
         assert result.pivot_cols == tuple(pivots)
         assert rank(matrix) == len(pivots)
-        with_t, t = rref_with_transform(matrix)
-        assert with_t == result
         assert t.to_rows() == transform
         assert t @ matrix == result.rref
         basis = nullspace_basis(matrix)
@@ -290,7 +288,7 @@ def test_kernel_matches_sympy_over_rationals():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
         )
         reduced, pivots = exact.rref()
-        result = rref(matrix)
+        result = rref_with_transform(matrix)[0]
         assert result.pivot_cols == tuple(pivots)
         assert rank(matrix) == len(pivots)
         assert result.rref.to_rows() == [
@@ -341,10 +339,10 @@ def _int_matrices(seed: int):
 
 
 def test_rank_matches_rref_and_textbook_oracle():
-    # rank stops at echelon form; rref runs the full elimination
+    # rank stops at echelon form; rref_with_transform runs the full elimination
     for m in _int_matrices(1112):
         expected = len(textbook_rref(m.to_rows(), m.cols)[1])
-        assert rank(m) == rref(m).rank == expected, (m.rows, m.cols)
+        assert rank(m) == rref_with_transform(m)[0].rank == expected, (m.rows, m.cols)
 
 
 def test_echelon_and_full_elimination_share_pivots():

@@ -24,7 +24,7 @@ from pim.ratlin import (
     ShapeError,
     nullspace_basis,
     rank,
-    rref,
+    rref_with_transform,
     sum_intersection_dims,
 )
 from pim.reduce import (
@@ -277,12 +277,13 @@ def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch)
     # Both give the solve of the textbook elimination, and both refuse a row
     # of A, which lies outside the kernel.
     calls = [0]
+    original = reduce_module._eliminate
 
-    def counted(matrix):
+    def counted(*args):
         calls[0] += 1
-        return rref(matrix)
+        return original(*args)
 
-    monkeypatch.setattr(reduce_module, "rref", counted)
+    monkeypatch.setattr(reduce_module, "_eliminate", counted)
     rng = random.Random(8128)
     seen = {0: 0, 1: 0}
     for _ in range(80):
@@ -316,12 +317,14 @@ def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch)
 
 
 def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
-    # The unit-row solve checks C E^T == J only off the unit rows; it must
-    # still refuse J exactly when J @ A^T != 0, for the canonical E and for
-    # E with its columns permuted and rescaled, and whichever entry of an
-    # invariant J is changed, at a unit row or not.
-    rng = random.Random(2113)
-    seen = {True: 0, False: 0}
+    # The unit-row solve checks C E^T == J only off the unit rows, the
+    # [E | J^T] solve at every row; each must still refuse J exactly when
+    # J @ A^T != 0, for the canonical E, for E with its columns permuted and
+    # rescaled, and for E @ U with no unit row, and whichever entry of an
+    # invariant J is changed, at a unit row or not. The dense bases draw
+    # from their own generator, so the unit-row cases stay as they were.
+    rng, dense = random.Random(2113), random.Random(2114)
+    seen = {(path, invariant): 0 for path in ("unit", "dense") for invariant in (True, False)}
     for _ in range(150):
         m = rng.randint(1, 4)
         a = random_int_matrix(rng, m, rng.randint(m + 1, 8), -2, 2)
@@ -330,21 +333,28 @@ def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
         order = rng.sample(range(d), d)
         scales = [rng.choice((-2, -1, Fraction(1, 3), 1, 3)) for _ in range(d)]
         shuffled = RatMatrix.from_columns([[x * scales[k] for x in e.column(k)] for k in order])
-        for basis in (e, shuffled):
-            j = random_invariant_jacobian(rng, basis, rng.randint(1, 3))
-            if rng.random() < 0.7:
+        bases = [(e, rng, "unit"), (shuffled, rng, "unit")]
+        for _ in range(10 if d >= 2 else 0):
+            mixed = e @ random_unimodular(dense, d)
+            if not any(sum(map(bool, row)) == 1 for row in mixed.nums):
+                bases.append((mixed, dense, "dense"))
+                break
+        for basis, draw, path in bases:
+            j = random_invariant_jacobian(draw, basis, draw.randint(1, 3))
+            if draw.random() < 0.7:
                 rows = j.to_rows()
-                step = rng.choice((-1, 1, Fraction(1, 2)))
-                rows[rng.randrange(j.rows)][rng.randrange(j.cols)] += step
+                step = draw.choice((-1, 1, Fraction(1, 2)))
+                rows[draw.randrange(j.rows)][draw.randrange(j.cols)] += step
                 j = RatMatrix.from_rows(rows, cols=j.cols)
             invariant = check_scale_invariance(a, j)
-            seen[invariant] += 1
+            seen[path, invariant] += 1
             if invariant:
                 assert redundancy_matrix(j, basis) @ basis.transpose() == j
             else:
                 with pytest.raises(ScaleInvarianceError):
                     redundancy_matrix(j, basis)
-    assert min(seen.values()) >= 50
+    assert min(seen["unit", True], seen["unit", False]) >= 50
+    assert min(seen["dense", True], seen["dense", False]) >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +525,7 @@ def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
         return wrapper
 
     def recorded(original):
-        # only the outermost call counts: rank(M) runs rref(M) inside
+        # only the outermost call counts
         def wrapper(matrix):
             if depth[0] == 0:
                 handed.append(matrix)
@@ -529,7 +539,7 @@ def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(reduce_module, name, counted(name))
-    for name in ("rank", "rref", "rref_with_transform"):
+    for name in ("rank", "rref_with_transform"):
         wrapper = recorded(getattr(ratlin_module, name))
         for module in (ratlin_module, model_module, reduce_module):
             if hasattr(module, name):
@@ -653,7 +663,7 @@ def test_selection_correctness_random():
         selected = report.selected
         relations = [r.coeffs for r in report.relations]
         assert len(selected) == e.cols - rank(c)
-        result = rref(c)
+        result = rref_with_transform(c)[0]
         if result.rank:
             pivot_block = RatMatrix.from_columns(
                 [result.rref.column(col) for col in result.pivot_cols]
