@@ -1,0 +1,54 @@
+"""The JSON report writer. It is its own module so that only rendering a
+JSON report imports it, and json with it: ``pim.modelfile`` imports it
+inside ``render_report``, and the recursion below reads the encoder as a
+module global, with no per-call check.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii
+
+
+def json_text(value: object, pad: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte, for
+    the payload's types: dict with str keys, list, str, int, bool and None.
+    pad is the indent of the line that value starts on.
+
+    With an indent, json.dumps runs the pure-Python encoder; this writer
+    calls the same C string encoder, and writes a list of only strings
+    (every matrix row) or only ints in one join, quoting the strings itself
+    when none of them needs an escape.
+    """
+    if not isinstance(value, list):  # most values are lists: every matrix row is one
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join(
+            f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    types = set(map(type, value))
+    if types == {str}:
+        joined = "".join(value)
+        # the encoder escapes character by character, so no item needs it
+        if encode_basestring_ascii(joined)[1:-1] == joined:
+            body = '"' + ('"' + sep + '"').join(value) + '"'
+        else:
+            body = sep.join(map(encode_basestring_ascii, value))
+    elif types == {int}:  # not bool, which writes true and false
+        body = sep.join(map(int.__repr__, value))
+    else:
+        body = sep.join([json_text(x, inner) for x in value])
+    return f"[\n{inner}{body}\n{pad}]"

@@ -1,9 +1,16 @@
 """Command-line front end: parse a model file, analyze it, render a report.
 
+``main`` reads its command line with ``getopt`` (``pim --help`` and
+``pim analyze --help`` list the options) and loads only what the command
+runs: ``json`` for a JSON report only, and no codec module to strip a
+leading byte order mark. A help text, a usage error, a report and its
+diagnostics all leave through main's one writer, so a closed or full
+standard output ends ``--help`` as it ends a report.
+
 Exit codes:
-    0  success
-    1  usage error, unreadable input, unwritable output, parse error, or
-       model validation error
+    0  success, or --help
+    1  usage error, unreadable input, unwritable output (a help included),
+       parse error, or model validation error
     2  constraints not scale-invariant and --strict was given
     3  internal invariant violation or any other unexpected error (always a
        bug, never a modeling error), on one line
@@ -12,7 +19,7 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
 import sys
 
@@ -82,27 +89,83 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
         return 3, "", f"internal error: {type(exc).__name__}: {message}\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pim",
-        description="Dimensional analysis with monomial constraints, "
-        "in exact rational arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    analyze_p = sub.add_parser("analyze", help="full analysis report")
-    analyze_p.add_argument("input", help="model file, or '-' for standard input")
-    analyze_p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    analyze_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail (exit 2) when constraints are not scale-invariant",
-    )
-    check_p = sub.add_parser("check", help="validate a model file only")
-    check_p.add_argument("input", help="model file, or '-' for standard input")
-    check_p.set_defaults(format="text", strict=False)
-    return parser
+# command -> its --help; the first line is its usage line
+_HELP = {
+    "": """usage: pim [-h] {analyze,check} ...
+
+Dimensional analysis with monomial constraints, in exact rational arithmetic.
+
+positional arguments:
+  {analyze,check}
+    analyze        full analysis report
+    check          validate a model file only
+
+options:
+  -h, --help       show this help message and exit
+""",
+    "analyze": """usage: pim analyze [-h] [--format {text,json}] [--strict] input
+
+positional arguments:
+  input                 model file, or '-' for standard input
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format
+  --strict              fail (exit 2) when constraints are not scale-invariant
+""",
+    "check": """usage: pim check [-h] input
+
+positional arguments:
+  input       model file, or '-' for standard input
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+def _parse_args(argv: list[str]) -> CliConfig | tuple[int, str, str]:
+    """The command that argv names, or (exit_code, output, diagnostics) for
+    --help (exit 0, the help as output) and for a usage error (exit 1, since
+    exit 2 belongs to --strict's verdict).
+
+    pim's own options end at the command's name; the command's options may
+    come before or after its input, and "--" ends them.
+    """
+    command, fmt, strict = "", "text", False
+    try:
+        opts, args = getopt.getopt(argv, "h", ["help"])
+        if args and not opts:
+            if args[0] not in ("analyze", "check"):
+                raise getopt.GetoptError(
+                    f"argument command: invalid choice: {args[0]!r} "
+                    "(choose from 'analyze', 'check')"
+                )
+            command = args[0]
+            longopts = ["help", "format=", "strict"] if command == "analyze" else ["help"]
+            opts, args = getopt.gnu_getopt(args[1:], "h", longopts)
+        for opt, value in opts:
+            if opt in ("-h", "--help"):
+                return 0, _HELP[command], ""
+            if opt == "--strict":
+                strict = True
+            elif value in ("text", "json"):
+                fmt = value
+            else:
+                raise getopt.GetoptError(
+                    f"argument --format: invalid choice: {value!r} (choose from 'text', 'json')"
+                )
+        if not command:
+            raise getopt.GetoptError("the following arguments are required: command")
+        if not args:
+            raise getopt.GetoptError("the following arguments are required: input")
+        if len(args) > 1:
+            raise getopt.GetoptError(f"unrecognized arguments: {' '.join(args[1:])}")
+    except getopt.GetoptError as exc:
+        usage = _HELP[command].split("\n", 1)[0]
+        prog = f"pim {command}" if command else "pim"
+        return 1, "", f"{usage}\n{prog}: error: {exc.msg}\n"
+    return CliConfig(command, args[0], fmt, strict, fmt == "text" and _want_color())
 
 
 def _want_color() -> bool:
@@ -115,31 +178,25 @@ def main(argv: list[str] | None = None) -> int:
     # is none, and Python 3.10 before 3.10.7 has neither the limit nor its functions.
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < MAX_DIGITS:
         sys.set_int_max_str_digits(MAX_DIGITS)
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, which --strict owns
-        return 0 if exc.code == 0 else 1
-    config = CliConfig(
-        command=args.command,
-        input_path=args.input,
-        format=args.format,
-        strict=args.strict,
-        color=_want_color() and args.format == "text",
-    )
-    try:
-        if config.input_path != "-":
-            with open(config.input_path, "rb") as handle:
-                data = handle.read()
-        elif sys.stdin is None:  # as Python sets it when descriptor 0 is closed
-            raise OSError("standard input is closed")
-        else:
-            data = sys.stdin.buffer.read()
-        text = data.decode("utf-8-sig")  # one decoder for files and stdin
-    except (OSError, UnicodeDecodeError) as exc:
-        code, output = 1, ""
-        diagnostics = f"error: cannot read {_display_path(config.input_path)}: {exc}\n"
+    config = _parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(config, tuple):  # --help or a usage error
+        code, output, diagnostics = config
     else:
-        code, output, diagnostics = run(config, text)
+        try:
+            if config.input_path != "-":
+                with open(config.input_path, "rb") as handle:
+                    data = handle.read()
+            elif sys.stdin is None:  # as Python sets it when descriptor 0 is closed
+                raise OSError("standard input is closed")
+            else:
+                data = sys.stdin.buffer.read()
+            # one decoder for files and stdin; utf-8-sig would load its codec module
+            text = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            code, output = 1, ""
+            diagnostics = f"error: cannot read {_display_path(config.input_path)}: {exc}\n"
+        else:
+            code, output, diagnostics = run(config, text)
     if output and sys.stdout is None:
         code, output = 1, ""
         diagnostics = "error: cannot write output: standard output is closed\n"

@@ -414,12 +414,21 @@ def test_main_file_that_is_not_utf8_cannot_be_read(tmp_path: Path, capsys):
 
 
 def test_main_reads_a_file_with_a_byte_order_mark(tmp_path: Path, capsys, drag_text):
+    bom, drag = b"\xef\xbb\xbf", drag_text.encode("utf-8")
     path = tmp_path / "bom.pim"
-    path.write_bytes(b"\xef\xbb\xbf" + drag_text.encode("utf-8"))
+    path.write_bytes(bom + drag)
     assert main(["analyze", str(path)]) == 0
     captured = capsys.readouterr()
     assert "d_eff = 2" in captured.out
     assert captured.err == ""
+    # main strips one BOM itself; each of these reads as the utf-8-sig codec reads it
+    for data in (bom + b"dimensions: M\xe9\n", bom[:2], bom + bom + drag):
+        path.write_bytes(data)
+        try:
+            expected = run(CliConfig("analyze", str(path)), data.decode("utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            expected = (1, "", f"error: cannot read {path}: {exc}\n")
+        assert (main(["analyze", str(path)]), *capsys.readouterr()) == expected
 
 
 def test_main_analyze_deeply_nested_constraint(tmp_path: Path, capsys):
@@ -446,6 +455,10 @@ def test_main_strict_flag(tmp_path: Path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["analyze"], ["bogus", "x"], ["analyze", "models/drag.pim", "--format", "xml"],
+    ["check", "models/drag.pim", "--format", "json"],
+    ["analyze", "models/drag.pim", "models/drag.pim"],
+    ["--format", "json", "analyze", "models/drag.pim"],
+    ["--bogus"],
 ])
 def test_main_usage_error_exit_1(argv: list[str], capsys):
     # exit 2 belongs to --strict's verdict, not to a mistyped command line
@@ -457,7 +470,36 @@ def test_main_usage_error_exit_1(argv: list[str], capsys):
 
 def test_main_help_exit_0(capsys):
     assert main(["--help"]) == 0
-    assert capsys.readouterr().out.startswith("usage: pim")
+    assert capsys.readouterr().out.startswith("usage: pim [-h]")
+    assert main(["analyze", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pim analyze")
+
+
+# Each command line and the plainer one it means; "DRAG" and "RAW" stand for model files.
+DRAG_JSON = ["analyze", "DRAG", "--format", "json"]
+COMMAND_LINE_FORMS = {
+    "equals-sign": (["analyze", "DRAG", "--format=json"], DRAG_JSON),
+    "unique-prefix": (["analyze", "DRAG", "--form", "json"], DRAG_JSON),
+    "option-first": (["analyze", "--format", "json", "DRAG"], DRAG_JSON),
+    "stdin-after-dashes": (["analyze", "--", "-"], ["analyze", "DRAG"]),
+    "repeated-strict": (["analyze", "RAW", "--strict", "--strict"], ["analyze", "RAW", "--strict"]),
+}
+
+
+@pytest.mark.parametrize("form", COMMAND_LINE_FORMS)
+def test_main_accepts_each_command_line_form(
+    monkeypatch, capsys, tmp_path: Path, drag_text, form: str
+):
+    paths = {"DRAG": tmp_path / "drag.pim", "RAW": tmp_path / "raw.pim"}
+    paths["DRAG"].write_text(drag_text, encoding="utf-8")
+    paths["RAW"].write_text(NON_INVARIANT, encoding="utf-8")
+    results = []
+    for argv in COMMAND_LINE_FORMS[form]:
+        stdin = io.TextIOWrapper(io.BytesIO(drag_text.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        results.append((main([str(paths.get(a, a)) for a in argv]), *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if form == "repeated-strict" else 0)
 
 
 def test_want_color_respects_env(monkeypatch):
@@ -558,16 +600,11 @@ def test_run_long_matrix_entry_is_named():
     assert err.startswith("error: matrix A has a number of 4301 digits")
 
 
-def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
-    # dataclasses and inspect took about two thirds of the CLI's import time,
-    # and typing about 2 ms of 28. -S skips site, whose .pth files may load
-    # any of them first.
+def _fresh_interpreter(probe: str) -> str:
+    """What probe prints in a new interpreter that imports pim from this
+    checkout. -S skips site, whose .pth files may load any module first."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, pim.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
@@ -575,7 +612,32 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
         text=True,
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
+    # dataclasses and inspect took about two thirds of the CLI's import time,
+    # and typing about 2 ms of 28.
+    probe = (
+        "import sys, pim.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    assert _fresh_interpreter(probe) == "[]\n"
+
+
+def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_root: Path):
+    # Only a JSON report needs json, and no command needs argparse or the
+    # utf-8-sig codec.
+    probe = (
+        "import io, sys, pim.cli\n"
+        "unwanted = {'argparse', 'json', 'encodings.utf_8_sig'}\n"
+        "after_import = sorted(unwanted & set(sys.modules))\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = pim.cli.main(['analyze', {str(repo_root / 'models' / 'drag.pim')!r}])\n"
+        "sys.stdout = stdout\n"
+        "print(code, after_import, sorted(unwanted & set(sys.modules)))\n"
+    )
+    assert _fresh_interpreter(probe) == "0 [] []\n"
 
 
 def _cli(
@@ -670,6 +732,8 @@ def test_main_with_stdout_closed(monkeypatch, capsys, repo_root: Path):
     for command in ("analyze", "check"):
         assert main([command, str(repo_root / "models" / "drag.pim")]) == 1
         assert capsys.readouterr().err == STDOUT_CLOSED
+    assert main(["--help"]) == 1  # the help is output like a report
+    assert capsys.readouterr().err == STDOUT_CLOSED
 
 
 def test_main_with_stderr_closed_keeps_the_exit_code(monkeypatch, capsys, tmp_path: Path):
@@ -680,17 +744,20 @@ def test_main_with_stderr_closed_keeps_the_exit_code(monkeypatch, capsys, tmp_pa
     assert main(["analyze", str(tmp_path / "nope.pim")]) == 1
     assert main(["analyze", "-"]) == 1
     assert main(["analyze", str(path), "--strict"]) == 2
+    assert main(["bogus", "x"]) == 1
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("redirect, target, err", [
-    ("<&-", "-", STDIN_CLOSED),
-    (">&-", "drag", STDOUT_CLOSED),
-    ("2>&-", "missing", ""),
-], ids=["stdin", "stdout", "stderr"])
+@pytest.mark.parametrize("redirect, args, err", [
+    ("<&-", ["analyze", "-"], STDIN_CLOSED),
+    (">&-", ["analyze", "DRAG"], STDOUT_CLOSED),
+    ("2>&-", ["analyze", "MISSING"], ""),
+    (">&-", ["--help"], STDOUT_CLOSED),
+    ("2>&-", ["bogus", "x"], ""),
+], ids=["stdin", "stdout", "stderr", "stdout-help", "stderr-usage"])
 def test_cli_with_a_closed_standard_stream(
-    repo_root: Path, tmp_path: Path, redirect: str, target: str, err: str
+    repo_root: Path, tmp_path: Path, redirect: str, args: list[str], err: str
 ):
-    path = {"-": "-", "drag": repo_root / "models" / "drag.pim", "missing": tmp_path / "nope"}
-    proc = _cli(["analyze", str(path[target])], redirect=redirect)
+    path = {"DRAG": repo_root / "models" / "drag.pim", "MISSING": tmp_path / "nope"}
+    proc = _cli([str(path.get(a, a)) for a in args], redirect=redirect)
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"", err)

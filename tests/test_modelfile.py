@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pim._jsonwriter import json_text
 from pim.model import DimensionSystem, Model, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
     _constraint_entry,
-    _json,
     _matrix_cells,
     _report_payload,
     parse_dimexpr,
@@ -635,7 +635,7 @@ def test_json_string_list_with_one_item_to_escape(char):
         items = ["1/2", "-3", "pi1 / pi2 = 1"]
         items[at] = f"a{char}b"
         payload = {"row": items, "rows": [items, ["0", "1"]]}
-        assert _json(payload, "") == json.dumps(payload, indent=2)
+        assert json_text(payload, "") == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -643,10 +643,10 @@ def test_json_string_list_with_one_item_to_escape(char):
 )
 def test_json_int_list_keeps_bools_apart(items):
     payload = {"list": items, "nested": [items]}
-    assert _json(payload, "") == json.dumps(payload, indent=2)
+    assert json_text(payload, "") == json.dumps(payload, indent=2)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_payloads)
 def test_json_writer_matches_json_dumps(payload):
-    assert _json(payload, "") == json.dumps(payload, indent=2)
+    assert json_text(payload, "") == json.dumps(payload, indent=2)
