@@ -1,6 +1,6 @@
 """Command-line front end: parse a model file, analyze it, render a report.
 
-``main`` reads its command line with ``getopt`` (``pim --help`` and
+``main`` reads its command line itself (``pim --help`` and
 ``pim analyze --help`` list the options) and loads only what the command
 runs: ``json`` for a JSON report only, and no codec module to strip a
 leading byte order mark. A help text, a usage error, a report and its
@@ -19,7 +19,6 @@ Exit codes:
 
 from __future__ import annotations
 
-import getopt
 import os
 import sys
 
@@ -124,48 +123,78 @@ options:
 }
 
 
+# command -> its long options: the choices of one that takes a value, () for a flag
+_OPTIONS = {"analyze": {"--format": ("text", "json"), "--strict": ()}, "check": {}}
+
+
+def _usage_error(command: str, message: str) -> tuple[int, str, str]:
+    # exit 1, since exit 2 belongs to --strict's verdict
+    usage = _HELP[command].split("\n", 1)[0]
+    return 1, "", f"{usage}\n{f'pim {command}'.rstrip()}: error: {message}\n"
+
+
 def _parse_args(argv: list[str]) -> CliConfig | tuple[int, str, str]:
     """The command that argv names, or (exit_code, output, diagnostics) for
-    --help (exit 0, the help as output) and for a usage error (exit 1, since
-    exit 2 belongs to --strict's verdict).
+    --help (exit 0, the help as output) and for a usage error (exit 1).
 
-    pim's own options end at the command's name; the command's options may
-    come before or after its input, and "--" ends them.
+    -h comes before the command or among its options; a command's options
+    may come before or after its input, "--" ends them, and a long option
+    may be shortened to a unique prefix. An unknown option or a surplus
+    argument is refused only at the end, so -h anywhere still wins. The
+    forms and the error lines are argparse's, which scripts may rely on.
     """
-    command, fmt, strict = "", "text", False
-    try:
-        opts, args = getopt.getopt(argv, "h", ["help"])
-        if args and not opts:
-            if args[0] not in ("analyze", "check"):
-                raise getopt.GetoptError(
-                    f"argument command: invalid choice: {args[0]!r} "
-                    "(choose from 'analyze', 'check')"
-                )
-            command = args[0]
-            longopts = ["help", "format=", "strict"] if command == "analyze" else ["help"]
-            opts, args = getopt.gnu_getopt(args[1:], "h", longopts)
-        for opt, value in opts:
-            if opt in ("-h", "--help"):
-                return 0, _HELP[command], ""
-            if opt == "--strict":
-                strict = True
-            elif value in ("text", "json"):
-                fmt = value
+    command, path, extra, settings = "", None, [], {}
+    rest = iter(argv)
+    dashes = False  # after "--", every argument is an input
+    for arg in rest:
+        if arg == "--" and command:
+            dashes = True
+            continue
+        if dashes or arg in ("-", "--") or not arg.startswith("-"):
+            if command and path is None:
+                path = arg
+            elif command:
+                extra.append(arg)
+            elif arg in _OPTIONS:
+                command = arg
             else:
-                raise getopt.GetoptError(
-                    f"argument --format: invalid choice: {value!r} (choose from 'text', 'json')"
-                )
-        if not command:
-            raise getopt.GetoptError("the following arguments are required: command")
-        if not args:
-            raise getopt.GetoptError("the following arguments are required: input")
-        if len(args) > 1:
-            raise getopt.GetoptError(f"unrecognized arguments: {' '.join(args[1:])}")
-    except getopt.GetoptError as exc:
-        usage = _HELP[command].split("\n", 1)[0]
-        prog = f"pim {command}" if command else "pim"
-        return 1, "", f"{usage}\n{prog}: error: {exc.msg}\n"
-    return CliConfig(command, args[0], fmt, strict, fmt == "text" and _want_color())
+                choices = ", ".join(map(repr, _OPTIONS))
+                return _usage_error("", f"argument command: invalid choice: {arg!r} "
+                                        f"(choose from {choices})")
+            continue
+        name, has_value, value = arg.partition("=")
+        options = {"--help": (), **_OPTIONS.get(command, {})}
+        found = [o for o in options if len(name) > 2 and o.startswith(name)]
+        if arg == "-h" or found == ["--help"] and not has_value:
+            return 0, _HELP[command], ""
+        if len(found) != 1:  # unknown; no two of pim's options share a prefix
+            extra.append(arg)
+            continue
+        option, choices = found[0], options[found[0]]
+        if not choices:
+            if has_value:
+                shown = "-h/--help" if option == "--help" else option
+                return _usage_error(command, f"argument {shown}: ignored explicit "
+                                             f"argument {value!r}")
+            settings[option] = True
+            continue
+        if not has_value:
+            value = next(rest, None)
+            if value is None or value.startswith("-") and value != "-":
+                return _usage_error(command, f"argument {option}: expected one argument")
+        if value not in choices:
+            return _usage_error(command, f"argument {option}: invalid choice: {value!r} "
+                                         f"(choose from {', '.join(map(repr, choices))})")
+        settings[option] = value
+    if not command:
+        return _usage_error("", "the following arguments are required: command")
+    if path is None:
+        return _usage_error(command, "the following arguments are required: input")
+    if extra:
+        return _usage_error("", f"unrecognized arguments: {' '.join(extra)}")
+    fmt = settings.get("--format", "text")
+    return CliConfig(command, path, fmt, settings.get("--strict", False),
+                     fmt == "text" and _want_color())
 
 
 def _want_color() -> bool:

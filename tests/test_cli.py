@@ -473,6 +473,25 @@ def test_main_help_exit_0(capsys):
     assert capsys.readouterr().out.startswith("usage: pim [-h]")
     assert main(["analyze", "-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: pim analyze")
+    # an unknown option is refused only at the end, so -h after it still wins
+    assert main(["analyze", "--bogus", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pim analyze")
+
+
+def test_help_names_each_option_the_parser_reads():
+    # the help texts are written out; the parser reads cli._OPTIONS
+    assert cli_module._HELP[""].startswith(
+        "usage: pim [-h] {" + ",".join(cli_module._OPTIONS) + "} ...\n"
+    )
+    for command, options in cli_module._OPTIONS.items():
+        shown = "".join(
+            f" [{name} {{{','.join(choices)}}}]" if choices else f" [{name}]"
+            for name, choices in options.items()
+        )
+        help_text = cli_module._HELP[command]
+        assert help_text.startswith(f"usage: pim {command} [-h]{shown} input\n")
+        listed = re.findall(r"^  (--\w+)", help_text, re.MULTILINE)
+        assert listed == list(options)
 
 
 # Each command line and the plainer one it means; "DRAG" and "RAW" stand for model files.
@@ -500,6 +519,17 @@ def test_main_accepts_each_command_line_form(
         results.append((main([str(paths.get(a, a)) for a in argv]), *capsys.readouterr()))
     assert results[0] == results[1]
     assert results[0][0] == (2 if form == "repeated-strict" else 0)
+
+
+def test_main_reads_options_after_the_input_whatever_the_environment(
+    monkeypatch, capsys, repo_root: Path
+):
+    # GNU getopt stops at the first input when POSIXLY_CORRECT is set; pim does not
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert main(["analyze", str(repo_root / "models" / "drag.pim"), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (repo_root / "tests" / "golden" / "drag_report.json").read_text()
+    assert captured.err == ""
 
 
 def test_want_color_respects_env(monkeypatch):
