@@ -147,7 +147,7 @@ def _parse_args(argv: list[str]) -> CliConfig | tuple[int, str, str]:
     rest = iter(argv)
     dashes = False  # after "--", every argument is an input
     for arg in rest:
-        if arg == "--" and command:
+        if arg == "--" and command and not dashes:
             dashes = True
             continue
         if dashes or arg in ("-", "--") or not arg.startswith("-"):

@@ -458,7 +458,7 @@ def test_main_strict_flag(tmp_path: Path, capsys):
     ["check", "models/drag.pim", "--format", "json"],
     ["analyze", "models/drag.pim", "models/drag.pim"],
     ["--format", "json", "analyze", "models/drag.pim"],
-    ["--bogus"],
+    ["--bogus"], ["analyze", "--", "models/drag.pim", "--"],
 ])
 def test_main_usage_error_exit_1(argv: list[str], capsys):
     # exit 2 belongs to --strict's verdict, not to a mistyped command line
