@@ -17,9 +17,13 @@ def json_text(value: object, pad: str) -> str:
     With an indent, json.dumps runs the pure-Python encoder; this writer
     calls the same C string encoder, and writes a list of only strings
     (every matrix row) or only ints in one join, quoting the strings itself
-    when none of them needs an escape.
+    when none of them needs an escape. It dispatches on the exact type, so
+    a str or int dict value is written in place, without a call. A list or
+    dict must be exactly that type; a subclass of str or int is written as
+    json.dumps writes it, by the checks at the end.
     """
-    if not isinstance(value, list):  # most values are lists: every matrix row is one
+    kind = type(value)
+    if kind is not list and kind is not dict:
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         if value is None:
@@ -28,17 +32,22 @@ def json_text(value: object, pad: str) -> str:
             return "true"
         if value is False:
             return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
+        return int.__repr__(value)
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        return "[]" if kind is list else "{}"
     inner = pad + "  "
     sep = ",\n" + inner
-    if isinstance(value, dict):
-        body = sep.join(
-            f"{encode_basestring_ascii(k)}: {json_text(v, inner)}" for k, v in value.items()
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is dict:
+        items = []
+        for k, v in value.items():
+            if type(v) is str:
+                text = encode_basestring_ascii(v)
+            elif type(v) is int:
+                text = int.__repr__(v)
+            else:
+                text = json_text(v, inner)
+            items.append(f"{encode_basestring_ascii(k)}: {text}")
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     types = set(map(type, value))
     if types == {str}:
         joined = "".join(value)

@@ -11,10 +11,13 @@ File format (line oriented, ``#`` starts a comment anywhere):
 
 Rationals are written ``p`` or ``p/q`` in ASCII digits with an optional
 leading minus. One regex match reads a term ``NAME^p`` (the longest name,
-then the longest rational after a ``^``) or a row of whole numbers; what
-does not match is read token by token, to say why. Parsing collects as
-many errors as it can; every error carries a source span pointing inside
-the offending token.
+then the longest rational after a ``^``) or a row of whole numbers. One
+findall reads a whole dimension expression, or a whole monomial without
+parentheses, when every term in it is a known name with no exponent or a
+whole one of at most MAX_DIGITS characters. What does not match is read
+term by term and token by token, to say why: those readers make every
+diagnostic. Parsing collects as many errors as it can; every error
+carries a source span pointing inside the offending token.
 
 Reports render as human-readable text or as JSON in which every matrix
 entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
@@ -43,6 +46,9 @@ _TERM = rf"({_IDENT_RE.pattern})(?:\^(-?[0-9]+(/[0-9]+)?))?"
 _TERM_RE = re.compile(r"\s*" + _TERM)
 # A whitespace-separated word: a whole term (the name group set), or any other.
 _WORD_RE = re.compile(_TERM + r"(?!\S)|\S+")
+# An operator, a term and the space after it; or any other character (no
+# group set), so that consecutive matches cover the whole text.
+_FACTOR_RE = re.compile(rf"\s*([*/])\s*{_TERM}\s*|(?s:.)")
 # Comma-separated ASCII integers of at most MAX_DIGITS digits each.
 _INT = rf"[ \t]*-?[0-9]{{1,{MAX_DIGITS}}}[ \t]*"
 _INTEGERS_RE = re.compile(f"{_INT}(?:,{_INT})*")
@@ -163,7 +169,22 @@ def _dimexpr(
     errors: _Errors, text: str, pos: int, dim_index: dict[str, int]
 ) -> list[int | Fraction] | None:
     """Whitespace-separated IDENT[^rational] terms of `text[pos:]`; repeated
-    names sum."""
+    names sum. One findall reads an expression of known names with short
+    whole exponents; any other is read by _dimexpr_terms."""
+    exps: list[int | Fraction] = [0] * len(dim_index)
+    words = _WORD_RE.findall(text, pos)
+    for name, exp, fraction in words:
+        # a word that is not a whole term has the name '', which no dimension has
+        if name not in dim_index or fraction or len(exp) > MAX_DIGITS:
+            return _dimexpr_terms(errors, text, pos, dim_index)
+        exps[dim_index[name]] += int(exp) if exp else 1
+    return exps if words else _dimexpr_terms(errors, text, pos, dim_index)
+
+
+def _dimexpr_terms(
+    errors: _Errors, text: str, pos: int, dim_index: dict[str, int]
+) -> list[int | Fraction] | None:
+    """What _dimexpr reads, word by word, reporting each error."""
     words = list(_WORD_RE.finditer(text, pos))
     if not words:
         errors.add(pos, 1, ErrorCode.SYNTAX, "expected a dimension expression")
@@ -206,9 +227,26 @@ def _monomial(
     errors: _Errors, text: str, pos: int, end: int, name_index: dict[str, int]
 ) -> list[int | Fraction] | None:
     """`factor (('*'|'/') factor)*` in `text[pos:end]`, where a factor is
-    IDENT[^rational] or a parenthesized monomial. Read left to right:
-    `signs` holds the sign of each open parenthesis, and `sign` that of the
-    next factor, so nesting depth costs no stack frames."""
+    IDENT[^rational] or a parenthesized monomial. One findall reads a
+    monomial of known names with short whole exponents and no parentheses;
+    any other is read by _monomial_terms."""
+    exps: list[int | Fraction] = [0] * len(name_index)
+    # With a '*' before it, every factor follows an operator. A character
+    # that no factor reads has the name '', which no quantity has.
+    for op, name, exp, fraction in _FACTOR_RE.findall("*" + text[pos:end]):
+        if name not in name_index or fraction or len(exp) > MAX_DIGITS:
+            return _monomial_terms(errors, text, pos, end, name_index)
+        value = int(exp) if exp else 1
+        exps[name_index[name]] += value if op == "*" else -value
+    return exps
+
+
+def _monomial_terms(
+    errors: _Errors, text: str, pos: int, end: int, name_index: dict[str, int]
+) -> list[int | Fraction] | None:
+    """What _monomial reads, term by term, reporting each error. Read left
+    to right: `signs` holds the sign of each open parenthesis, and `sign`
+    that of the next factor, so nesting depth costs no stack frames."""
     exps: list[int | Fraction] = [0] * len(name_index)
     before = len(errors)
     signs = [1]
@@ -520,17 +558,17 @@ def _render_constraint_monomial(names: Sequence[str], exps: Sequence[str]) -> st
     return out
 
 
-def _constraint_entry(names: Sequence[str], c: Constraint) -> dict:
+def _constraint_entry(names: Sequence[str], c: Constraint, vector: list[str]) -> dict:
     """The schema-v1 entry of a constraint: its kind, its one-line label,
-    then its exponents and constant or its entries. Each number is
-    formatted once, and the label is built from those strings."""
+    then its exponents and constant or its entries. `vector` is c.vector
+    as str(Fraction) prints it; the constant is formatted here, once, and
+    the label is built from those strings."""
     if c.kind == "monomial":
-        exponents, constant = [str(x) for x in c.exponents], str(c.constant)
-        label = f"{_render_constraint_monomial(names, exponents)} = {constant}"
-        return {"kind": c.kind, "label": label, "exponents": exponents, "constant": constant}
-    entries = [str(x) for x in c.entries]
-    label = f"jacobian row [{', '.join(entries)}] (pointwise)"
-    return {"kind": c.kind, "label": label, "entries": entries}
+        constant = str(c.constant)
+        label = f"{_render_constraint_monomial(names, vector)} = {constant}"
+        return {"kind": c.kind, "label": label, "exponents": vector, "constant": constant}
+    label = f"jacobian row [{', '.join(vector)}] (pointwise)"
+    return {"kind": c.kind, "label": label, "entries": vector}
 
 
 def render_model(model: Model) -> str:
@@ -540,7 +578,7 @@ def render_model(model: Model) -> str:
         lines.append(f"quantity {q.name} = {_render_dimexpr(model.dims.names, q.dim_exponents)}")
     names = model.quantity_names
     for c in model.constraints:
-        entry = _constraint_entry(names, c)
+        entry = _constraint_entry(names, c, [str(x) for x in c.vector])
         if c.kind == "monomial":
             lines.append("constraint " + entry["label"])
         else:
@@ -569,18 +607,23 @@ def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
 
 
 def _report_payload(report: AnalysisReport) -> dict:
+    """The schema-v1 payload. Each number of a matrix is formatted once, as
+    a cell: row k of J is constraint k's vector and row i of rref(C) is
+    relation i's coeffs, so those share the cells' strings."""
+    j_cells = _matrix_cells(report.J)
+    rref_cells = None if report.rref_C is None else _matrix_cells(report.rref_C)
     relations = None
     if report.relations is not None:
         relations = [
             {
-                "coeffs": [str(x) for x in r.coeffs],
+                "coeffs": coeffs,
                 "pi_exponents": list(r.pi_exponents),
                 "k_exponents": [str(x) for x in r.k_exponents],
                 "constant": None if r.constant is None else str(r.constant),
                 "pointwise": r.pointwise,
                 "label": r.label,
             }
-            for r in report.relations
+            for r, coeffs in zip(report.relations, rref_cells)
         ]
     return {
         "schema": SCHEMA_VERSION,
@@ -601,12 +644,15 @@ def _report_payload(report: AnalysisReport) -> dict:
         "pi_groups": [
             {"label": g.label, "exponents": list(g.exponents)} for g in report.pi_groups
         ],
-        "constraints": [_constraint_entry(report.quantities, c) for c in report.constraints],
+        "constraints": [
+            _constraint_entry(report.quantities, c, row)
+            for c, row in zip(report.constraints, j_cells)
+        ],
         "A": _matrix_cells(report.A),
-        "J": _matrix_cells(report.J),
+        "J": j_cells,
         "E": _matrix_cells(report.E),
         "C": None if report.C is None else _matrix_cells(report.C),
-        "rref_C": None if report.rref_C is None else _matrix_cells(report.rref_C),
+        "rref_C": rref_cells,
         "selected": None if report.selected is None else list(report.selected),
         "relations": relations,
         "warnings": list(report.warnings),

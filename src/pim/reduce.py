@@ -108,8 +108,11 @@ class EffectiveCounts(Value):
 class Relation(Value):
     """One linear relation among the candidate pi groups.
 
-    ``coeffs`` is a nonzero row of rref(C): sum_k coeffs[k] * dln(pi_k) = 0.
-    On the constraint manifold the primitive-integer form says
+    ``pi_exponents`` is a nonzero row of rref(C) in primitive-integer form:
+    sum_k pi_exponents[k] * dln(pi_k) = 0. ``coeffs``, a property and not a
+    field, is that row of rref(C) itself, read back as Fractions: the
+    exponents divided by their first nonzero one, the row's leading 1. On
+    the constraint manifold the relation says
     prod_k pi_k ** pi_exponents[k] equals prod_k K_k ** k_exponents[k],
     a constant built from the monomial constraint constants. ``constant``
     is that product as a Fraction when every factor K_k ** k_exponents[k]
@@ -124,7 +127,12 @@ class Relation(Value):
     The label then shows the product symbolically.
     """
 
-    __slots__ = ("coeffs", "pi_exponents", "k_exponents", "constant", "pointwise", "label")
+    __slots__ = ("pi_exponents", "k_exponents", "constant", "pointwise", "label")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        lead = next(filter(None, self.pi_exponents))
+        return tuple(Fraction(x, lead) for x in self.pi_exponents)
 
 
 class AnalysisReport(Value):
@@ -281,9 +289,7 @@ def _build_relations(
             right = str(constant)
         else:
             right = _format_constants_monomial(k_exps)
-        relations.append(
-            Relation(rref_c.row(i), pi_exps, k_exps, constant, pointwise, f"{left} = {right}")
-        )
+        relations.append(Relation(pi_exps, k_exps, constant, pointwise, f"{left} = {right}"))
     return tuple(relations)
 
 

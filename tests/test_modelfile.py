@@ -8,13 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pim import modelfile
 from pim._jsonwriter import json_text
-from pim.model import DimensionSystem, Model, Quantity
+from pim.model import MAX_DIGITS, DimensionSystem, Model, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
     _constraint_entry,
+    _dimexpr,
+    _dimexpr_terms,
+    _Errors,
     _matrix_cells,
+    _monomial,
+    _monomial_terms,
     _report_payload,
     parse_dimexpr,
     parse_model,
@@ -402,6 +408,92 @@ def test_parse_monomial_missing_paren():
 
 
 # ---------------------------------------------------------------------------
+# whole-expression reads against the term readers
+
+_NAMES = ("a", "b", "rho", "F_D", "x1")
+# Exponents that the whole-expression read takes: none, or whole with at
+# most MAX_DIGITS characters, leading zeros and -0 included.
+_WHOLE = (
+    "", "", "^2", "^-1", "^0", "^-0", "^007", "^-0003",
+    "^" + "9" * 18, "^-" + "9" * 18, "^" + "9" * 19, "^-" + "1" * 19, "^" + "7" * MAX_DIGITS,
+)
+# Valid exponents that only the term reader takes.
+_OTHER = ("^1/2", "^-3/4", "^10/05", "^-" + "7" * MAX_DIGITS)
+_READERS = {"dimexpr": (_dimexpr, _dimexpr_terms), "monomial": (_monomial, _monomial_terms)}
+_SPACES = (" ", "\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000")
+
+
+def _space(rng: random.Random, least: int) -> str:
+    return "".join(rng.choices(_SPACES, k=rng.randint(least, 2)))
+
+
+def _both_reads(monkeypatch, kind: str, text: str) -> tuple:
+    """(exponents, errors) of the whole-expression read and of the term
+    reader, and whether the whole-expression read called the term reader."""
+    read, terms = _READERS[kind]
+    end = () if kind == "dimexpr" else (len(text),)
+    index = {name: i for i, name in enumerate(_NAMES)}
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(modelfile, terms.__name__, recorded)
+    whole, term = _Errors(), _Errors()
+    got = (read(whole, text, 0, *end, index), list(whole))
+    assert got == (terms(term, text, 0, *end, index), list(term)), repr(text)
+    return got, bool(calls)
+
+
+def test_whole_expression_reads_match_the_term_readers(monkeypatch):
+    rng = random.Random(1979)
+    for _ in range(3000):
+        exps = [rng.choice(_WHOLE + _OTHER) for _ in range(rng.randint(1, 6))]
+        terms = [rng.choice(_NAMES) + exp for exp in exps]  # names repeat
+        dimexpr = _space(rng, 0) + "".join(term + _space(rng, 1) for term in terms)
+        monomial = _space(rng, 0) + terms[0] + "".join(
+            _space(rng, 0) + rng.choice("*/") + _space(rng, 0) + term for term in terms[1:]
+        ) + _space(rng, 0)
+        parens = len(terms) > 1 and rng.random() < 0.2
+        if parens:  # a parenthesized monomial is read by the term reader
+            cut = monomial.index(terms[1], len(terms[0]))
+            monomial = f"{monomial[:cut]}({monomial[cut:]})"
+        whole = all(exp in _WHOLE for exp in exps)
+        for kind, text, plain in (("dimexpr", dimexpr, whole),
+                                  ("monomial", monomial, whole and not parens)):
+            (exponents, errors), fell_back = _both_reads(monkeypatch, kind, text)
+            assert exponents is not None and not errors, repr(text)
+            assert fell_back is not plain, repr(text)
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("dimexpr", "x1 ^2", "expected a dimension name, got '^2'"),
+    ("monomial", "x1 ^2", "unexpected '^2' after monomial"),
+    ("monomial", "a b", "unexpected 'b' after monomial"),
+    ("monomial", "a^1/2b", "unexpected 'b' after monomial"),
+    ("dimexpr", "a zz", "unknown dimension 'zz'"),
+    ("monomial", "a * zz", "unknown quantity 'zz'"),
+    ("dimexpr", "a^" + "7" * (MAX_DIGITS + 1),
+     f"number has {MAX_DIGITS + 1} digits, more than the {MAX_DIGITS} allowed"),
+    ("monomial", "a / b^" + "7" * (MAX_DIGITS + 1),
+     f"number has {MAX_DIGITS + 1} digits, more than the {MAX_DIGITS} allowed"),
+    ("monomial", "a^x", "bad exponent: expected a rational like -2 or 1/2"),
+    ("monomial", "* a", "expected a quantity name, got '*'"),
+    ("monomial", "a /", "expected a quantity name"),
+    ("monomial", "", "expected a quantity name"),
+    ("dimexpr", "\u2028", "expected a dimension expression"),
+    ("dimexpr", "a 1", "'1' must stand alone as a dimension expression"),
+])
+def test_other_expressions_fall_through_to_the_term_readers(
+    monkeypatch, kind: str, text: str, message: str
+):
+    (exponents, errors), fell_back = _both_reads(monkeypatch, kind, text)
+    assert fell_back and exponents is None
+    assert [e.message for e in errors] == [message]
+
+
+# ---------------------------------------------------------------------------
 # model rendering round trip
 
 
@@ -480,7 +572,8 @@ def test_matrix_cells_print_each_entry_as_its_fraction():
 )
 def test_constraint_labels_render_and_reparse(exponents, label):
     constraint = MonomialConstraint(exponents, Fraction(3, 4))
-    assert _constraint_entry(("a", "b", "c"), constraint)["label"] == label
+    strings = [str(x) for x in constraint.exponents]
+    assert _constraint_entry(("a", "b", "c"), constraint, strings)["label"] == label
     model = Model(
         DimensionSystem(("M",)),
         tuple(Quantity(name, (1,)) for name in "abc"),
@@ -558,23 +651,36 @@ def test_render_report_deterministic(drag_text):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_report_formats_each_jacobian_entry_once(monkeypatch, fmt: str):
-    text = (
+def test_report_formats_each_number_once(monkeypatch, fmt: str):
+    """Only the constants and the relations' k_exponents are formatted as
+    Fractions: J, the constraint entries and the relation coeffs are printed
+    from the integer cells of J and rref(C)."""
+    texts = [
         "dimensions: M, L\nquantity a = M\nquantity b = L\nquantity c = M L\n"
-        "jacobian_row: 1, 1/2, -3\njacobian_row: 0, 2, 7/3\n"
-    )
-    report = analyze(parse_model(text))
-    assert not report.scale_invariant
-    calls = [0]
+        "jacobian_row: 1, 1/2, -3\njacobian_row: 0, 2, 7/3\n",
+        "dimensions: M, L\nquantity a = M\nquantity b = M\nquantity c = L\n"
+        "quantity e = L\nquantity f = M L\nconstraint a^1/2 / b^1/2 = 4\n"
+        "constraint c^2/3 / e^2/3 = 3/2\nconstraint a^2 / b^2 = 256\n",
+    ]
+    reports = [analyze(parse_model(text)) for text in texts]
+    assert [r.scale_invariant for r in reports] == [False, True]
+    assert len(reports[1].relations) == 2
+    formatted = []
     original = Fraction.__str__
 
-    def counted(self):
-        calls[0] += 1
+    def recorded(self):
+        formatted.append(self)
         return original(self)
 
-    monkeypatch.setattr(Fraction, "__str__", counted)
-    render_report(report, fmt)
-    assert calls[0] == sum(len(c.entries) for c in report.constraints) == 6
+    monkeypatch.setattr(Fraction, "__str__", recorded)
+    for report in reports:
+        formatted.clear()
+        render_report(report, fmt)
+        expected = [c.constant for c in report.constraints if c.kind == "monomial"]
+        for r in report.relations or ():
+            expected += r.k_exponents
+            expected += [] if r.constant is None else [r.constant]
+        assert sorted(formatted) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

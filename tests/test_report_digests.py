@@ -27,8 +27,9 @@ from pathlib import Path
 import pim.reduce as reduce_module
 from pim.cli import CliConfig, run
 from pim.model import Model
-from pim.modelfile import render_model
+from pim.modelfile import parse_model, render_model
 from pim.ratlin import RatMatrix
+from pim.reduce import analyze
 
 from oracles import (
     model_from_matrices,
@@ -167,6 +168,19 @@ def test_built_models_reach_every_kind_of_relation(monkeypatch):
     assert any(
         "/" in t for r in relations if r["constant"] not in (None, "1") for t in r["k_exponents"]
     )
+
+
+def test_relation_coeffs_are_the_rows_of_rref_c():
+    # coeffs is derived from pi_exponents, not stored: it must still be
+    # row i of rref(C) for relation i of every pinned report
+    checked = 0
+    for text in _all_models().values():
+        report = analyze(parse_model(text))
+        for i, relation in enumerate(report.relations or ()):
+            assert relation.coeffs == report.rref_C.row(i)
+            assert [type(x) for x in relation.coeffs] == [Fraction] * report.d
+            checked += 1
+    assert checked >= 100
 
 
 if __name__ == "__main__":

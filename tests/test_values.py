@@ -69,9 +69,8 @@ CASES = {
     "Relation": (
         Relation,
         lambda: {
-            "coeffs": (Fraction(1), Fraction(-1)), "pi_exponents": (1, -1),
-            "k_exponents": (Fraction(1),), "constant": Fraction(1), "pointwise": False,
-            "label": "pi1 / pi2 = 1",
+            "pi_exponents": (1, -1), "k_exponents": (Fraction(1),), "constant": Fraction(1),
+            "pointwise": False, "label": "pi1 / pi2 = 1",
         },
         {},
     ),
