@@ -446,6 +446,18 @@ def _both_reads(monkeypatch, kind: str, text: str) -> tuple:
     return got, bool(calls)
 
 
+@pytest.mark.parametrize("kind, text, plain, exponents", [
+    ("monomial", "x1^1/b", True, [0, -1, 0, 0, 1]),
+    ("monomial", "x1^1/2", False, [0, 0, 0, 0, Fraction(1, 2)]),
+    ("monomial", "a^-0 / a^007*a", True, [-6, 0, 0, 0, 0]),
+    ("dimexpr", "a\xa0a^-0\x0ba^007\u2028", True, [8, 0, 0, 0, 0]),
+    ("dimexpr", "b^1/2 b", False, [0, Fraction(3, 2), 0, 0, 0]),
+])
+def test_whole_expression_reads_of_some_expressions(monkeypatch, kind, text, plain, exponents):
+    (got, errors), fell_back = _both_reads(monkeypatch, kind, text)
+    assert (got, errors, fell_back) == (exponents, [], not plain)
+
+
 def test_whole_expression_reads_match_the_term_readers(monkeypatch):
     rng = random.Random(1979)
     for _ in range(3000):
