@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
+from .ratlin import _INT_TEXT
+
 
 def json_text(value: object, pad: str) -> str:
     """value as json.dumps(value, indent=2) writes it, byte for byte, for
@@ -18,9 +20,10 @@ def json_text(value: object, pad: str) -> str:
     calls the same C string encoder, and writes a list of only strings
     (every matrix row) or only ints in one join, quoting the strings itself
     when none of them needs an escape. It dispatches on the exact type, so
-    a str or int dict value is written in place, without a call. A list or
-    dict must be exactly that type; a subclass of str or int is written as
-    json.dumps writes it, by the checks at the end.
+    a str or int dict value is written in place, without a call; the ints
+    of an int list or dict value are read from the shared text table. A
+    list or dict must be exactly that type; a subclass of str or int is
+    written as json.dumps writes it, by the checks at the end.
     """
     kind = type(value)
     if kind is not list and kind is not dict:
@@ -43,7 +46,7 @@ def json_text(value: object, pad: str) -> str:
             if type(v) is str:
                 text = encode_basestring_ascii(v)
             elif type(v) is int:
-                text = int.__repr__(v)
+                text = _INT_TEXT[v]
             else:
                 text = json_text(v, inner)
             items.append(f"{encode_basestring_ascii(k)}: {text}")
@@ -57,7 +60,7 @@ def json_text(value: object, pad: str) -> str:
         else:
             body = sep.join(map(encode_basestring_ascii, value))
     elif types == {int}:  # not bool, which writes true and false
-        body = sep.join(map(int.__repr__, value))
+        body = sep.join(map(_INT_TEXT.__getitem__, value))
     else:
         body = sep.join([json_text(x, inner) for x in value])
     return f"[\n{inner}{body}\n{pad}]"

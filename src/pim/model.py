@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 
 from .ratlin import (
+    _INT_TEXT,
     RatMatrix,
     RationalLike,
     Value,
@@ -171,6 +172,14 @@ class PiGroup(Value):
         super().__init__(exponents, label)
 
 
+def _pi_group(exponents: tuple[int, ...], label: str) -> PiGroup:
+    """A PiGroup of exponents already nonzero, primitive and with a positive
+    leading entry, built without checking them again."""
+    group = object.__new__(PiGroup)
+    Value.__init__(group, exponents, label)
+    return group
+
+
 def build_dimension_matrix(model: Model) -> RatMatrix:
     """The m x n matrix whose column j holds quantity j's dimension exponents."""
     columns = [q.dim_exponents for q in model.quantities]
@@ -191,12 +200,11 @@ def format_monomial(
     """
     num: list[str] = []
     den: list[str] = []
-    for name, e in zip(names, exponents):
-        if e == 0:
-            continue
-        mag = abs(e)
-        part = name if mag == 1 else f"{name}^{mag}"
-        (num if e > 0 else den).append(part)
+    for name, e in compress(zip(names, exponents), exponents):
+        if e > 0:
+            num.append(name if e == 1 else f"{name}^{_INT_TEXT[e]}")
+        else:
+            den.append(name if e == -1 else f"{name}^{_INT_TEXT[-e]}")
     sep = " * " if spaced else "*"
     slash = " / " if spaced else "/"
     num_txt = sep.join(num) if num else "1"
@@ -214,7 +222,8 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
     """The kernel basis E of the dimension matrix and its columns as rendered
     pi groups. E is the validated basis override with each column made
     primitive (integer, gcd 1, positive leading entry), or else the canonical
-    RREF free-variable basis, which already is; column k is pi group k."""
+    RREF free-variable basis, which already is; column k is pi group k. So
+    the groups are built without re-running PiGroup's checks."""
     basis = model.basis_override
     if basis is None:
         # canonical columns are already primitive with a positive leading entry
@@ -239,7 +248,9 @@ def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup,
         # full column rank, so no column is zero
         columns = [_primitive(column) for column in _transpose(basis.nums, basis.cols)]
         basis = _matrix(basis.cols, _transpose(columns, basis.rows), 1)
-    for j, exps in enumerate(columns):
-        _check_printable(f"pi group {j + 1}", exps)
+    if max(map(int.bit_length, chain.from_iterable(basis.nums)), default=0) > _SAFE_BITS:
+        # name the first group with a number too long to print
+        for j, exps in enumerate(columns):
+            _check_printable(f"pi group {j + 1}", exps)
     names = model.quantity_names
-    return basis, tuple(PiGroup(exps, format_monomial(names, exps)) for exps in columns)
+    return basis, tuple(_pi_group(exps, format_monomial(names, exps)) for exps in columns)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 
 from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
-from .ratlin import RatMatrix, Value
+from .ratlin import _INT_TEXT, RatMatrix, Value
 from .reduce import (
     AnalysisReport,
     Constraint,
@@ -598,12 +598,16 @@ def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
     """Each entry as text, row by row, as str(Fraction(x, den)) prints it.
     den > 0 and gcd(0, den) == den, so a zero prints as 0."""
     den = matrix.den
+    if den == 1:
+        return [list(map(_INT_TEXT.__getitem__, row)) for row in matrix.nums]
 
     def cell(x: int) -> str:
         g = gcd(x, den)
-        return str(x // g) if g == den else f"{x // g}/{den // g}"
+        if g == den:
+            return _INT_TEXT[x // g]
+        return f"{_INT_TEXT[x // g]}/{_INT_TEXT[den // g]}"
 
-    return [list(map(str if den == 1 else cell, row)) for row in matrix.nums]
+    return [list(map(cell, row)) for row in matrix.nums]
 
 
 def _report_payload(report: AnalysisReport) -> dict:

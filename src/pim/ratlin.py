@@ -29,6 +29,22 @@ class ShapeError(ValueError):
 _SHARED = {k: Fraction(k) for k in range(-64, 65)}
 
 
+class _IntText(dict):
+    """str(k) for every integer k, stored over a fixed range only: a miss is
+    formatted afresh and not kept, so the table never grows."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> str:
+        return str(key)
+
+
+# A report prints mostly small integers (matrix cells, exponents), so each of
+# those is formatted once per process. Key it with exact ints only: True
+# hashes and compares as 1, and would read "1".
+_INT_TEXT = _IntText((k, str(k)) for k in range(-64, 65))
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """value as a Fraction, without copying one that already is. An int in
     [-64, 64] maps to a shared instance (a bool or int subclass does not)."""
@@ -354,17 +370,29 @@ def nullspace_basis(matrix: RatMatrix) -> RatMatrix:
     order) and the resulting vector is scaled to a primitive integer vector
     with positive leading entry, so the basis is canonical and has den 1.
     Read off the integer elimination, that vector is det at the free column
-    and minus the free column's entry of each pivot row at its pivot column.
+    and minus the free column's entry of each pivot row at its pivot column,
+    divided by the gcd of those entries. A pivot row is zero left of its
+    pivot column, so the leading entry is minus the first pivot row's
+    nonzero entry, or else det, and the divisor takes its sign. The basis
+    is written row by row: pivot row i gives the row at its pivot column,
+    and the row at the k-th free column is zero but for vector k's scaled
+    det.
     """
     mat, pivots, det = _eliminate(matrix.nums, matrix.cols)
-    columns = []
-    for free in _free_cols(pivots, matrix.cols):
-        vec = [0] * matrix.cols
-        vec[free] = det
-        for row, piv_col in zip(mat, pivots):
-            vec[piv_col] = -row[free]
-        columns.append(_primitive(vec))
-    return _matrix(len(columns), _transpose(columns, matrix.cols), 1)
+    free = _free_cols(pivots, matrix.cols)
+    pivot_rows = mat[: len(pivots)]
+    scales = []
+    for col in free:
+        entries = [row[col] for row in pivot_rows]
+        g = gcd(det, *entries)
+        scales.append(-g if next(filter(None, entries), -det) > 0 else g)
+    rows: list[Sequence[int]] = [()] * matrix.cols
+    for piv_col, row in zip(pivots, pivot_rows):
+        rows[piv_col] = [-row[col] // g for col, g in zip(free, scales)]
+    for k, (col, g) in enumerate(zip(free, scales)):
+        rows[col] = [0] * len(free)
+        rows[col][k] = det // g
+    return _matrix(len(free), rows, 1)
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:

@@ -130,6 +130,8 @@ def _long_exponent_model(a: int, b: int) -> str:
 
 # a*b = 10^4300 + 10^2150 has 4,301 digits, one past CPython's int-to-str limit
 TOO_LONG_TO_PRINT = _long_exponent_model(10**2150, 10**2150 + 1)
+# The same group after a dimensionless w, which is pi group 1.
+TOO_LONG_IN_GROUP_2 = TOO_LONG_TO_PRINT.replace("quantity x", "quantity w = 1\nquantity x")
 
 
 def _check_inputs() -> list:
@@ -598,14 +600,14 @@ def test_run_oversized_literal_is_a_parse_error(source: str, code: str):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_run_number_too_long_to_print_is_a_model_error(fmt: str):
-    code, out, err = run(_analyze(fmt), TOO_LONG_TO_PRINT)
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: pi group 1 has a number of 4301 digits, more than the 4300 that can be printed\n"
-    )
-    assert run(CliConfig(command="check", input_path="big.pim"), TOO_LONG_TO_PRINT) == (
-        code, out, err
-    )
+    for group, text in enumerate((TOO_LONG_TO_PRINT, TOO_LONG_IN_GROUP_2), 1):
+        code, out, err = run(_analyze(fmt), text)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: pi group {group} has a number of 4301 digits, more than the 4300 "
+            "that can be printed\n"
+        )
+        assert run(CliConfig(command="check", input_path="big.pim"), text) == (code, out, err)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

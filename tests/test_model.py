@@ -204,7 +204,40 @@ def test_pi_basis_properties_random():
         assert basis.cols == a.cols - rank(a)
         if basis.cols:
             assert rank(basis) == basis.cols
-        assert len(groups) == basis.cols
+        _assert_groups_are_columns(basis, groups)
+        if not basis.cols:
+            continue
+        # An override: each column scaled by a nonzero rational and, now and
+        # then, plus whole multiples of the columns before it, so that it
+        # keeps full column rank.
+        canonical = [basis.column(k) for k in range(basis.cols)]
+        mixed = rng.random() < 0.5
+        columns = []
+        for k, column in enumerate(canonical):
+            vec = list(column)
+            for j in range(k if mixed else 0):
+                t = rng.randint(-2, 2)
+                vec = [x + t * y for x, y in zip(vec, canonical[j])]
+            factor = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+            columns.append([factor * x for x in vec])
+        override = Model(dims, quantities, basis_override=RatMatrix.from_columns(columns, n))
+        e, override_groups = pi_basis(override, a)
+        assert (a @ e).is_zero()
+        assert rank(e) == e.cols == basis.cols
+        _assert_groups_are_columns(e, override_groups)
+        if not mixed:
+            assert e == basis
+            assert override_groups == groups
+
+
+def _assert_groups_are_columns(basis: RatMatrix, groups: tuple[PiGroup, ...]) -> None:
+    # pi_basis builds its groups unchecked: each one must pass PiGroup's
+    # checks, and group k must be column k of E, which has den 1.
+    assert basis.den == 1
+    assert len(groups) == basis.cols
+    for k, g in enumerate(groups):
+        assert PiGroup(g.exponents, g.label) == g
+        assert g.exponents == tuple(row[k] for row in basis.nums)
 
 
 def test_labels_round_trip():
@@ -231,6 +264,14 @@ def test_format_monomial_spaced():
         format_monomial(["a", "b", "c"], [1, 2, -3], spaced=True) == "a * b^2 / c^3"
     )
     assert format_monomial(["a", "b"], [-1, -2]) == "1/(a*b^2)"
+    # magnitudes at the edge of the shared text table and well past it
+    assert (
+        format_monomial(["a", "b", "c"], [64, -65, 10**20], spaced=True)
+        == "a^64 * c^100000000000000000000 / b^65"
+    )
+    assert format_monomial(["a", "b", "c"], [-64, 65, -(10**20)]) == (
+        "b^65/(a^64*c^100000000000000000000)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -559,9 +559,15 @@ def test_matrix_cells_print_each_entry_as_its_fraction():
     rng = random.Random(1213)
     for _ in range(300):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        den = rng.choice([1, 2, 6, 12, 30, 36, 720, rng.randint(1, 10**12)])
+        # den 1 twice as often, for the whole-number rows
+        den = rng.choice([1, 1, 2, 6, 12, 30, 36, 65, 720, rng.randint(1, 10**12)])
+        # 64 and 65 lie at either side of the shared text table's range
+        edges = [64, -64, 65, -65, 10**40, -(10**40), 65 * den, -64 * den]
         nums = [
-            rng.choice([0, den, -den, rng.randint(-60, 60), rng.randint(-(10**20), 10**20)])
+            rng.choice(
+                [0, den, -den, rng.randint(-60, 60), rng.randint(-(10**20), 10**20),
+                 rng.choice(edges)]
+            )
             for _ in range(rows * cols)
         ]
         matrix = RatMatrix(rows, cols, tuple(Fraction(x, den) for x in nums))
@@ -757,7 +763,15 @@ def test_json_string_list_with_one_item_to_escape(char):
 
 
 @pytest.mark.parametrize(
-    "items", [[1, True, 0, False, None], [1, True, 0, False], [True, False], [3, -2, 10**40]]
+    "items",
+    [
+        [1, True, 0, False, None],
+        [1, True, 0, False],
+        [True, False],
+        [3, -2, 10**40],
+        [64, 65, -64, -65, True],
+        {"t": True, "z": 0, "x": 65, "f": False},
+    ],
 )
 def test_json_int_list_keeps_bools_apart(items):
     payload = {"list": items, "nested": [items]}
