@@ -9,9 +9,10 @@ together with the relations that make the remaining groups redundant.
 
 The package namespace, ``__all__``, holds the documented entry points
 (``parse_model``, ``analyze``, ``render_report``); the model and constraint
-types (``Model``, ``DimensionSystem``, ``Quantity``, ``PiGroup``,
-``Constraint``, ``MonomialConstraint``, ``JacobianRowConstraint``); the
-report types (``AnalysisReport``, ``EffectiveCounts``, ``Relation``);
+types (``Model``, ``DimensionSystem``, ``Quantity``, ``Constraint``,
+``MonomialConstraint``, ``JacobianRowConstraint``); the report types
+(``AnalysisReport``, ``EffectiveCounts``, ``Relation``), which hold
+numbers and verdicts only, while ``render_report`` writes every label;
 ``RatMatrix``, the type of a report's matrices; ``ParseError``,
 ``SourceSpan`` and ``ErrorCode``, which describe one parse error; and the
 error types (``ModelError``, ``ModelFileError``, ``InvariantViolation``,
@@ -23,7 +24,6 @@ from .model import (
     DimensionSystem,
     Model,
     ModelError,
-    PiGroup,
     Quantity,
 )
 from .modelfile import (
@@ -62,7 +62,6 @@ __all__ = [
     "ModelFileError",
     "MonomialConstraint",
     "ParseError",
-    "PiGroup",
     "Quantity",
     "RatMatrix",
     "Relation",

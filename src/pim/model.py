@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from itertools import chain, compress
-from math import gcd
+from itertools import chain
 
 from .ratlin import (
-    _INT_TEXT,
     RatMatrix,
     RationalLike,
     Value,
@@ -35,9 +33,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MAX_DIGITS = 4300
 # 3.321928 < log2(10), so 2 ** _SAFE_BITS < 10 ** MAX_DIGITS: an integer of
 # at most _SAFE_BITS bits always prints. A longer number in a report is
-# compared with 10 ** MAX_DIGITS; a relation constant whose size bound is
-# longer is left symbolic.
+# compared with _TOO_LONG; a relation constant whose size bound is longer
+# is left symbolic.
 _SAFE_BITS = MAX_DIGITS * 3321928 // 10**6
+# The least integer of MAX_DIGITS + 1 digits.
+_TOO_LONG = 10**MAX_DIGITS
 
 
 class ModelError(ValueError):
@@ -50,7 +50,7 @@ def _check_printable(item: str, ints: Sequence[int]) -> None:
     if max(map(int.bit_length, ints), default=0) <= _SAFE_BITS:
         return
     for x in map(abs, ints):
-        if x >= 10**MAX_DIGITS:
+        if x >= _TOO_LONG:
             # 0.3010299 < log10(2), so this starts at most at the count.
             digits = (x.bit_length() - 1) * 3010299 // 10**7 + 1
             while 10**digits <= x:
@@ -155,102 +155,38 @@ class Model(Value):
         return tuple(q.name for q in self.quantities)
 
 
-class PiGroup(Value):
-    """One candidate dimensionless monomial: primitive integer exponents over
-    the quantities, plus a rendered label."""
-
-    __slots__ = ("exponents", "label")
-
-    def __init__(self, exponents: tuple[int, ...], label: str) -> None:
-        if not any(exponents):
-            raise ModelError("pi group exponents must not be all zero")
-        if gcd(*exponents) != 1:
-            raise ModelError("pi group exponents must be primitive (gcd 1)")
-        first = next(filter(None, exponents))
-        if first < 0:
-            raise ModelError("pi group leading exponent must be positive")
-        super().__init__(exponents, label)
-
-
-def _pi_group(exponents: tuple[int, ...], label: str) -> PiGroup:
-    """A PiGroup of exponents already nonzero, primitive and with a positive
-    leading entry, built without checking them again."""
-    group = object.__new__(PiGroup)
-    Value.__init__(group, exponents, label)
-    return group
-
-
 def build_dimension_matrix(model: Model) -> RatMatrix:
     """The m x n matrix whose column j holds quantity j's dimension exponents."""
     columns = [q.dim_exponents for q in model.quantities]
     return _matrix(model.n, *_clear_denominators(_transpose(columns, model.m)))
 
 
-def format_monomial(
-    names: Sequence[str],
-    exponents: Sequence[int],
-    *,
-    spaced: bool = False,
-) -> str:
-    """Render an exponent vector as monomial text, e.g. ``(rho*U*L)/mu``.
-
-    Positive exponents go to the numerator, negative to the denominator,
-    factors in declaration order. With ``spaced=True`` operators get spaces
-    (used for relations among pi groups: ``pi2 / pi3``).
-    """
-    num: list[str] = []
-    den: list[str] = []
-    for name, e in compress(zip(names, exponents), exponents):
-        if e > 0:
-            num.append(name if e == 1 else f"{name}^{_INT_TEXT[e]}")
-        else:
-            den.append(name if e == -1 else f"{name}^{_INT_TEXT[-e]}")
-    sep = " * " if spaced else "*"
-    slash = " / " if spaced else "/"
-    num_txt = sep.join(num) if num else "1"
-    if num and len(num) > 1 and den and not spaced:
-        num_txt = f"({num_txt})"
-    if not den:
-        return num_txt
-    den_txt = sep.join(den)
-    if len(den) > 1:
-        den_txt = f"({den_txt})"
-    return f"{num_txt}{slash}{den_txt}"
-
-
-def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[PiGroup, ...]]:
-    """The kernel basis E of the dimension matrix and its columns as rendered
-    pi groups. E is the validated basis override with each column made
-    primitive (integer, gcd 1, positive leading entry), or else the canonical
-    RREF free-variable basis, which already is; column k is pi group k. So
-    the groups are built without re-running PiGroup's checks."""
+def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[tuple[int, ...], ...]]:
+    """The kernel basis E of the dimension matrix and its columns, the
+    exponent vectors of the pi groups: column k is pi group k. E is the
+    validated basis override with each column made primitive (integer,
+    gcd 1, positive leading entry), or else the canonical RREF free-variable
+    basis, which already is."""
     basis = model.basis_override
     if basis is None:
         # canonical columns are already primitive with a positive leading entry
         basis = nullspace_basis(matrix)
-        columns = _transpose(basis.nums, basis.cols)
-    else:
-        d = matrix.cols - rank(matrix)
-        if basis.cols != d:
+        return basis, _transpose(basis.nums, basis.cols)
+    d = matrix.cols - rank(matrix)
+    if basis.cols != d:
+        raise ModelError(
+            f"basis override has {basis.cols} columns but the kernel "
+            f"has dimension {d}"
+        )
+    product = matrix @ basis
+    for j, column in enumerate(_transpose(product.nums, product.cols)):
+        if any(column):
             raise ModelError(
-                f"basis override has {basis.cols} columns but the kernel "
-                f"has dimension {d}"
+                f"basis override column {j} is not in the kernel of the "
+                f"dimension matrix"
             )
-        product = matrix @ basis
-        for j, column in enumerate(_transpose(product.nums, product.cols)):
-            if any(column):
-                raise ModelError(
-                    f"basis override column {j} is not in the kernel of the "
-                    f"dimension matrix"
-                )
-        if rank(basis) != basis.cols:
-            raise ModelError("basis override is rank-deficient")
-        # full column rank, so no column is zero
-        columns = [_primitive(column) for column in _transpose(basis.nums, basis.cols)]
-        basis = _matrix(basis.cols, _transpose(columns, basis.rows), 1)
-    if max(map(int.bit_length, chain.from_iterable(basis.nums)), default=0) > _SAFE_BITS:
-        # name the first group with a number too long to print
-        for j, exps in enumerate(columns):
-            _check_printable(f"pi group {j + 1}", exps)
-    names = model.quantity_names
-    return basis, tuple(_pi_group(exps, format_monomial(names, exps)) for exps in columns)
+    if rank(basis) != basis.cols:
+        raise ModelError("basis override is rank-deficient")
+    # full column rank, so no column is zero
+    columns = tuple(_primitive(column) for column in _transpose(basis.nums, basis.cols))
+    return _matrix(basis.cols, _transpose(columns, basis.rows), 1), columns

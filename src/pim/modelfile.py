@@ -29,6 +29,7 @@ import re
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from .model import _IDENT_RE, MAX_DIGITS, DimensionSystem, Model, Quantity
@@ -38,6 +39,7 @@ from .reduce import (
     Constraint,
     JacobianRowConstraint,
     MonomialConstraint,
+    Relation,
 )
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
@@ -558,6 +560,55 @@ def _render_constraint_monomial(names: Sequence[str], exps: Sequence[str]) -> st
     return out
 
 
+def format_monomial(
+    names: Sequence[str],
+    exponents: Sequence[int],
+    *,
+    spaced: bool = False,
+) -> str:
+    """Render an integer exponent vector as monomial text, e.g.
+    ``(rho*U*L)/mu``: the label of a pi group, a column of a report's E.
+
+    Positive exponents go to the numerator, negative to the denominator,
+    factors in declaration order. With ``spaced=True`` operators get spaces
+    (used for relations among pi groups: ``pi2 / pi3``).
+    """
+    num: list[str] = []
+    den: list[str] = []
+    for name, e in compress(zip(names, exponents), exponents):
+        if e > 0:
+            num.append(name if e == 1 else f"{name}^{_INT_TEXT[e]}")
+        else:
+            den.append(name if e == -1 else f"{name}^{_INT_TEXT[-e]}")
+    sep = " * " if spaced else "*"
+    slash = " / " if spaced else "/"
+    num_txt = sep.join(num) if num else "1"
+    if num and len(num) > 1 and den and not spaced:
+        num_txt = f"({num_txt})"
+    if not den:
+        return num_txt
+    den_txt = sep.join(den)
+    if len(den) > 1:
+        den_txt = f"({den_txt})"
+    return f"{num_txt}{slash}{den_txt}"
+
+
+def _format_constants_monomial(k_exponents: Sequence[str]) -> str:
+    """prod_k K_k ** k_exponents[k], each exponent as str(Fraction) prints
+    it, e.g. ``K1^(-1/2) * K2``."""
+    parts = []
+    for idx, exp in enumerate(k_exponents, 1):
+        if exp == "0":
+            continue
+        if exp == "1":
+            parts.append(f"K{idx}")
+        elif exp[0] == "-" or "/" in exp:
+            parts.append(f"K{idx}^({exp})")
+        else:
+            parts.append(f"K{idx}^{exp}")
+    return " * ".join(parts) if parts else "1"
+
+
 def _constraint_entry(names: Sequence[str], c: Constraint, vector: list[str]) -> dict:
     """The schema-v1 entry of a constraint: its kind, its one-line label,
     then its exponents and constant or its entries. `vector` is c.vector
@@ -610,23 +661,46 @@ def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
     return [list(map(cell, row)) for row in matrix.nums]
 
 
+def _relation_entry(pi_names: Sequence[str], r: Relation, coeffs: list[str]) -> dict:
+    """The schema-v1 entry of a relation. `coeffs` is its row of rref(C) as
+    cells; its k_exponents and constant are formatted here, once, and the
+    label is built from those strings."""
+    k_exponents = [str(x) for x in r.k_exponents]
+    constant = None if r.constant is None else str(r.constant)
+    if r.pointwise:
+        right = "const (pointwise)"
+    elif constant is not None:
+        right = constant
+    else:
+        right = _format_constants_monomial(k_exponents)
+    return {
+        "coeffs": coeffs,
+        "pi_exponents": list(r.pi_exponents),
+        "k_exponents": k_exponents,
+        "constant": constant,
+        "pointwise": r.pointwise,
+        "label": f"{format_monomial(pi_names, r.pi_exponents, spaced=True)} = {right}",
+    }
+
+
+_NOT_INVARIANT = (
+    "constraints are not scale-invariant (J @ A^T != 0); "
+    "the C-based elimination of redundant pi groups is skipped"
+)
+
+
 def _report_payload(report: AnalysisReport) -> dict:
     """The schema-v1 payload. Each number of a matrix is formatted once, as
     a cell: row k of J is constraint k's vector and row i of rref(C) is
-    relation i's coeffs, so those share the cells' strings."""
+    relation i's coeffs, so those share the cells' strings. Pi group k is
+    column k of E, an integer matrix."""
     j_cells = _matrix_cells(report.J)
     rref_cells = None if report.rref_C is None else _matrix_cells(report.rref_C)
     relations = None
     if report.relations is not None:
+        pi_names = [f"pi{k}" for k in range(1, report.d + 1)]
         relations = [
-            {
-                "coeffs": coeffs,
-                "pi_exponents": list(r.pi_exponents),
-                "k_exponents": [str(x) for x in r.k_exponents],
-                "constant": None if r.constant is None else str(r.constant),
-                "pointwise": r.pointwise,
-                "label": r.label,
-            }
+            _relation_entry(pi_names, r, coeffs)
             for r, coeffs in zip(report.relations, rref_cells)
         ]
     return {
@@ -646,7 +720,8 @@ def _report_payload(report: AnalysisReport) -> dict:
         "dimensions": list(report.dimensions),
         "quantities": list(report.quantities),
         "pi_groups": [
-            {"label": g.label, "exponents": list(g.exponents)} for g in report.pi_groups
+            {"label": format_monomial(report.quantities, column), "exponents": list(column)}
+            for column in zip(*report.E.nums)
         ],
         "constraints": [
             _constraint_entry(report.quantities, c, row)
@@ -659,7 +734,7 @@ def _report_payload(report: AnalysisReport) -> dict:
         "rref_C": rref_cells,
         "selected": None if report.selected is None else list(report.selected),
         "relations": relations,
-        "warnings": list(report.warnings),
+        "warnings": [] if report.scale_invariant else [_NOT_INVARIANT],
     }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .model import (
@@ -23,7 +24,6 @@ from .model import (
     _check_printable,
     _check_printable_matrix,
     build_dimension_matrix,
-    format_monomial,
     pi_basis,
 )
 from .ratlin import (
@@ -124,10 +124,11 @@ class Relation(Value):
     K_k is not 1, exceeds model._SAFE_BITS, the bit length up to which
     every integer prints in at most 4,300 digits. A factor 1 ** t is
     exactly 1 for any t, so it counts neither in the bound nor as a root.
-    The label then shows the product symbolically.
+    The report then shows the product symbolically. The relation's label is
+    written by modelfile.render_report from these fields.
     """
 
-    __slots__ = ("pi_exponents", "k_exponents", "constant", "pointwise", "label")
+    __slots__ = ("pi_exponents", "k_exponents", "constant", "pointwise")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -136,19 +137,20 @@ class Relation(Value):
 
 
 class AnalysisReport(Value):
-    """Everything the analysis produces, ready for rendering.
+    """The numbers and verdicts of an analysis; modelfile.render_report
+    writes its text.
 
     ``n``, ``m``, ``ell`` and ``d`` count quantities, dimensions,
-    constraints and pi groups; ``selected`` holds indices of ``pi_groups``.
-    When the constraints are not scale invariant, C, rref_C, selected, and
-    relations are None: the effective count is still well defined, but the
-    C-based elimination of redundant groups is not.
+    constraints and pi groups. Column k of ``E`` is pi group k, its primitive
+    integer exponents over the quantities, and ``selected`` holds indices of
+    those columns. When the constraints are not scale invariant, C, rref_C,
+    selected, and relations are None: the effective count is still well
+    defined, but the C-based elimination of redundant groups is not.
     """
 
     __slots__ = (
         "dimensions", "quantities", "constraints", "n", "m", "ell", "d", "A", "J", "E",
-        "pi_groups", "scale_invariant", "deff", "C", "rref_C", "selected", "relations",
-        "warnings",
+        "scale_invariant", "deff", "C", "rref_C", "selected", "relations",
     )
 
     @property
@@ -227,22 +229,6 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     return c
 
 
-def _format_constants_monomial(k_exponents: tuple[Fraction, ...]) -> str:
-    parts = []
-    for idx, exp in enumerate(k_exponents):
-        if exp == 0:
-            continue
-        name = f"K{idx + 1}"
-        if exp == 1:
-            parts.append(name)
-        else:
-            txt = str(exp)
-            if exp < 0 or exp.denominator != 1:
-                txt = f"({txt})"
-            parts.append(f"{name}^{txt}")
-    return " * ".join(parts) if parts else "1"
-
-
 def _constant(factors: list[tuple[Fraction, Fraction]]) -> Fraction | None:
     """prod K ** t over the factors (K, t), each K != 1, when that is
     rational and its size bound is at most model._SAFE_BITS; else None.
@@ -267,7 +253,6 @@ def _build_relations(
     constraints: tuple[Constraint, ...], result: RrefResult, transform: RatMatrix
 ) -> tuple[Relation, ...]:
     rref_c = result.rref
-    pi_names = [f"pi{k + 1}" for k in range(rref_c.cols)]
     relations = []
     for i, pivot in enumerate(result.pivot_cols):
         pi_exps = _primitive(rref_c.nums[i])
@@ -282,14 +267,7 @@ def _build_relations(
         if not pointwise:
             # a factor 1 ** t is exactly 1, whatever t
             constant = _constant([(con.constant, t) for con, t in factors if con.constant != 1])
-        left = format_monomial(pi_names, pi_exps, spaced=True)
-        if pointwise:
-            right = "const (pointwise)"
-        elif constant is not None:
-            right = str(constant)
-        else:
-            right = _format_constants_monomial(k_exps)
-        relations.append(Relation(pi_exps, k_exps, constant, pointwise, f"{left} = {right}"))
+        relations.append(Relation(pi_exps, k_exps, constant, pointwise))
     return tuple(relations)
 
 
@@ -307,9 +285,17 @@ def analyze(model: Model) -> AnalysisReport:
     constraints also d - rank C, which must match n - rank A - rank J as
     well. Disagreement, or invariant constraints that do not factor through
     E, is an engine bug.
+
+    A report that would print a number of more than model.MAX_DIGITS digits
+    is refused with ModelError, which names the first such item in this
+    order: the pi groups, the relations, A, J, C, rref(C), the constraints.
     """
     a = build_dimension_matrix(model)
     e, groups = pi_basis(model, a)
+    if max(map(int.bit_length, chain.from_iterable(e.nums)), default=0) > _SAFE_BITS:
+        # name the first group with a number too long to print
+        for k, exps in enumerate(groups):
+            _check_printable(f"pi group {k + 1}", exps)
     j = constraint_jacobian(model)
     invariant = check_scale_invariance(a, j)
     d = e.cols
@@ -317,7 +303,6 @@ def analyze(model: Model) -> AnalysisReport:
     stacked, meet = sum_intersection_dims(a, j)
     general = (d - rank(j @ e), a.cols - stacked, d - rank_j + meet)
     forms = set(general)
-    warnings: list[str] = []
     c = rref_c = None
     via_c: int | None = None
     selected: tuple[int, ...] | None = None
@@ -335,11 +320,6 @@ def analyze(model: Model) -> AnalysisReport:
         rref_c = result.rref
         selected = result.free_cols
         relations = _build_relations(model.constraints, result, transform)
-    else:
-        warnings.append(
-            "constraints are not scale-invariant (J @ A^T != 0); "
-            "the C-based elimination of redundant pi groups is skipped"
-        )
     counts = EffectiveCounts(*general, via_c)
     if len(forms) != 1:
         raise InvariantViolation(
@@ -363,12 +343,10 @@ def analyze(model: Model) -> AnalysisReport:
         A=a,
         J=j,
         E=e,
-        pi_groups=groups,
         scale_invariant=invariant,
         deff=counts,
         C=c,
         rref_C=rref_c,
         selected=selected,
         relations=relations,
-        warnings=tuple(warnings),
     )

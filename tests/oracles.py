@@ -378,18 +378,19 @@ def apply_rescale(
 
 
 def false_relations(model: Model, report) -> list[str]:
-    """The labels of the report's relations that do not hold, read from the
-    model and the pi groups only, never from E, C or rref(C).
+    """The report's relations that do not hold, as ``relation i`` (counted
+    from 1), read from the model and the pi groups, the columns of E, only,
+    never from C or rref(C).
 
     A relation prod_k pi_k ** p_k = prod_i K_i ** t_i holds when its two
     sides have the same exponent vector over the quantities: sum_k p_k times
     pi group k's exponents equals sum_i t_i times constraint i's vector. A
     pointwise relation is checked the same way. When every t_i is an integer
     and the constant is evaluated, it must equal prod_i K_i ** t_i."""
-    groups = [g.exponents for g in report.pi_groups]
+    groups = _transpose(_rows(report.E), report.E.cols)
     vectors = [c.vector for c in model.constraints]
     false = []
-    for relation in report.relations or ():
+    for i, relation in enumerate(report.relations or (), 1):
         p, t = relation.pi_exponents, relation.k_exponents
         left = [sum(p[k] * g[j] for k, g in enumerate(groups)) for j in range(model.n)]
         right = [sum(t[i] * v[j] for i, v in enumerate(vectors)) for j in range(model.n)]
@@ -401,7 +402,7 @@ def false_relations(model: Model, report) -> list[str]:
                     product *= constraint.constant ** x.numerator
             holds = relation.constant == product
         if not holds:
-            false.append(relation.label)
+            false.append(f"relation {i}")
     return false
 
 
@@ -441,8 +442,6 @@ def verify_report(model: Model, report) -> list[str]:
     claim("A E = 0", e_fits and not any(map(any, textbook_product(a, e, n, d))))
     claim("E has full column rank", _rank(e, d) == d)
     claim("d = n - rank A", report.d == d == n - _rank(a, n))
-    groups = [list(g.exponents) for g in report.pi_groups]
-    claim("the pi groups are the columns of E", e_fits and groups == _transpose(e, d))
     invariant = not any(map(any, textbook_product(j, _transpose(a, n), n, m)))
     claim("scale_invariant is J A^T == 0", report.scale_invariant == invariant)
     d_eff = n - _rank(a + j, n)

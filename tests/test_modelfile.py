@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pim import modelfile
 from pim._jsonwriter import json_text
-from pim.model import MAX_DIGITS, DimensionSystem, Model, Quantity
+from pim.model import MAX_DIGITS, DimensionSystem, Model, ModelError, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
@@ -31,6 +31,7 @@ from pim.modelfile import (
 from pim.ratlin import RatMatrix
 from pim.reduce import JacobianRowConstraint, MonomialConstraint, analyze
 
+import test_report_digests
 from oracles import DRAG_CLASSIC_BASIS, drag_model
 
 
@@ -548,7 +549,7 @@ def test_render_model_round_trip_of_a_zero_column_override():
     assert rendered.endswith("\nbasis_override:\n")
     assert parse_model(rendered) == model
     report = analyze(model)
-    assert (report.d, report.d_eff, report.pi_groups) == (0, 0, ())
+    assert (report.d, report.d_eff, _report_payload(report)["pi_groups"]) == (0, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +672,10 @@ def test_render_report_deterministic(drag_text):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_formats_each_number_once(monkeypatch, fmt: str):
     """Only the constants and the relations' k_exponents are formatted as
-    Fractions: J, the constraint entries and the relation coeffs are printed
-    from the integer cells of J and rref(C)."""
+    Fractions, each once, and by render_report alone: analyze formats
+    nothing, J, the constraint entries and the relation coeffs are printed
+    from the integer cells of J and rref(C), and a label reuses the strings
+    of its entry."""
     texts = [
         "dimensions: M, L\nquantity a = M\nquantity b = L\nquantity c = M L\n"
         "jacobian_row: 1, 1/2, -3\njacobian_row: 0, 2, 7/3\n",
@@ -680,9 +683,7 @@ def test_report_formats_each_number_once(monkeypatch, fmt: str):
         "quantity e = L\nquantity f = M L\nconstraint a^1/2 / b^1/2 = 4\n"
         "constraint c^2/3 / e^2/3 = 3/2\nconstraint a^2 / b^2 = 256\n",
     ]
-    reports = [analyze(parse_model(text)) for text in texts]
-    assert [r.scale_invariant for r in reports] == [False, True]
-    assert len(reports[1].relations) == 2
+    models = [parse_model(text) for text in texts]
     formatted = []
     original = Fraction.__str__
 
@@ -691,14 +692,46 @@ def test_report_formats_each_number_once(monkeypatch, fmt: str):
         return original(self)
 
     monkeypatch.setattr(Fraction, "__str__", recorded)
-    for report in reports:
+    reports = []
+    for model in models:
         formatted.clear()
+        report = analyze(model)
+        assert formatted == []
+        reports.append(report)
         render_report(report, fmt)
         expected = [c.constant for c in report.constraints if c.kind == "monomial"]
         for r in report.relations or ():
             expected += r.k_exponents
             expected += [] if r.constant is None else [r.constant]
         assert sorted(formatted) == sorted(expected)
+    assert [r.scale_invariant for r in reports] == [False, True]
+    assert [r.constant for r in reports[1].relations] == [16, None]
+
+
+def test_labels_reparse_to_their_exponents(gen):
+    """Each pi group label reparses over the quantities to its column of E,
+    and the left side of each relation label over pi1..pid to its
+    pi_exponents, on every report of the digest corpus and of one ladder
+    round of each kind."""
+    texts = list(test_report_digests._all_models().values())
+    texts += [made.text for pointwise in (False, True) for made in gen.ladder(1, 1, pointwise)]
+    checked = 0
+    for text in texts:
+        try:
+            report = analyze(parse_model(text))
+        except (ModelFileError, ModelError):
+            continue  # the CLI refuses this model
+        payload = _report_payload(report)
+        assert len(payload["pi_groups"]) == report.d
+        for k, group in enumerate(payload["pi_groups"]):
+            assert parse_monomial(group["label"], report.quantities) == report.E.column(k)
+        pi_names = [f"pi{k}" for k in range(1, report.d + 1)]
+        assert len(payload["relations"] or ()) == len(report.relations or ())
+        for relation, entry in zip(report.relations or (), payload["relations"] or ()):
+            left = entry["label"].split(" = ")[0]
+            assert parse_monomial(left, pi_names) == tuple(map(Fraction, relation.pi_exponents))
+        checked += 1
+    assert checked == 78
 
 
 # ---------------------------------------------------------------------------

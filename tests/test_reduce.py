@@ -14,7 +14,7 @@ from pim.model import (
     Quantity,
     build_dimension_matrix,
 )
-from pim.modelfile import parse_model, render_report
+from pim.modelfile import _report_payload, parse_model, render_report
 import pim.model as model_module
 import pim.ratlin as ratlin_module
 import pim.reduce as reduce_module
@@ -396,6 +396,10 @@ def test_select_independent_two_pivots():
 # analyze end to end
 
 
+def _relation_labels(report) -> list[str]:
+    return [r["label"] for r in _report_payload(report)["relations"]]
+
+
 def test_analyze_drag_classic():
     report = analyze(drag_model())
     assert (report.n, report.m, report.ell, report.d) == (6, 3, 1, 3)
@@ -405,16 +409,16 @@ def test_analyze_drag_classic():
     assert report.rref_C == report.C
     assert report.selected == (0, 2)
     assert len(report.selected) == report.d_eff
-    assert [r.label for r in report.relations] == ["pi2 / pi3 = 1"]
+    assert _relation_labels(report) == ["pi2 / pi3 = 1"]
     assert report.relations[0].constant == 1
-    assert report.warnings == ()
+    assert _report_payload(report)["warnings"] == []
 
 
 def test_analyze_drag_with_a_basis_override_without_unit_rows():
     report = analyze(drag_model(basis=DRAG_MIXED_BASIS))
     assert report.d_eff == 2
     assert report.C == RatMatrix.from_rows([[1, 0, -1]])
-    assert [r.label for r in report.relations] == ["pi1 / pi3 = 1"]
+    assert _relation_labels(report) == ["pi1 / pi3 = 1"]
     assert report.selected == (1, 2)
 
 
@@ -438,7 +442,7 @@ def test_analyze_non_invariant_raw_row():
     assert report.relations is None
     assert report.deff.via_C_rank is None
     assert report.d_eff == 1  # fixing F_D removes one more degree of freedom
-    assert any("not scale-invariant" in w for w in report.warnings)
+    assert any("not scale-invariant" in w for w in _report_payload(report)["warnings"])
 
 
 def test_analyze_pointwise_relation_label():
@@ -450,9 +454,9 @@ def test_analyze_pointwise_relation_label():
     report = analyze(model)
     assert report.scale_invariant is True
     assert report.d_eff == 1
-    pointwise = [r for r in report.relations if r.pointwise]
-    assert pointwise and all(r.constant is None for r in pointwise)
-    assert all(r.label.endswith("const (pointwise)") for r in pointwise)
+    pointwise = [r for r in _report_payload(report)["relations"] if r["pointwise"]]
+    assert pointwise and all(r["constant"] is None for r in pointwise)
+    assert all(r["label"].endswith("const (pointwise)") for r in pointwise)
 
 
 def _power_model(power: int) -> Model:
@@ -472,13 +476,15 @@ def test_relation_constant_past_the_bit_budget_is_symbolic():
     # 3 has bit length 2: the bound for 3^-power is 2 * power bits, at most
     # the bit length up to which every integer prints
     power = model_module._SAFE_BITS // 2
-    under = analyze(_power_model(power)).relations[1]
+    report = analyze(_power_model(power))
+    under = report.relations[1]
     assert under.constant == Fraction(1, 3**power)
-    assert under.label == f"pi2 = {under.constant}"
-    over = analyze(_power_model(power + 1)).relations[1]
+    assert _relation_labels(report)[1] == f"pi2 = {under.constant}"
+    report = analyze(_power_model(power + 1))
+    over = report.relations[1]
     assert over.constant is None
     assert over.k_exponents == (-(power + 1), 1)
-    assert over.label == f"pi2 = K1^(-{power + 1}) * K2"
+    assert _relation_labels(report)[1] == f"pi2 = K1^(-{power + 1}) * K2"
 
 
 def test_symbolic_relation_skips_a_zero_constant_exponent():
@@ -507,7 +513,29 @@ def test_analyze_refuses_a_constraint_constant_too_long_to_print():
     # its relation is symbolic
     for constant, label in ((10**4299, f"pi1 = {10**4299}"), (10**4300 - 1, "pi1 = K1")):
         printable = Model(dims, (Quantity("x", (0,)),), (MonomialConstraint((1,), constant),))
-        assert analyze(printable).relations[0].label == label
+        assert _relation_labels(analyze(printable))[0] == label
+
+
+def test_analyze_names_the_first_item_too_long_to_print():
+    # x = M^a, y = L^b, z = M L: pi group 1 is x^b * y^a / z^(a*b), and a*b
+    # has 4,301 digits. The exponent of w puts a 4,301-digit number in A too.
+    a, b = 10**2150, 10**2150 + 1
+    model = Model(
+        DimensionSystem(("M", "L")),
+        (Quantity("x", (a, 0)), Quantity("y", (0, b)), Quantity("z", (1, 1)),
+         Quantity("w", (10**4300, 0))),
+    )
+    with pytest.raises(ModelError, match="^pi group 1 has a number of 4301 digits"):
+        analyze(model)
+    # a * b^(10^4300) = 1 over dimensionless a and b: the relation, J, C and
+    # rref(C) each hold 10^4300
+    model = Model(
+        DimensionSystem(("M",)),
+        (Quantity("a", (0,)), Quantity("b", (0,))),
+        (MonomialConstraint((1, 10**4300)),),
+    )
+    with pytest.raises(ModelError, match="^relation 1 has a number of 4301 digits"):
+        analyze(model)
 
 
 def test_analyze_builds_c_once_and_never_repeats_an_elimination(monkeypatch):
@@ -721,9 +749,7 @@ def test_constraint_manifold_relations_random():
         model, values = built
         report = analyze(model)
         assert report.scale_invariant is True
-        pi_values = [
-            evaluate_monomial(values, g.exponents) for g in report.pi_groups
-        ]
+        pi_values = [evaluate_monomial(values, g) for g in zip(*report.E.nums)]
         for relation in report.relations:
             lhs = evaluate_monomial(pi_values, relation.pi_exponents)
             if relation.constant is not None:
@@ -755,7 +781,7 @@ def test_drag_manifold_relation():
             mu / rho,  # nu, satisfying the constraint exactly
         )
         report = analyze(model)
-        pi = [evaluate_monomial(values, g.exponents) for g in report.pi_groups]
+        pi = [evaluate_monomial(values, g) for g in zip(*report.E.nums)]
         assert pi[1] / pi[2] == 1
 
 

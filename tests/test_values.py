@@ -18,7 +18,6 @@ from pim import (
     Model,
     MonomialConstraint,
     ParseError,
-    PiGroup,
     Quantity,
     RatMatrix,
     Relation,
@@ -58,7 +57,6 @@ CASES = {
         lambda: {"dims": _dims(), "quantities": (Quantity("x", (0,)),)},
         {"constraints": (), "basis_override": None},
     ),
-    "PiGroup": (PiGroup, lambda: {"exponents": (1, -1), "label": "x/y"}, {}),
     "MonomialConstraint": (MonomialConstraint, lambda: {"exponents": (1, -1)}, {"constant": 1}),
     "JacobianRowConstraint": (JacobianRowConstraint, lambda: {"entries": (1, 2)}, {}),
     "EffectiveCounts": (
@@ -70,7 +68,7 @@ CASES = {
         Relation,
         lambda: {
             "pi_exponents": (1, -1), "k_exponents": (Fraction(1),), "constant": Fraction(1),
-            "pointwise": False, "label": "pi1 / pi2 = 1",
+            "pointwise": False,
         },
         {},
     ),

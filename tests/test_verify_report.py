@@ -92,7 +92,6 @@ MUTATIONS = {
         lambda r: {"E": RatMatrix.from_columns([r.E.column(0), r.E.column(0), r.E.column(2)])},
     ),
     "d = n - rank A": (_drag, lambda r: {"d": r.d + 1}),
-    "the pi groups are the columns of E": (_drag, lambda r: {"pi_groups": r.pi_groups[::-1]}),
     "scale_invariant is J A^T == 0": (_drag, lambda r: {"scale_invariant": False}),
     "each d_eff form is n - rank [A; J]": (_drag, lambda r: {"deff": EffectiveCounts(2, 2, 3, 2)}),
     "C, rref_C, selected and relations are None": (_pointwise, lambda r: {"selected": ()}),
