@@ -1,12 +1,18 @@
 """The JSON report writer. It is its own module so that only rendering a
-JSON report imports it, and json with it: ``pim.modelfile`` imports it
-inside ``render_report``, and the recursion below reads the encoder as a
-module global, with no per-call check.
+JSON report imports it: ``pim.modelfile`` imports it inside
+``render_report``, and the recursion below reads the encoder as a module
+global, with no per-call check. The encoder is the C function that
+``json.encoder`` uses, taken from ``_json`` so that no report imports the
+``json`` package; only an interpreter without ``_json`` loads
+``json.encoder`` for it.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .ratlin import _INT_TEXT
 

@@ -2,10 +2,11 @@
 
 ``main`` reads its command line itself (``pim --help`` and
 ``pim analyze --help`` list the options) and loads only what the command
-runs: ``json`` for a JSON report only, and no codec module to strip a
-leading byte order mark. A help text, a usage error, a report and its
-diagnostics all leave through main's one writer, so a closed or full
-standard output ends ``--help`` as it ends a report.
+runs: the JSON writer for a JSON report only, and with it no ``json``
+package, and no codec module to strip a leading byte order mark. A help
+text, a usage error, a report and its diagnostics all leave through
+main's one writer, so a closed or full standard output ends ``--help`` as
+it ends a report.
 
 Exit codes:
     0  success, or --help

@@ -17,10 +17,10 @@ from .ratlin import (
     RationalLike,
     Value,
     _clear_denominators,
+    _fractions,
     _matrix,
     _primitive,
     _transpose,
-    as_fraction,
     nullspace_basis,
     rank,
 )
@@ -103,7 +103,7 @@ class Quantity(Value):
 
     def __init__(self, name: str, dim_exponents: tuple[RationalLike, ...]) -> None:
         _check_identifier(name, "quantity")
-        super().__init__(name, tuple(map(as_fraction, dim_exponents)))
+        super().__init__(name, _fractions(dim_exponents))
 
 
 class Model(Value):

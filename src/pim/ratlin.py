@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 RationalLike = Fraction | int | str
 
@@ -25,8 +25,11 @@ class ShapeError(ValueError):
 
 
 # Fractions are immutable, so one instance can stand for every occurrence of
-# a small whole value; parsed exponents are nearly all within |k| <= 8.
+# a small whole value; parsed exponents are nearly all within |k| <= 8. The
+# instances live as long as the process, so no other object ever has one's
+# id: _SHARED_INT reads a shared instance back as its int by that id.
 _SHARED = {k: Fraction(k) for k in range(-64, 65)}
+_SHARED_INT = {id(f): k for k, f in _SHARED.items()}
 
 
 class _IntText(dict):
@@ -47,10 +50,29 @@ _INT_TEXT = _IntText((k, str(k)) for k in range(-64, 65))
 
 def as_fraction(value: RationalLike) -> Fraction:
     """value as a Fraction, without copying one that already is. An int in
-    [-64, 64] maps to a shared instance (a bool or int subclass does not)."""
+    [-64, 64] maps to a shared instance (a bool or int subclass does not).
+    A float raises TypeError: it holds a binary fraction, so 1/3 would
+    become 6004799503160661/18014398509481984."""
     if type(value) is int and -64 <= value <= 64:
         return _SHARED[value]
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; give an int, a Fraction or a str such as '1/3'")
+    return Fraction(value)
+
+
+def _fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """tuple(map(as_fraction, values)), by one table lookup per entry when
+    every value is an int in [-64, 64]. index() lets only ints (and bools,
+    as ints) reach the table: a float such as 2.0 would find Fraction(2)
+    there. Any other vector goes through as_fraction."""
+    values = tuple(values)
+    try:
+        return tuple(map(_SHARED.__getitem__, map(index, values)))
+    except (KeyError, TypeError):  # an int outside [-64, 64], or not an int
+        pass
+    return tuple(map(as_fraction, values))
 
 
 class Value:
@@ -111,10 +133,15 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[tuple, int]:
+def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple, int]:
     """rows times the lcm of their entries' denominators, as integer row
     tuples, and that lcm. With lowest-term denominators the result is in
-    lowest terms."""
+    lowest terms. When every entry is a shared instance the lcm is 1 and
+    each is read back by its id; else every entry gives its ratio."""
+    try:
+        return tuple([tuple([_SHARED_INT[id(x)] for x in row]) for row in rows]), 1
+    except KeyError:
+        pass
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     scale = lcm(*(q for row in ratios for _, q in row))
     return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios), scale
@@ -162,7 +189,7 @@ class RatMatrix(Value):
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        values = list(map(as_fraction, entries))
+        values = _fractions(entries)
         split = [values[i * cols : (i + 1) * cols] for i in range(rows)]
         super().__init__(rows, cols, *_clear_denominators(split))
 
@@ -179,7 +206,7 @@ class RatMatrix(Value):
         for row in rows:
             if len(row) != cols:
                 raise ShapeError(f"ragged row: expected {cols} entries, got {len(row)}")
-        return _matrix(cols, *_clear_denominators([list(map(as_fraction, r)) for r in rows]))
+        return _matrix(cols, *_clear_denominators([_fractions(r) for r in rows]))
 
     @classmethod
     def from_columns(

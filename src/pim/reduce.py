@@ -34,6 +34,7 @@ from .ratlin import (
     Value,
     _clear_denominators,
     _eliminate,
+    _fractions,
     _matrix,
     _primitive,
     _transpose,
@@ -64,7 +65,7 @@ class MonomialConstraint(Value):
     def __init__(
         self, exponents: tuple[RationalLike, ...], constant: RationalLike = Fraction(1)
     ) -> None:
-        super().__init__(tuple(map(as_fraction, exponents)), as_fraction(constant))
+        super().__init__(_fractions(exponents), as_fraction(constant))
         if not any(self.exponents):
             raise ModelError("monomial constraint exponents must not be all zero")
         if self.constant <= 0:
@@ -83,7 +84,7 @@ class JacobianRowConstraint(Value):
     kind = "jacobian_row"
 
     def __init__(self, entries: tuple[RationalLike, ...]) -> None:
-        super().__init__(tuple(map(as_fraction, entries)))
+        super().__init__(_fractions(entries))
 
     @property
     def vector(self) -> tuple[Fraction, ...]:

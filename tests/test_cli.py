@@ -658,7 +658,7 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
 
 
 def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_root: Path):
-    # Only a JSON report needs json, and no command needs argparse or the
+    # No command needs json (see the JSON case below), argparse or the
     # utf-8-sig codec.
     probe = (
         "import io, sys, pim.cli\n"
@@ -670,6 +670,21 @@ def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_ro
         "print(code, after_import, sorted(unwanted & set(sys.modules)))\n"
     )
     assert _fresh_interpreter(probe) == "0 [] []\n"
+
+
+def test_a_json_report_leaves_the_json_package_unloaded(repo_root: Path):
+    # The JSON writer takes its string encoder from _json, the C module that
+    # json.encoder wraps, so the json package is never imported.
+    probe = (
+        "import io, sys, pim.cli\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = pim.cli.main(['analyze', {str(repo_root / 'models' / 'drag.pim')!r}, "
+        "'--format', 'json'])\n"
+        "text, sys.stdout = sys.stdout.getvalue(), stdout\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'json')\n"
+        "print(code, text.startswith('{'), loaded)\n"
+    )
+    assert _fresh_interpreter(probe) == "0 True []\n"
 
 
 def _cli(

@@ -8,6 +8,7 @@ fixture loads it from its file.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pim.reduce as reduce_module
-from pim import analyze, parse_model
+from pim import analyze, parse_model, render_report
 from pim.model import Model
 from pim.modelfile import _report_payload
-from pim.ratlin import RatMatrix
+from pim.ratlin import RatMatrix, as_fraction
 
 from oracles import (
     DRAG_MIXED_BASIS,
@@ -44,6 +45,33 @@ def test_ladder_models_have_their_constructed_answers(gen, seed: int, pointwise:
         assert made.scale_invariant is not pointwise
         if made.scale_invariant:
             assert report.C @ report.E.transpose() == report.J
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
+def test_ladder_exponents_reach_a_and_j_without_a_fraction_round_trip(gen, pointwise: bool):
+    # Every exponent and Jacobian entry of the ladder is a shared small
+    # value: it is boxed by table and read back by table, so neither
+    # as_fraction nor as_integer_ratio runs per entry. Only a monomial's
+    # constant goes through as_fraction.
+    counted = {as_fraction.__code__: 0, Fraction.as_integer_ratio.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    models = []
+    sys.setprofile(profile)
+    try:
+        for made in gen.ladder(7, 1, pointwise):
+            model = parse_model(made.text)
+            report = analyze(model)
+            render_report(report, "json")
+            render_report(report, "text")
+            models.append(model)
+    finally:
+        sys.setprofile(None)
+    constants = sum(c.kind == "monomial" for m in models for c in m.constraints)
+    assert counted == {as_fraction.__code__: constants, Fraction.as_integer_ratio.__code__: 0}
 
 
 @st.composite

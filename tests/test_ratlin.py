@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from pim import parse_model
-from pim.model import build_dimension_matrix
+from pim.model import DimensionSystem, Model, Quantity, build_dimension_matrix
 from pim.ratlin import (
+    _SHARED,
     RatMatrix,
     ShapeError,
     _eliminate,
@@ -21,7 +22,7 @@ from pim.ratlin import (
     rref_with_transform,
     sum_intersection_dims,
 )
-from pim.reduce import constraint_jacobian
+from pim.reduce import JacobianRowConstraint, MonomialConstraint, constraint_jacobian
 
 from oracles import (
     DRAG_A,
@@ -175,6 +176,71 @@ def test_as_fraction_is_an_exact_fraction_of_the_same_value(value):
     assert out == Fraction(value)
     assert out.as_integer_ratio() == Fraction(value).as_integer_ratio()
     assert [type(x) for x in out.as_integer_ratio()] == [int, int]
+
+
+# Six values of each kind a constructor takes: two exponents for each of
+# three quantities, then a monomial's exponents and a Jacobian row.
+INPUT_KINDS = {
+    "shared ints": [0, 1, -1, 64, -64, 7],
+    "ints past 64": [65, -65, 10**30, 0, 1, -2],
+    "unshared Fractions": [Fraction(3), Fraction(-64), Fraction(0), Fraction(1), Fraction(2), -1],
+    "p/q": [Fraction(1, 2), Fraction(-3, 4), 1, 0, Fraction(5, 3), 2],
+    "str": ["1/3", "2", "-64", "65", "0", "7/2"],
+    "mixed": [1, Fraction(1, 2), 65, "3", Fraction(2), -64],
+}
+
+
+@pytest.mark.parametrize("values", INPUT_KINDS.values(), ids=INPUT_KINDS)
+def test_a_and_j_hold_the_fields_of_every_input_kind(values):
+    quantities = tuple(Quantity(f"q{k}", tuple(values[2 * k : 2 * k + 2])) for k in range(3))
+    constraints = (MonomialConstraint(tuple(values[:3])), JacobianRowConstraint(tuple(values[3:])))
+    model = Model(DimensionSystem(("M", "L")), quantities, constraints)
+    fields = [x for q in quantities for x in q.dim_exponents]
+    fields += [*constraints[0].exponents, *constraints[1].entries]
+    assert fields == [Fraction(v) for v in values * 2]
+    assert {type(x) for x in fields} == {Fraction}
+    a, j = build_dimension_matrix(model), constraint_jacobian(model)
+    assert a.to_rows() == [[q.dim_exponents[i] for q in quantities] for i in range(2)]
+    assert j.to_rows() == [list(c.vector) for c in constraints]
+    for matrix in (a, j):
+        _assert_canonical(matrix)
+
+
+def test_shared_small_ints_box_to_the_shared_instances():
+    q = Quantity("x", (-64, 0, 64, 65))
+    assert [x is _SHARED.get(v) for x, v in zip(q.dim_exponents, (-64, 0, 64, 65))] == [
+        True, True, True, False
+    ]
+    assert q.dim_exponents[3] == 65
+
+
+MAKERS = {
+    "RatMatrix": lambda v: RatMatrix(1, 2, (1, v)),
+    "from_rows": lambda v: RatMatrix.from_rows([[1, v]]),
+    "from_columns": lambda v: RatMatrix.from_columns([[1], [v]]),
+    "Quantity": lambda v: Quantity("x", (1, v)),
+    "MonomialConstraint exponents": lambda v: MonomialConstraint((1, v)),
+    "MonomialConstraint constant": lambda v: MonomialConstraint((1, 2), v),
+    "JacobianRowConstraint": lambda v: JacobianRowConstraint((1, v)),
+}
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+def test_constructors_refuse_a_float_and_take_exact_values(make):
+    # a float is a binary fraction: 1/3 would enter as 6004799503160661/2**54,
+    # and 2.0 would find the shared Fraction(2) in the small-value table
+    for value in (1 / 3, 2.0, -0.0):
+        with pytest.raises(TypeError, match="float"):
+            make(value)
+    for value, exact in (("1/3", Fraction(1, 3)), (2, Fraction(2)), (65, Fraction(65))):
+        assert make(value) == make(exact)
+    assert make("1/3") != make(2)
+
+
+def test_as_fraction_refuses_a_float():
+    for value in (1 / 3, 2.0, float("inf")):
+        with pytest.raises(TypeError, match="float"):
+            as_fraction(value)
 
 
 def test_matrix_fields_are_the_lcm_form_in_lowest_terms():
