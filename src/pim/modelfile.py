@@ -647,7 +647,8 @@ def render_model(model: Model) -> str:
 
 def _matrix_cells(matrix: RatMatrix) -> list[list[str]]:
     """Each entry as text, row by row, as str(Fraction(x, den)) prints it.
-    den > 0 and gcd(0, den) == den, so a zero prints as 0."""
+    den > 0 and gcd(0, den) == den, so a zero prints as 0. Every cell
+    matches -?[0-9]+(/[0-9]+)?, so the JSON writer quotes it unescaped."""
     den = matrix.den
     if den == 1:
         return [list(map(_INT_TEXT.__getitem__, row)) for row in matrix.nums]
@@ -815,13 +816,15 @@ def render_report(report: AnalysisReport, format: str = "text", *, color: bool =
     Both formats print the one schema-v1 payload of the report, so they
     agree on every label and cell. Both are deterministic byte for byte for
     a given report; color (text only) adds ANSI escapes and is off by
-    default.
+    default. The JSON report is json.dumps(payload, indent=2) plus a
+    newline, written by a writer that knows schema v1: it escapes every
+    string except the number cells, which need no escape.
     """
     if format not in ("text", "json"):
         raise ValueError(f"unknown report format: {format!r}")
     payload = _report_payload(report)
     if format == "json":
-        from ._jsonwriter import json_text  # only a JSON report loads json
+        from ._jsonwriter import report_json  # only a JSON report loads it
 
-        return json_text(payload, "") + "\n"
+        return report_json(payload) + "\n"
     return _render_text(payload, color)

@@ -659,10 +659,10 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_typing():
 
 def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_root: Path):
     # No command needs json (see the JSON case below), argparse or the
-    # utf-8-sig codec.
+    # utf-8-sig codec, and only a JSON report needs pim's JSON writer.
     probe = (
         "import io, sys, pim.cli\n"
-        "unwanted = {'argparse', 'json', 'encodings.utf_8_sig'}\n"
+        "unwanted = {'argparse', 'json', 'encodings.utf_8_sig', 'pim._jsonwriter'}\n"
         "after_import = sorted(unwanted & set(sys.modules))\n"
         "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
         f"code = pim.cli.main(['analyze', {str(repo_root / 'models' / 'drag.pim')!r}])\n"

@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pim import modelfile
-from pim._jsonwriter import json_text
 from pim.model import MAX_DIGITS, DimensionSystem, Model, ModelError, Quantity
 from pim.modelfile import (
     ErrorCode,
@@ -29,7 +27,7 @@ from pim.modelfile import (
     render_report,
 )
 from pim.ratlin import RatMatrix
-from pim.reduce import JacobianRowConstraint, MonomialConstraint, analyze
+from pim.reduce import AnalysisReport, JacobianRowConstraint, MonomialConstraint, analyze
 
 import test_report_digests
 from oracles import DRAG_CLASSIC_BASIS, drag_model
@@ -738,7 +736,22 @@ def test_labels_reparse_to_their_exponents(gen):
 # the JSON writer: json.dumps(payload, indent=2), byte for byte
 
 
-def test_json_report_is_json_dumps_of_its_payload(repo_root, gen):
+# The corpus of the report tests below: the shipped models, tests/models,
+# one ladder round of each kind for seeds 1-3, the constant probe (symbolic
+# relation constants, exponents past 64, C and rref(C) with fractional
+# cells), and small models: three with d = 0, where E is n x 0 and C is
+# 0 x 0, ell x 0 or null; a pointwise relation; and a relation whose
+# k_exponent is 1/2, with a symbolic constant.
+_SMALL_MODELS = [
+    "dimensions: M, L\nquantity a = M\nquantity b = L\n",
+    "dimensions: M, L\nquantity a = M\nquantity b = L\njacobian_row: 0, 0\n",
+    "dimensions: M, L\nquantity a = M\nquantity b = L\njacobian_row: 1, 0\n",
+    "dimensions: M\nquantity a = M\nquantity b = M\njacobian_row: 1, -1\n",
+    "dimensions: M\nquantity a = M\nquantity b = M\nconstraint a^2 / b^2 = 2\n",
+]
+
+
+def _report_corpus(repo_root, gen) -> list:
     paths = sorted((repo_root / "models").glob("*.pim"))
     paths += sorted((repo_root / "tests" / "models").glob("*.pim"))
     texts = [path.read_text(encoding="utf-8") for path in paths]
@@ -748,70 +761,71 @@ def test_json_report_is_json_dumps_of_its_payload(repo_root, gen):
         for pointwise in (False, True)
         for made in gen.ladder(seed, 1, pointwise)
     ]
-    for text in texts:
-        report = analyze(parse_model(text))
-        expected = json.dumps(_report_payload(report), indent=2) + "\n"
+    texts += [made.text for made in gen.constant_probe(1, 6)]
+    return [analyze(parse_model(text)) for text in texts + _SMALL_MODELS]
+
+
+def test_every_matrix_cell_is_a_number(repo_root, gen):
+    """The JSON writer quotes the cells of A, J, E, C and rref(C) without
+    an escape; each is an integer or p/q, as _matrix_cells states."""
+    cell = re.compile(r"-?[0-9]+(/[0-9]+)?")
+    fractional = 0
+    for report in _report_corpus(repo_root, gen):
+        payload = _report_payload(report)
+        for name in ("A", "J", "E", "C", "rref_C"):
+            for row in payload[name] or ():
+                for text in row:
+                    assert type(text) is str and cell.fullmatch(text), (name, text)
+                    fractional += "/" in text
+    assert fractional > 0
+
+
+def test_json_report_is_json_dumps_of_its_payload(repo_root, gen):
+    seen = set()
+    for report in _report_corpus(repo_root, gen):
+        payload = _report_payload(report)
+        expected = json.dumps(payload, indent=2) + "\n"
         assert render_report(report, "json") == expected
+        seen.add(("scale_invariant", payload["scale_invariant"]))
+        seen.add(("E", "n x 0" if payload["E"] and not payload["E"][0] else "n x d"))
+        seen.add(("C", "null" if payload["C"] is None else len(payload["C"]) > 0))
+        for relation in payload["relations"] or ():
+            seen.add(("pointwise", relation["pointwise"]))
+            seen.add(("constant", relation["constant"] is None))
+            seen.add(("pi_exponents past 64", max(map(abs, relation["pi_exponents"])) > 64))
+            seen.add(("k_exponent p/q", any("/" in k for k in relation["k_exponents"])))
+    # the corpus writes both values of each bool, ints past the shared text
+    # table, p/q k_exponents, null and symbolic constants, an n x 0 E, and C
+    # as null, with no rows and with rows
+    assert seen == {
+        (field, value)
+        for field, values in [
+            ("scale_invariant", (True, False)),
+            ("E", ("n x 0", "n x d")),
+            ("C", ("null", False, True)),
+            ("pointwise", (True, False)),
+            ("constant", (True, False)),
+            ("pi_exponents past 64", (True, False)),
+            ("k_exponent p/q", (True, False)),
+        ]
+        for value in values
+    }
+
+
+def test_json_report_escapes_every_name_and_label(drag_text):
+    """Dimension and quantity names reach the labels; each string of the
+    report is escaped as json.dumps escapes it."""
+    real = analyze(parse_model(drag_text))
+    fields = {name: getattr(real, name) for name in AnalysisReport.__slots__}
+    fields["dimensions"] = ['M"\x7f', "L\\", "T\x00\u2028\ud800"]
+    fields["quantities"] = ['F"D', "rho\\", "U\x1f", "L\u2028", "\xe9", "\U0001f600"]
+    report = AnalysisReport(**fields)
+    payload = _report_payload(report)
+    assert payload["pi_groups"][0]["label"] == 'F"D/(rho\\*U\x1f^2*L\u2028^2)'
+    assert render_report(report, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 def test_golden_json_files_are_json_dumps_indent_2(repo_root):
     for path in sorted((repo_root / "tests" / "golden").glob("*.json")):
         golden = path.read_text(encoding="utf-8")
         assert golden == json.dumps(json.loads(golden), indent=2) + "\n", path.name
-
-
-# Characters that json escapes or passes through differently: quotes,
-# backslashes, control characters, line and paragraph separators, non-ASCII
-# and astral characters (written as surrogate pairs); then any code point,
-# lone surrogates included.
-_TRICKY = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600\U0010ffff'
-_chars = st.one_of(st.sampled_from(_TRICKY), st.integers(0, 0x10FFFF).map(chr))
-_strings = st.text(_chars, max_size=12)
-_ints = st.one_of(
-    st.integers(),
-    st.integers(10**99, 10**130),
-    st.integers(-(10**130), -(10**99)),
-)
-_scalars = st.one_of(_strings, _ints, st.booleans(), st.none())
-_payloads = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(_strings, max_size=5),  # the all-string rows of a matrix
-        st.dictionaries(_strings, inner, max_size=5),
-    ),
-    max_leaves=20,
-)
-
-
-@pytest.mark.parametrize(
-    "char", ['"', "\\", "\n", "\x7f", "\xe9", "\u2028", "\U0001f600", "\ud800"], ids=ascii
-)
-def test_json_string_list_with_one_item_to_escape(char):
-    for at in range(3):
-        items = ["1/2", "-3", "pi1 / pi2 = 1"]
-        items[at] = f"a{char}b"
-        payload = {"row": items, "rows": [items, ["0", "1"]]}
-        assert json_text(payload, "") == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize(
-    "items",
-    [
-        [1, True, 0, False, None],
-        [1, True, 0, False],
-        [True, False],
-        [3, -2, 10**40],
-        [64, 65, -64, -65, True],
-        {"t": True, "z": 0, "x": 65, "f": False},
-    ],
-)
-def test_json_int_list_keeps_bools_apart(items):
-    payload = {"list": items, "nested": [items]}
-    assert json_text(payload, "") == json.dumps(payload, indent=2)
-
-
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(_payloads)
-def test_json_writer_matches_json_dumps(payload):
-    assert json_text(payload, "") == json.dumps(payload, indent=2)
