@@ -6,8 +6,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pim import modelfile
+from pim._jsonwriter import report_json
 from pim.model import MAX_DIGITS, DimensionSystem, Model, ModelError, Quantity
 from pim.modelfile import (
     ErrorCode,
@@ -823,6 +826,135 @@ def test_json_report_escapes_every_name_and_label(drag_text):
     payload = _report_payload(report)
     assert payload["pi_groups"][0]["label"] == 'F"D/(rho\\*U\x1f^2*L\u2028^2)'
     assert render_report(report, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "char", ['"', "\\", "\n", "\x7f", "\xe9", "\u2028", "\U0001f600", "\ud800"], ids=ascii
+)
+def test_json_string_list_with_one_item_to_escape(char):
+    """Each string list of a report (names, warnings, k_exponents) with one
+    item to escape, at each place, is written as json.dumps writes it."""
+    real = analyze(parse_model(_SMALL_MODELS[-1]))
+    for at in range(3):
+        items = ["1/2", "-3", "pi1 / pi2 = 1"]
+        items[at] = f"a{char}b"
+        payload = _report_payload(real)
+        payload["dimensions"] = items
+        payload["quantities"] = items[::-1]
+        payload["warnings"] = items
+        payload["relations"][0]["k_exponents"] = items
+        assert report_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [1, True, 0, False, None],
+        [1, True, 0, False],
+        [True, False],
+        [3, -2, 10**40],
+        [64, 65, -64, -65, True],
+        {"t": True, "z": 0, "x": 65, "f": False},
+    ],
+)
+def test_json_int_list_keeps_bools_apart(items):
+    """The ints of items fill the report's int lists and int fields, past
+    the shared text table too; its bools fill scale_invariant and one
+    relation's pointwise each, and a None makes the relation constants
+    null. True hashes as 1, yet each bool is written true or false and each
+    int by its digits."""
+    values = list(items.values()) if type(items) is dict else items
+    ints = [v for v in values if type(v) is int]
+    bools = [v for v in values if type(v) is bool]
+    constant = None if None in values else "2"
+    payload = _report_payload(analyze(parse_model(_SMALL_MODELS[-1])))
+    relation = payload["relations"][0]
+    payload["d_eff_formulas"] = dict(zip(payload["d_eff_formulas"], ints + [None] * 4))
+    payload["pi_groups"][0]["exponents"] = ints
+    payload["selected"] = ints
+    payload["relations"] = [
+        dict(relation, pi_exponents=ints, pointwise=flag, constant=constant) for flag in bools
+    ]
+    for flag in bools:
+        payload["scale_invariant"] = flag
+        assert report_json(payload) == json.dumps(payload, indent=2)
+    assert report_json(payload) == json.dumps(payload, indent=2)
+
+
+# Schema-v1 payloads with any field values the writer takes. Strings hold
+# characters that json escapes or passes through differently: quotes,
+# backslashes, control characters, line and paragraph separators, non-ASCII
+# and astral characters (written as surrogate pairs); then any code point,
+# lone surrogates included. Ints reach past the shared text table; number
+# cells are any Fraction as str prints it.
+_TRICKY = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600\U0010ffff'
+_chars = st.one_of(st.sampled_from(_TRICKY), st.integers(0, 0x10FFFF).map(chr))
+_texts = st.text(_chars, max_size=12)
+_ints = st.one_of(
+    st.integers(),
+    st.integers(-80, 80),
+    st.integers(10**99, 10**130),
+    st.integers(-(10**130), -(10**99)),
+)
+_int_lists = st.lists(_ints, max_size=4)
+_cells = st.lists(st.fractions().map(str), max_size=4)
+_matrices = st.integers(0, 3).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.fractions().map(str), min_size=cols, max_size=cols), max_size=3
+    )
+)
+def _ordered(mapping: dict) -> st.SearchStrategy[dict]:
+    """fixed_dictionaries, with the keys in mapping's order, as the writer
+    and json.dumps write them."""
+    return st.fixed_dictionaries(mapping).map(lambda drawn: {key: drawn[key] for key in mapping})
+
+
+_constraints = st.one_of(
+    _ordered(
+        {"kind": st.just("monomial"), "label": _texts, "exponents": _cells, "constant": _texts}
+    ),
+    _ordered({"kind": st.just("jacobian_row"), "label": _texts, "entries": _cells}),
+)
+_relations = _ordered(
+    {
+        "coeffs": _cells,
+        "pi_exponents": _int_lists,
+        "k_exponents": st.lists(_texts, max_size=4),
+        "constant": st.none() | _texts,
+        "pointwise": st.booleans(),
+        "label": _texts,
+    }
+)
+_payloads = _ordered(
+    {
+        **{key: _ints for key in ("schema", "n", "m", "ell", "d", "d_eff")},
+        "scale_invariant": st.booleans(),
+        "d_eff_formulas": _ordered(
+            {
+                key: st.none() | _ints
+                for key in ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
+            }
+        ),
+        "dimensions": st.lists(_texts, max_size=4),
+        "quantities": st.lists(_texts, max_size=4),
+        "pi_groups": st.lists(
+            _ordered({"label": _texts, "exponents": _int_lists}), max_size=3
+        ),
+        "constraints": st.lists(_constraints, max_size=3),
+        **{key: _matrices for key in ("A", "J", "E")},
+        **{key: st.none() | _matrices for key in ("C", "rref_C")},
+        "selected": st.none() | _int_lists,
+        "relations": st.none() | st.lists(_relations, max_size=3),
+        "warnings": st.lists(_texts, max_size=2),
+    }
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert list(payload) == list(_report_payload(analyze(parse_model(_SMALL_MODELS[-1]))))
+    assert report_json(payload) == json.dumps(payload, indent=2)
 
 
 def test_golden_json_files_are_json_dumps_indent_2(repo_root):
