@@ -71,10 +71,10 @@ def _matrix(cells: list[list[str]] | None) -> str:
     return '[\n    [\n      "' + '"\n    ],\n    [\n      "'.join(map(row, cells)) + '"\n    ]\n  ]'
 
 
-def _pi_group(group: dict) -> str:
+def _pi_group(group: dict, exponents: tuple[str, ...]) -> str:
     return (
         '{\n      "label": ' + encode_basestring_ascii(group["label"])
-        + ',\n      "exponents": ' + _ints(group["exponents"], _NESTED)
+        + ',\n      "exponents": ' + _list(list(exponents), _NESTED)
         + "\n    }"
     )
 
@@ -115,8 +115,11 @@ def _items(write, entries: list[dict] | None) -> str:
 
 
 def report_json(payload: dict) -> str:
-    """The schema-v1 payload as json.dumps(payload, indent=2) writes it."""
+    """The schema-v1 payload as json.dumps(payload, indent=2) writes it. Pi
+    group k's exponents are written from column k of payload["E"]: E has
+    den 1, so each of its cells is an int literal."""
     forms = payload["d_eff_formulas"]
+    groups = [_pi_group(g, col) for g, col in zip(payload["pi_groups"], zip(*payload["E"]))]
     selected = payload["selected"]
     fields = [f'"{key}": {_int(payload[key])}' for key in ("schema", "n", "m", "ell", "d", "d_eff")]
     fields += [
@@ -126,7 +129,7 @@ def report_json(payload: dict) -> str:
         + "\n  }",
         '"dimensions": ' + _strings(payload["dimensions"], _TOP),
         '"quantities": ' + _strings(payload["quantities"], _TOP),
-        '"pi_groups": ' + _items(_pi_group, payload["pi_groups"]),
+        '"pi_groups": ' + _list(groups, _TOP),
         '"constraints": ' + _items(_constraint, payload["constraints"]),
     ]
     fields += [f'"{key}": {_matrix(payload[key])}' for key in ("A", "J", "E", "C", "rref_C")]

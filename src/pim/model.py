@@ -1,9 +1,9 @@
 """Dimension systems, physical quantities, and dimensionless monomial groups.
 
 A model declares named base dimensions, quantities with rational dimension
-exponents, and (optionally) monomial constraints plus a kernel-basis
-override. The dimension matrix has one column per quantity, in declaration
-order; its kernel spans the exponent vectors of all dimensionless monomials.
+exponents, and (optionally) monomial constraints and repeating quantities.
+The dimension matrix has one column per quantity, in declaration order; its
+kernel spans the exponent vectors of all dimensionless monomials.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .ratlin import (
     _primitive,
     _transpose,
     nullspace_basis,
-    rank,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -108,19 +107,20 @@ class Quantity(Value):
 
 class Model(Value):
     """A DimensionSystem ``dims``, a tuple of Quantity ``quantities``, a
-    tuple of Constraint ``constraints`` among them, and a kernel basis
-    ``basis_override`` (a RatMatrix with one row per quantity) or None."""
+    tuple of Constraint ``constraints`` among them, and the names of the
+    ``repeating`` quantities that choose the pi basis (none: the canonical
+    basis)."""
 
-    __slots__ = ("dims", "quantities", "constraints", "basis_override")
+    __slots__ = ("dims", "quantities", "constraints", "repeating")
 
     def __init__(
         self,
         dims: DimensionSystem,
         quantities: tuple[Quantity, ...],
         constraints: tuple = (),
-        basis_override: RatMatrix | None = None,
+        repeating: tuple[str, ...] = (),
     ) -> None:
-        super().__init__(dims, quantities, constraints, basis_override)
+        super().__init__(dims, quantities, constraints, tuple(repeating))
         seen: set[str] = set()
         for q in self.quantities:
             if q.name in seen:
@@ -137,10 +137,11 @@ class Model(Value):
                     f"constraint {k + 1} has {len(c.vector)} coefficients, "
                     f"expected {self.n}"
                 )
-        if self.basis_override is not None and self.basis_override.rows != self.n:
-            raise ModelError(
-                f"basis override has {self.basis_override.rows} rows, expected {self.n}"
-            )
+        for k, name in enumerate(self.repeating):
+            if name not in seen:
+                raise ModelError(f"unknown repeating quantity {name!r}")
+            if name in self.repeating[:k]:
+                raise ModelError(f"duplicate repeating quantity {name!r}")
 
     @property
     def n(self) -> int:
@@ -164,29 +165,32 @@ def build_dimension_matrix(model: Model) -> RatMatrix:
 def pi_basis(model: Model, matrix: RatMatrix) -> tuple[RatMatrix, tuple[tuple[int, ...], ...]]:
     """The kernel basis E of the dimension matrix and its columns, the
     exponent vectors of the pi groups: column k is pi group k. E is the
-    validated basis override with each column made primitive (integer,
-    gcd 1, positive leading entry), or else the canonical RREF free-variable
-    basis, which already is."""
-    basis = model.basis_override
-    if basis is None:
+    canonical RREF free-variable basis, whose columns are primitive
+    (integer, gcd 1, positive leading entry), of A with the repeating
+    quantities' columns moved to the front; read back in declaration order,
+    each column is made primitive again. So pi group k is the k-th other
+    quantity times powers of the repeating ones, which must be rank A
+    quantities of independent dimensions, or this raises ModelError."""
+    if not model.repeating:
         # canonical columns are already primitive with a positive leading entry
         basis = nullspace_basis(matrix)
         return basis, _transpose(basis.nums, basis.cols)
-    d = matrix.cols - rank(matrix)
-    if basis.cols != d:
+    names, k, n = model.quantity_names, len(model.repeating), matrix.cols
+    order = [names.index(name) for name in model.repeating]
+    order += [j for j, name in enumerate(names) if name not in model.repeating]
+    # den times A with its columns permuted has the permuted kernel
+    basis = nullspace_basis(_matrix(n, [[row[j] for j in order] for row in matrix.nums], 1))
+    if basis.cols != n - k:
         raise ModelError(
-            f"basis override has {basis.cols} columns but the kernel "
-            f"has dimension {d}"
+            f"the repeating quantities number {k}, but the dimension matrix has "
+            f"rank {n - basis.cols}"
         )
-    product = matrix @ basis
-    for j, column in enumerate(_transpose(product.nums, product.cols)):
-        if any(column):
-            raise ModelError(
-                f"basis override column {j} is not in the kernel of the "
-                f"dimension matrix"
-            )
-    if rank(basis) != basis.cols:
-        raise ModelError("basis override is rank-deficient")
-    # full column rank, so no column is zero
-    columns = tuple(_primitive(column) for column in _transpose(basis.nums, basis.cols))
-    return _matrix(basis.cols, _transpose(columns, basis.rows), 1), columns
+    # The column of a repeating free variable is zero at every other
+    # quantity: a dimensionless product of powers of repeating quantities.
+    for c in range(basis.cols):
+        if not any(row[c] for row in basis.nums[k:]):
+            dependent = ", ".join(model.repeating[i] for i in range(k) if basis.nums[i][c])
+            raise ModelError(f"the dimensions of repeating quantities {dependent} are dependent")
+    rows = [basis.nums[order.index(j)] for j in range(n)]
+    columns = tuple(map(_primitive, _transpose(rows, basis.cols)))
+    return _matrix(basis.cols, _transpose(columns, n), 1), columns

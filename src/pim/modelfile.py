@@ -6,8 +6,7 @@ File format (line oriented, ``#`` starts a comment anywhere):
     quantity F_D = M L T^-2          # dimension expression, or "1"
     constraint nu * rho / mu = 1     # monomial = positive rational constant
     jacobian_row: 0, 1, 0, 0, -1, 1  # raw pointwise Jacobian row, length n
-    basis_override:                  # optional; one kernel vector per line
-    1, -1, -2, -2, 0, 0
+    repeating: rho, U, L             # optional; the pi basis's repeating quantities
 
 Rationals are written ``p`` or ``p/q`` in ASCII digits with an optional
 leading minus. One regex match reads a term ``NAME^p`` (the longest name,
@@ -17,7 +16,8 @@ parentheses, when every term in it is a known name with no exponent or a
 whole one of at most MAX_DIGITS characters. What does not match is read
 term by term and token by token, to say why: those readers make every
 diagnostic. Parsing collects as many errors as it can; every error
-carries a source span pointing inside the offending token.
+carries a source span pointing inside the offending token. Every directive
+is one line.
 
 Reports render as human-readable text or as JSON in which every matrix
 entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
@@ -57,7 +57,9 @@ _INTEGERS_RE = re.compile(f"{_INT}(?:,{_INT})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SPACE_RE = re.compile(r"\s*")
 _BAD_EXPONENT_RE = re.compile(r"[^\s*/()^]*")
-_KEYWORD_RE = re.compile(r"\s*(dimensions|quantity|constraint|jacobian_row|basis_override)\b")
+_KEYWORD_RE = re.compile(
+    r"\s*(dimensions|quantity|constraint|jacobian_row|repeating|basis_override)\b"
+)
 
 SCHEMA_VERSION = 1
 
@@ -318,13 +320,13 @@ class _Parser:
         # line, text, start, end, value: a monomial in text[start:end] = value,
         # or with text None a row (_scan_row) of entries value at start..end
         self.constraints: list[tuple[int, str | None, int, int, object]] = []
-        self.basis_rows: list[tuple[int, None, int, int, list[int | Fraction]]] | None = None
+        # line, and each name with its position
+        self.repeating: tuple[int, list[tuple[str, int]]] | None = None
 
     # -- scanning -----------------------------------------------------------
 
     def scan(self) -> None:
         errors = self.errors
-        in_basis = False
         for line_no, raw in enumerate(self.lines, start=1):
             cut = raw.find("#")
             line = raw if cut < 0 else raw[:cut]
@@ -333,8 +335,12 @@ class _Parser:
             errors.line = line_no
             kw = _KEYWORD_RE.match(line)
             if kw:
-                in_basis = False
                 word = kw.group(1)
+                if word == "basis_override":
+                    errors.add(kw.start(1), len(word), ErrorCode.SYNTAX,
+                               "'basis_override:' is not supported; name the repeating "
+                               "quantities with 'repeating:'")
+                    continue
                 if word == "quantity":
                     self._scan_quantity(line, kw.end())
                     continue
@@ -347,38 +353,42 @@ class _Parser:
                 elif word == "dimensions":
                     self._scan_dimensions(line, kw.start(1), after + 1)
                 elif word == "jacobian_row":
-                    self._scan_row(line, after + 1, self.constraints)
+                    self._scan_row(line, after + 1)
                 else:
-                    in_basis = self._scan_basis_header(line, kw.start(1), after + 1)
-                continue
-            if in_basis:
-                self._scan_row(line, 0, self.basis_rows)
+                    self._scan_repeating(line, kw.start(1), after + 1)
                 continue
             errors.add(_SPACE_RE.match(line).end(), len(line.split()[0]), ErrorCode.SYNTAX,
                        "expected one of: dimensions:, quantity, constraint, "
-                       "jacobian_row:, basis_override:")
+                       "jacobian_row:, repeating:")
 
-    def _scan_row(self, line: str, pos: int, rows: list) -> None:
-        """Append the comma-separated rationals of `line[pos:]` to `rows` as
-        (line, None, start, end, values), the span of their stripped text."""
+    def _scan_row(self, line: str, pos: int) -> None:
+        """Append the comma-separated rationals of `line[pos:]` to the
+        constraints as (line, None, start, end, values), the span of their
+        stripped text."""
         values = _rationals(self.errors, line, pos)
         if values is not None:
             start = _SPACE_RE.match(line, pos).end()
-            rows.append((self.errors.line, None, start, len(line.rstrip()), values))
+            self.constraints.append((self.errors.line, None, start, len(line.rstrip()), values))
 
     def _scan_dimensions(self, line: str, keyword: int, pos: int) -> None:
         if self.dims is not None:
             self.errors.add(keyword, len("dimensions"), ErrorCode.SYNTAX,
                             "duplicate dimensions declaration")
             return
-        self.dims = []
         self.dims_at = (self.errors.line, keyword)
+        self.dims = self._names(line, pos, "dimension")
+
+    def _names(self, line: str, pos: int, what: str) -> list[tuple[str, int]]:
+        """The comma-separated names of `line[pos:]`, each with its position;
+        any other token is an error."""
+        names = []
         for token, at in _split_commas(line, pos):
             if _IDENT_RE.fullmatch(token):
-                self.dims.append((token, at))
+                names.append((token, at))
             else:
                 self.errors.add(at, len(token), ErrorCode.SYNTAX,
-                                f"expected a dimension name, got {token!r}")
+                                f"expected a {what} name, got {token!r}")
+        return names
 
     def _scan_quantity(self, line: str, pos: int) -> None:
         pos = _SPACE_RE.match(line, pos).end()
@@ -411,18 +421,12 @@ class _Parser:
             constant = None
         self.constraints.append((self.errors.line, line, pos, eq, constant))
 
-    def _scan_basis_header(self, line: str, keyword: int, pos: int) -> bool:
-        rest = line[pos:].strip()
-        if rest:
-            self.errors.add(pos, len(rest), ErrorCode.SYNTAX,
-                            "unexpected text after 'basis_override:'")
-            return False
-        if self.basis_rows is not None:
-            self.errors.add(keyword, len("basis_override"), ErrorCode.SYNTAX,
-                            "duplicate basis_override block")
-            return False
-        self.basis_rows = []
-        return True
+    def _scan_repeating(self, line: str, keyword: int, pos: int) -> None:
+        if self.repeating is not None:
+            self.errors.add(keyword, len("repeating"), ErrorCode.DUPLICATE_NAME,
+                            "duplicate repeating declaration")
+            return
+        self.repeating = (self.errors.line, self._names(line, pos, "quantity"))
 
     # -- resolution ---------------------------------------------------------
 
@@ -479,20 +483,24 @@ class _Parser:
                 continue
             constraints.append(MonomialConstraint(tuple(exps), value))
 
-        for errors.line, _, start, end, values in self.basis_rows or ():
-            if len(values) != n:
-                errors.add(start, end - start, ErrorCode.SYNTAX,
-                           f"basis vector has {len(values)} entries, expected {n}")
+        repeating: list[str] = []
+        errors.line, names = self.repeating or (0, ())
+        for name, pos in names:
+            if name not in name_index:
+                errors.add(pos, len(name), ErrorCode.UNKNOWN_QUANTITY,
+                           f"unknown quantity {name!r}")
+            elif name in repeating:
+                errors.add(pos, len(name), ErrorCode.DUPLICATE_NAME,
+                           f"duplicate repeating quantity {name!r}")
+            else:
+                repeating.append(name)
         if errors:
             return None
-        basis = None
-        if self.basis_rows is not None:  # a block without vectors is an n x 0 override
-            basis = RatMatrix.from_columns([row for *_, row in self.basis_rows], rows=n)
         return Model(
             DimensionSystem(tuple(dim_index)),
             tuple(quantities),
             tuple(constraints),
-            basis,
+            tuple(repeating),
         )
 
 
@@ -634,10 +642,8 @@ def render_model(model: Model) -> str:
             lines.append("constraint " + entry["label"])
         else:
             lines.append("jacobian_row: " + ", ".join(entry["entries"]))
-    if model.basis_override is not None:
-        lines.append("basis_override:")
-        for j in range(model.basis_override.cols):
-            lines.append(", ".join(str(x) for x in model.basis_override.column(j)))
+    if model.repeating:
+        lines.append("repeating: " + ", ".join(model.repeating))
     return "\n".join(lines) + "\n"
 
 

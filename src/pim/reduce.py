@@ -33,11 +33,9 @@ from .ratlin import (
     ShapeError,
     Value,
     _clear_denominators,
-    _eliminate,
     _fractions,
     _matrix,
     _primitive,
-    _transpose,
     as_fraction,
     exact_pow,
     rank,
@@ -177,49 +175,35 @@ def redundancy_matrix(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     """The unique C with J = C E^T, for scale-invariant constraints. With E
     from pi_basis, column k of C and of rref(C) refers to pi group k.
 
-    When every column k of E has a unit row, a row r_k whose only nonzero
-    entry s_k is in column k (the canonical kernel basis has one at each
-    free column, and so does the shipped drag override), J = C E^T reads
-    J[:, r_k] = s_k C[:, k] there, so C is one division per column. Any
-    other E is solved by one full elimination of the n x (d + ell) matrix
-    [E | J^T], whose first d columns must all be pivots, or this raises
-    ValueError (E is not full column rank); C transposed is then the top
-    right block of the RREF.
-
-    Either way one certificate decides, the product C E^T against J, so it
-    does not rest on the kernel that solved for C: if they differ, a row of
-    J lies outside the column space of E and this raises
-    ScaleInvarianceError; when E spans the kernel of the dimension matrix,
-    that is exactly a failure of scale invariance. It is checked at every
-    row of E after the elimination, and only at the other rows after the
-    unit-row read-off: at r_k, (C E^T)[:, r_k] = s_k C[:, k] is J[:, r_k].
+    Each column k of such an E has a unit row r_k, whose only nonzero entry
+    s_k is in column k: the row of the k-th free variable, or of the k-th
+    quantity that is not repeating. J = C E^T reads J[:, r_k] = s_k C[:, k]
+    there, so C is one division per column; an E without a unit row in some
+    column raises ValueError naming it. The product C E^T is then checked
+    against J at the other rows: if they differ, a row of J lies outside
+    the column space of E and this raises ScaleInvarianceError; when E
+    spans the kernel of the dimension matrix, that is exactly a failure of
+    scale invariance.
     """
     if j.cols != e.rows:
         raise ShapeError(f"J has {j.cols} columns but E has {e.rows} rows")
-    d = e.cols
     units: dict[int, int] = {}
     for r, e_row in enumerate(e.nums):
         support = [k for k, x in enumerate(e_row) if x]
         if len(support) == 1:
             units.setdefault(support[0], r)
-    if len(units) == d:
-        # C[i, k] = (j.nums[i][r_k] / j.den) / (s_k / e.den), over j.den * lcm(s).
-        unit_rows = [units[k] for k in range(d)]
-        diag = [e.nums[r][k] for k, r in enumerate(unit_rows)]
-        scale = math.lcm(*diag)
-        factors = [e.den * (scale // s) for s in diag]
-        nums = [[row[r] * f for r, f in zip(unit_rows, factors)] for row in j.nums]
-        c = _matrix(d, nums, j.den * scale)
-        skip = set(unit_rows)
-    else:
-        augmented = e.transpose().vstack(j).transpose()  # [E | J^T]
-        mat, pivots, det = _eliminate(augmented.nums, augmented.cols)
-        if pivots[:d] != list(range(d)):
-            raise ValueError("kernel basis E is not full column rank")
-        c = _matrix(d, _transpose([row[d:] for row in mat[:d]], j.rows), det)
-        skip = set()
-    # (C E^T)[i, r] against J[i, r] at the rows r not skipped, over c.den * e.den * j.den
-    checked = [(r, e_row) for r, e_row in enumerate(e.nums) if r not in skip]
+    unit_rows = [units.get(k) for k in range(e.cols)]
+    if None in unit_rows:
+        raise ValueError(f"column {unit_rows.index(None)} of the kernel basis E has no unit row")
+    # C[i, k] = (j.nums[i][r_k] / j.den) / (s_k / e.den), over j.den * lcm(s).
+    diag = [e.nums[r][k] for k, r in enumerate(unit_rows)]
+    scale = math.lcm(*diag)
+    factors = [e.den * (scale // s) for s in diag]
+    nums = [[row[r] * f for r, f in zip(unit_rows, factors)] for row in j.nums]
+    c = _matrix(e.cols, nums, j.den * scale)
+    # (C E^T)[i, r] against J[i, r] at the other rows r, over c.den * e.den * j.den
+    read = set(unit_rows)
+    checked = [(r, e_row) for r, e_row in enumerate(e.nums) if r not in read]
     den = c.den * e.den
     if not all(
         sum(map(mul, c_row, e_row)) * j.den == j_row[r] * den

@@ -16,10 +16,7 @@ quantity L   = L
 quantity mu  = M L^-1 T^-1
 quantity nu  = L^2 T^-1
 constraint nu * rho / mu = 1
-basis_override:
-1, -1, -2, -2, 0, 0
-0, 1, 1, 1, -1, 0
-0, 0, 1, 1, 0, -1
+repeating: rho, U, L
 """
 
 

@@ -68,8 +68,8 @@ DRAG_AUTO_BASIS = RatMatrix.from_columns(
     ]
 )
 
-# A kernel basis of DRAG_A in which no row has a single nonzero entry, so C
-# cannot be read off unit rows of E and needs the [E | J^T] elimination.
+# A kernel basis of DRAG_A in which no row has a single nonzero entry: no
+# repeating set gives it, and C cannot be read off unit rows of it.
 DRAG_MIXED_BASIS = RatMatrix.from_columns(
     [
         [1, 0, -1, -1, -1, 0],
@@ -87,9 +87,9 @@ DRAG_RREF = RatMatrix.from_rows(
 )
 
 
-def drag_model(
-    *, with_basis: bool = True, extra_constraints=(), basis: RatMatrix = DRAG_CLASSIC_BASIS
-) -> Model:
+def drag_model(*, with_basis: bool = True, extra_constraints=()) -> Model:
+    """The drag model; with_basis repeats rho, U and L, which gives
+    DRAG_CLASSIC_BASIS, and without it E is DRAG_AUTO_BASIS."""
     dims = DimensionSystem(("M", "L", "T"))
     quantities = (
         Quantity("F_D", (1, 1, -2)),
@@ -106,7 +106,7 @@ def drag_model(
         dims,
         quantities,
         constraints,
-        basis if with_basis else None,
+        ("rho", "U", "L") if with_basis else (),
     )
 
 
@@ -124,12 +124,13 @@ def pendulum_model() -> Model:
 def model_from_matrices(
     a: RatMatrix,
     j: RatMatrix,
-    e: RatMatrix | None = None,
+    *,
+    repeating: Sequence[str] = (),
     constants: Sequence[Fraction] | None = None,
 ) -> Model:
     """A model with dimension matrix ``a``, constraint Jacobian ``j`` and
-    basis override ``e`` (none: the canonical kernel basis). Quantity ``xk``
-    has column k of ``a`` as its dimension exponents. Each row of ``j`` is a
+    ``repeating`` quantities (none: the canonical kernel basis). Quantity
+    ``xk`` has column k of ``a`` as its dimension exponents. Each row of ``j`` is a
     ``jacobian_row`` constraint, or, given ``constants``, a monomial
     constraint equal to its constant."""
     dims = DimensionSystem(tuple(f"D{i}" for i in range(a.rows)))
@@ -139,7 +140,7 @@ def model_from_matrices(
         constraints = tuple(JacobianRowConstraint(row) for row in rows)
     else:
         constraints = tuple(MonomialConstraint(row, k) for row, k in zip(rows, constants))
-    return Model(dims, quantities, constraints, e)
+    return Model(dims, quantities, constraints, tuple(repeating))
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
@@ -286,6 +287,17 @@ def textbook_rref(
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[top])]
         pivots.append(col)
     return [row[:cols] for row in mat], pivots, [row[cols:] for row in mat]
+
+
+def repeating_pivots(model: Model, order: Sequence[int] | None = None) -> tuple[str, ...]:
+    """The quantities whose columns of A become pivots when textbook_rref
+    reduces them in ``order`` (default: declaration order): a valid
+    repeating set, and in declaration order the one the canonical basis
+    implies."""
+    order = range(model.n) if order is None else order
+    rows = [[model.quantities[j].dim_exponents[i] for j in order] for i in range(model.m)]
+    names = [model.quantities[j].name for j in order]
+    return tuple(names[p] for p in textbook_rref(rows, len(names))[1])
 
 
 def primitive_integer_vector(vector: list[Fraction]) -> list[int]:

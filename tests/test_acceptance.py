@@ -75,14 +75,14 @@ def test_criterion_1_drag_golden(repo_root: Path):
 
 
 def test_criterion_2_drag_auto_basis(repo_root: Path):
-    with criterion(2, "drag-force without basis override"):
+    with criterion(2, "drag-force without repeating quantities"):
         lines = [
             line
             for line in _drag_text(repo_root).splitlines()
-            if line != "basis_override:" and not line[:1].isdigit()
+            if not line.startswith("repeating:")
         ]
         model = parse_model("\n".join(lines) + "\n")
-        assert model.basis_override is None
+        assert model.repeating == ()
         report = analyze(model)
         assert report.d_eff == 2
         assert rank(report.C) == 1
@@ -106,7 +106,7 @@ def _criterion_3_cases(seed: int):
 def test_criterion_3_formula_agreement():
     with criterion(3, "formula agreement, true relations, 500 random constrained models"):
         for a, e, j in _criterion_3_cases(40301):
-            model = model_from_matrices(a, j, e)
+            model = model_from_matrices(a, j)
             report = analyze(model)
             assert false_relations(model, report) == []
             counts = report.deff
@@ -182,7 +182,7 @@ def test_criterion_7_degeneration():
     with criterion(7, "no constraints degenerates to the plain group count"):
         for a, e, _ in _criterion_3_cases(40301):
             empty = RatMatrix.zero(0, a.cols)
-            counts = analyze(model_from_matrices(a, empty, e)).deff
+            counts = analyze(model_from_matrices(a, empty)).deff
             assert counts.via_kernel_JE == e.cols
             assert counts.via_C_rank == e.cols
 

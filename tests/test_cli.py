@@ -86,18 +86,44 @@ def test_run_permissive_non_invariant_warns():
     assert err == ""
 
 
+_REFUSED = "'basis_override:' is not supported; name the repeating quantities with 'repeating:'"
+
+
 def test_run_invalid_basis_override_exit_1():
-    text = (
-        "dimensions: M\n"
-        "quantity a = M\n"
-        "quantity b = M\n"
-        "basis_override:\n"
-        "1, 0\n"  # not in the kernel: a alone is dimensionful
-    )
+    # any basis_override: line is refused, and names what replaces it
+    text = "dimensions: M\nquantity a = M\nquantity b = M\nbasis_override:\n"
     code, out, err = run(_analyze(), text)
-    assert code == 1
-    assert out == ""
-    assert "kernel" in err
+    assert (code, out) == (1, "")
+    assert err == f"test.pim:4:1: error[syntax]: {_REFUSED}\n"
+
+
+_REPEATING_BASE = "dimensions: M, L\nquantity a = M\nquantity b = M\nquantity c = L\n"
+REPEATING_REFUSALS = {
+    "unknown": ("repeating: a, z\n",
+                "test.pim:5:15: error[unknown-quantity]: unknown quantity 'z'"),
+    "repeated": ("repeating: a, a\n",
+                 "test.pim:5:15: error[duplicate-name]: duplicate repeating quantity 'a'"),
+    "second-line": ("repeating: a, c\nrepeating: b, c\n",
+                    "test.pim:6:1: error[duplicate-name]: duplicate repeating declaration"),
+    "empty": ("repeating:\n",
+              "test.pim:5:11: error[syntax]: expected a quantity name, got ''"),
+    "count": ("repeating: a\n",
+              "error: the repeating quantities number 1, but the dimension matrix has rank 2"),
+    "dependent": ("repeating: a, b\n",
+                  "error: the dimensions of repeating quantities a, b are dependent"),
+    "basis-override": ("basis_override:\n0, 1, 0\n", f"test.pim:5:1: error[syntax]: {_REFUSED}\n"
+                       "test.pim:6:1: error[syntax]: expected one of: dimensions:, quantity, "
+                       "constraint, jacobian_row:, repeating:"),
+}
+
+
+@pytest.mark.parametrize("name", REPEATING_REFUSALS)
+def test_run_refuses_each_bad_repeating_set(name: str):
+    line, message = REPEATING_REFUSALS[name]
+    for command in ("analyze", "check"):
+        assert run(CliConfig(command, "test.pim"), _REPEATING_BASE + line) == (
+            1, "", message + "\n"
+        )
 
 
 def test_run_huge_root_in_a_relation_constant_stays_symbolic():
@@ -115,6 +141,7 @@ def test_run_huge_root_in_a_relation_constant_stays_symbolic():
 
 
 _OVERRIDE_BASE = "dimensions: M\nquantity a = M\nquantity b = M\n"
+# basis_override: blocks, which the parser refuses
 BAD_OVERRIDES = {
     "not-in-kernel": _OVERRIDE_BASE + "basis_override:\n1, 0\n",
     "too-few-columns": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n0, 0, 1\n",
@@ -139,29 +166,36 @@ def _check_inputs() -> list:
     files = sorted((root / "models").glob("*.pim")) + sorted((root / "tests" / "models").glob("*.pim"))
     cases = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in files]
     cases += [pytest.param(text, id=name) for name, text in BAD_OVERRIDES.items()]
+    cases += [
+        pytest.param(_REPEATING_BASE + line, id=f"repeating-{name}")
+        for name, (line, _) in REPEATING_REFUSALS.items()
+    ]
     return cases + [pytest.param(TOO_LONG_TO_PRINT, id="too-long-to-print")]
 
 
 @pytest.mark.parametrize("text", _check_inputs())
 def test_check_refuses_what_analyze_refuses(text: str):
-    code, out, err = run(CliConfig(command="check", input_path="m.pim"), text)
+    code, out, err = run(CliConfig(command="check", input_path="test.pim"), text)
     want_code, _, want_err = run(_analyze(), text)
     assert (code, err) == (want_code, want_err)
     if code == 0:
         assert out.startswith("model OK\n")
     else:
         assert out == ""
-        assert err.startswith("error: ")
+        # an analysis refusal, or the parse errors of an input the parser refuses
+        assert err.startswith(("error: ", "test.pim:"))
 
 
 SCALED_OVERRIDE = (
     "dimensions: M\nquantity a = M\nquantity b = M\n"
-    "constraint a/b = 3\nbasis_override:\n-1, 1\n"
+    "constraint a/b = 3\nrepeating: b\n"
 )
 
 
 def test_run_override_column_is_scaled_before_the_relations_are_read():
-    # The column (-1, 1) is the group a/b; a/b = 3, not 1/3.
+    # With b repeating, the kernel of A with b first holds (1, -1) over
+    # (b, a); read back over (a, b) that is (-1, 1), which is scaled to the
+    # group a/b before the relation is read: a/b = 3, not 1/3.
     code, out, err = run(_analyze(), SCALED_OVERRIDE)
     assert (code, err) == (0, "")
     assert "  pi1 = a/b\n" in out
@@ -260,16 +294,6 @@ def test_run_d_eff_counts_a_ratio_the_constraint_leaves_free():
     assert _d_eff_line(text) == "d_eff = 1"
 
 
-@pytest.mark.parametrize("row",["0, -1, -1, -1, 1, 0", "0, 1/2, 1/2, 1/2, -1/2, 0"])
-def test_run_drag_with_a_rescaled_override_row_keeps_its_relation(drag_text, row: str):
-    text = drag_text.replace("0, 1, 1, 1, -1, 0", row)
-    assert text != drag_text
-    code, out, err = run(_analyze(), text)
-    assert (code, err) == (0, "")
-    assert out == run(_analyze(), drag_text)[1]
-    assert "relation: pi2 / pi3 = 1\n" in out
-
-
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -288,13 +312,6 @@ def test_run_refuses_a_config_it_cannot_serve(monkeypatch, drag_text, config, me
 
     monkeypatch.setattr(cli_module, "parse_model", refuse)
     assert run(config, drag_text) == (1, "", message)
-
-
-def test_run_empty_basis_override_block_is_a_zero_column_override():
-    for command in ("analyze", "check"):
-        code, out, err = run(CliConfig(command, "m.pim"), BAD_OVERRIDES["empty-block"])
-        assert (code, out) == (1, "")
-        assert err == "error: basis override has 0 columns but the kernel has dimension 1\n"
 
 
 def test_run_internal_invariant_violation_exit_3(monkeypatch, drag_text):
@@ -585,9 +602,8 @@ BIG = "7" * 5000  # past CPython's 4,300-digit limit on int-from-str
         (f"quantity x = M^1/{BIG}\n", "bad-exponent"),
         (f"quantity x = 1\nconstraint x^{BIG} = 1\n", "bad-exponent"),
         (f"quantity x = 1\nquantity y = 1\njacobian_row: 1, -{BIG}\n", "syntax"),
-        (f"quantity x = 1\nbasis_override:\n{BIG}\n", "syntax"),
     ],
-    ids=["constant", "dimension-exponent", "monomial-exponent", "jacobian-row", "basis-override"],
+    ids=["constant", "dimension-exponent", "monomial-exponent", "jacobian-row"],
 )
 def test_run_oversized_literal_is_a_parse_error(source: str, code: str):
     config = CliConfig(command="check", input_path="big.pim")

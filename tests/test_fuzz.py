@@ -28,7 +28,9 @@ CONFIGS = (
 )
 
 NAMES = ("M", "L", "T", "x", "y", "z", "rho", "mu", "nu", "U", "F_D")
-KEYWORDS = ("dimensions:", "quantity", "constraint", "jacobian_row:", "basis_override:")
+KEYWORDS = (
+    "dimensions:", "quantity", "constraint", "jacobian_row:", "repeating:", "basis_override:"
+)
 PUNCTUATION = ("=", "*", "/", "^", "-", ",", ":", "#", " ", "\n", "(", ")", "1/0", "0/1")
 
 digits = st.sampled_from((1, 2, 12, 4299, 4300, 4301, 5000))
@@ -92,9 +94,8 @@ def grammar_model(draw) -> str:
             row = ", ".join(draw(rational) for _ in names)
             lines.append(f"jacobian_row: {row}")
     if draw(st.booleans()):
-        lines.append("basis_override:")
-        for _ in range(draw(st.integers(0, 3))):
-            lines.append(", ".join(draw(st.integers(-2, 2).map(str)) for _ in names))
+        repeating = draw(st.lists(st.sampled_from(names + ["v"]), max_size=3))
+        lines.append(f"repeating: {', '.join(repeating)}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,19 +15,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pim.reduce as reduce_module
+import pim.ratlin as ratlin_module
 from pim import analyze, parse_model, render_report
-from pim.model import Model
+from pim.model import Model, Quantity
 from pim.modelfile import _report_payload
-from pim.ratlin import RatMatrix, as_fraction
+from pim.ratlin import RatMatrix, as_fraction, nullspace_basis
+from pim.reduce import JacobianRowConstraint, MonomialConstraint, redundancy_matrix
 
 from oracles import (
-    DRAG_MIXED_BASIS,
     apply_rescale,
     drag_model,
     evaluate_monomial,
     false_relations,
+    model_from_matrices,
+    primitive_integer_vector,
+    random_int_matrix,
+    random_invariant_jacobian,
+    random_positive_fraction,
     random_unimodular,
+    repeating_pivots,
     verify_report,
 )
 
@@ -108,20 +114,12 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
         assert report.C @ report.E.transpose() == report.J
     assert false_relations(model, report) == []
     assert verify_report(model, report) == []
-    # Another basis of the same kernel, with dense rows, as an override.
-    basis = report.E @ random_unimodular(rng, report.d)
-    changed = Model(model.dims, model.quantities, model.constraints, basis)
-    other = analyze(changed)
-    assert (other.d, other.d_eff) == (report.d, report.d_eff)
-    assert false_relations(changed, other) == []
-    assert verify_report(changed, other) == []
+    # Another basis of the same kernel, from a random valid repeating set.
+    repeating = repeating_pivots(model, rng.sample(range(n), n))
+    other = _assert_repeating_basis(model, report, repeating)
     assert [list(other.E.column(k)) for k in range(other.d)] == [
         g["exponents"] for g in _report_payload(other)["pi_groups"]
     ]
-    if report.scale_invariant:
-        assert other.C @ other.E.transpose() == other.J
-        assert len(other.relations) == len(report.relations)
-        assert len(other.selected) == len(report.selected)
     values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
     rescale = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)]
     scaled = apply_rescale(model, values, rescale)
@@ -131,55 +129,150 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
         ), group["label"]
 
 
+def _assert_repeating_basis(model: Model, report, repeating: tuple[str, ...]):
+    """The report on `model` with `repeating`, checked against `report`, the
+    one without: pi group k is the k-th other quantity times powers of the
+    repeating ones, every claim holds, and d, d_eff, the verdict, the
+    relation count and the selected count are the same."""
+    changed = Model(model.dims, model.quantities, model.constraints, repeating)
+    other = analyze(changed)
+    others = [j for j, q in enumerate(model.quantities) if q.name not in repeating]
+    assert len(others) == other.d
+    for k, column in enumerate(zip(*other.E.nums)):
+        assert [j for j in others if column[j]] == [others[k]]
+    assert verify_report(changed, other) == []
+    assert false_relations(changed, other) == []
+    assert (other.d, other.d_eff, other.scale_invariant) == (
+        report.d, report.d_eff, report.scale_invariant
+    )
+    assert len(other.relations or ()) == len(report.relations or ())
+    assert len(other.selected or ()) == len(report.selected or ())
+    return other
+
+
+def _oracle_models(seed: int) -> list[Model]:
+    """Random models up to n = 40 from the oracles' generators: invariant
+    monomial constraints with random constants, and pointwise Jacobian rows."""
+    rng = random.Random(seed)
+    models = []
+    for n, m, ell in ((8, 3, 2), (12, 4, 2), (20, 5, 3), (24, 6, 4), (40, 10, 12)):
+        a = random_int_matrix(rng, m, n, -3, 3)
+        j = random_invariant_jacobian(rng, nullspace_basis(a), ell)
+        constants = [random_positive_fraction(rng) for _ in range(ell)]
+        models.append(model_from_matrices(a, j, constants=constants))
+        models.append(model_from_matrices(a, random_int_matrix(rng, ell, n, -2, 2)))
+    return models
+
+
+def _corpus(gen, source: str) -> list[Model]:
+    if source == "oracle":
+        return _oracle_models(4040)
+    pointwise = source == "ladder-pointwise"
+    return [parse_model(made.text) for seed in (1, 2) for made in gen.ladder(seed, 1, pointwise)]
+
+
+@pytest.mark.parametrize("source", ["ladder-invariant", "ladder-pointwise", "oracle"])
+def test_repeating_sets_choose_the_basis_and_keep_the_answers(gen, source: str):
+    # The pivot columns of rref(A) as the repeating set reproduce the
+    # default report byte for byte; a random valid repeating set keeps every
+    # answer that does not depend on the basis.
+    rng = random.Random(source)
+    models = _corpus(gen, source)
+    for model in models:
+        report = analyze(model)
+        pivots = Model(model.dims, model.quantities, model.constraints, repeating_pivots(model))
+        for fmt in ("json", "text"):
+            assert render_report(analyze(pivots), fmt) == render_report(report, fmt)
+        order = rng.sample(range(model.n), model.n)
+        _assert_repeating_basis(model, report, repeating_pivots(model, order))
+    assert max(model.n for model in models) == (40 if source == "oracle" else 24)
+
+
 _SCALES = {"negated": Fraction(-1), "doubled": Fraction(2), "halved": Fraction(1, 2)}
 
 
-def _other_basis(variant: str, rng: random.Random, e: RatMatrix) -> RatMatrix:
-    """Another basis of the kernel spanned by e: e times a random unimodular
-    matrix, or e with its column 1 (0 when d = 1) scaled by _SCALES[variant]."""
+def _transformed(variant: str, rng: random.Random, model: Model):
+    """The model after a change of variables whose effect on a kernel basis
+    is known, and that effect, a factor per row: "unimodular" recombines
+    the dimensions (A becomes U A), which leaves the kernel as it is; the
+    others replace quantity k by x_k ** (1/s) for s = _SCALES[variant]
+    (column k of A divided by s, of J times s), which multiplies row k of
+    every kernel vector by s."""
+    quantities, constraints = model.quantities, model.constraints
     if variant == "unimodular":
-        return e @ random_unimodular(rng, e.cols)
-    cols = [list(e.column(j)) for j in range(e.cols)]
-    k = min(1, e.cols - 1)
-    cols[k] = [_SCALES[variant] * x for x in cols[k]]
-    return RatMatrix.from_columns(cols, rows=e.rows)
+        u = random_unimodular(rng, model.m)
+        a = u @ RatMatrix.from_columns([q.dim_exponents for q in quantities], rows=model.m)
+        quantities = tuple(Quantity(q.name, a.column(j)) for j, q in enumerate(quantities))
+        return Model(model.dims, quantities, constraints, model.repeating), [1] * model.n
+    s, k = _SCALES[variant], rng.randrange(model.n)
+    quantities = tuple(
+        Quantity(q.name, tuple(x / s for x in q.dim_exponents)) if j == k else q
+        for j, q in enumerate(quantities)
+    )
+    scaled = []
+    for c in constraints:
+        vector = tuple(x * s if j == k else x for j, x in enumerate(c.vector))
+        if c.kind == "monomial":
+            scaled.append(MonomialConstraint(vector, c.constant))
+        else:
+            scaled.append(JacobianRowConstraint(vector))
+    factors = [s if j == k else 1 for j in range(model.n)]
+    return Model(model.dims, quantities, tuple(scaled), model.repeating), factors
 
 
 @pytest.mark.parametrize("variant", ["negated", "doubled", "halved", "unimodular"])
 @pytest.mark.parametrize("source", ["ladder-1", "ladder-2", "drag"])
 def test_overridden_bases_print_true_relations(gen, source: str, variant: str):
+    # A basis chosen by repeating: in place of the canonical one, on a model
+    # changed so that a row of every kernel vector is negated, doubled or
+    # halved, or so that the dimensions are recombined: each column of E is
+    # the old one with that row scaled, made primitive, and the relations
+    # stay true and as many.
+    rng = random.Random(source)
     if source == "drag":
         models = [drag_model()]
     else:
         seed = int(source.split("-")[1])
         models = [parse_model(made.text) for made in gen.ladder(seed, 1, False)]
-    rng = random.Random(source)
+        models = [
+            Model(m.dims, m.quantities, m.constraints,
+                  repeating_pivots(m, rng.sample(range(m.n), m.n)))
+            for m in models
+        ]
     for model in models:
         report = analyze(model)
-        basis = _other_basis(variant, rng, report.E)
-        changed = Model(model.dims, model.quantities, model.constraints, basis)
+        changed, factors = _transformed(variant, rng, model)
         other = analyze(changed)
+        assert (other.d, other.d_eff) == (report.d, report.d_eff)
+        for old, new in zip(zip(*report.E.nums), zip(*other.E.nums)):
+            assert primitive_integer_vector([x * f for x, f in zip(old, factors)]) == list(new)
         assert len(other.relations) == len(report.relations)
         assert false_relations(changed, other) == []
+        assert verify_report(changed, other) == []
 
 
-def test_analysis_reads_c_off_unit_rows_without_an_elimination(gen, repo_root, monkeypatch):
-    # Every canonical kernel basis, and the shipped drag override, has a unit
-    # row per column; only an override without one needs the elimination
-    # of [E | J^T].
-    calls = [0]
-    original = reduce_module._eliminate
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(reduce_module, "_eliminate", counted)
+def test_analysis_reads_c_off_unit_rows_without_an_elimination(gen, repo_root):
+    # Every basis pi_basis returns, canonical or from repeating:, has a unit
+    # row per column, so redundancy_matrix solves for C without running the
+    # elimination kernel.
     texts = [(repo_root / "models" / f"{name}.pim").read_text(encoding="utf-8")
              for name in ("drag", "drag_auto", "pendulum")]
     texts += [made.text for made in gen.ladder(1, 1, False)]
-    for text in texts:
-        analyze(parse_model(text))
-    assert calls[0] == 0
-    analyze(drag_model(basis=DRAG_MIXED_BASIS))
-    assert calls[0] == 1
+    solve, eliminate = redundancy_matrix.__code__, ratlin_module._eliminate.__code__
+    calls = {solve: 0, eliminate: 0}
+    inside = [False]
+
+    def profile(frame, event, arg):
+        if frame.f_code is solve and event in ("call", "return"):
+            inside[0] = event == "call"
+            calls[solve] += event == "call"
+        elif frame.f_code is eliminate and event == "call" and inside[0]:
+            calls[eliminate] += 1
+
+    sys.setprofile(profile)
+    try:
+        for text in texts:
+            analyze(parse_model(text))
+    finally:
+        sys.setprofile(None)
+    assert calls == {solve: len(texts), eliminate: 0}

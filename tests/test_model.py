@@ -28,6 +28,7 @@ from oracles import (
     evaluate_monomial,
     minor_rank,
     pendulum_model,
+    repeating_pivots,
 )
 
 
@@ -50,8 +51,10 @@ def test_model_validation():
         Model(dims, (Quantity("x", (1, 0)), Quantity("x", (0, 1))))
     with pytest.raises(ModelError, match="dimension exponents"):
         Model(dims, (Quantity("x", (1,)),))
-    with pytest.raises(ModelError, match="basis override"):
-        Model(dims, (Quantity("x", (1, 0)),), basis_override=RatMatrix.zero(3, 1))
+    with pytest.raises(ModelError, match="unknown repeating quantity 'y'"):
+        Model(dims, (Quantity("x", (1, 0)),), repeating=("y",))
+    with pytest.raises(ModelError, match="duplicate repeating quantity 'x'"):
+        Model(dims, (Quantity("x", (1, 0)),), repeating=("x", "x"))
     with pytest.raises(ModelError, match="constraint 1 has 2 coefficients, expected 1"):
         Model(dims, (Quantity("x", (1, 0)),), (JacobianRowConstraint((1, 0)),))
 
@@ -134,51 +137,48 @@ def test_pi_basis_pendulum_auto():
 
 
 def test_pi_basis_scales_override_columns_and_e_is_the_groups():
+    # A repeating set in any order gives the same columns, each made
+    # primitive in declaration order: with b repeating, the permuted
+    # kernel's column b/a reads -1, 1 back in declaration order, so it
+    # becomes a/b.
     model = drag_model()
-    cols = [list(model.basis_override.column(k)) for k in range(3)]
-    cols[1] = [-2 * x for x in cols[1]]
-    scaled = RatMatrix.from_columns(cols)
-    changed = Model(model.dims, model.quantities, model.constraints, scaled)
-    basis, groups = pi_basis(changed, DRAG_A)
-    assert groups == pi_basis(model, DRAG_A)[1]
+    reordered = Model(model.dims, model.quantities, model.constraints, ("L", "U", "rho"))
+    basis, groups = pi_basis(reordered, DRAG_A)
     assert basis == DRAG_CLASSIC_BASIS
+    assert groups == pi_basis(model, DRAG_A)[1]
+    two = Model(DimensionSystem(("M",)), (Quantity("a", (1,)), Quantity("b", (1,))))
+    changed = Model(two.dims, two.quantities, repeating=("b",))
+    basis, groups = pi_basis(changed, build_dimension_matrix(two))
+    assert groups == ((1, -1),)
+    assert basis == RatMatrix.from_columns(groups)
     payload = json.loads(render_report(analyze(changed), "json"))
-    assert [row[1] for row in payload["E"]] == ["0", "1", "1", "1", "-1", "0"]
+    assert payload["E"] == [["1"], ["-1"]]
+    assert payload["pi_groups"] == [{"label": "a/b", "exponents": [1, -1]}]
 
 
 def test_pi_basis_override_wrong_shape():
+    # a repeating set of other than rank A quantities gives a basis of the
+    # wrong number of columns
     model = drag_model()
-    bad = Model(
-        model.dims,
-        model.quantities,
-        model.constraints,
-        RatMatrix.from_columns([[1, -1, -2, -2, 0, 0]]),
-    )
-    with pytest.raises(ModelError, match="kernel has dimension 3"):
-        pi_basis(bad, DRAG_A)
-
-
-def test_pi_basis_override_not_in_kernel():
-    model = drag_model()
-    cols = [
-        [1, -1, -2, -2, 0, 0],
-        [0, 1, 1, 1, -1, 0],
-        [1, 0, 0, 0, 0, 0],  # F_D alone is dimensionful
-    ]
-    bad = Model(model.dims, model.quantities, model.constraints,
-                RatMatrix.from_columns(cols))
-    with pytest.raises(ModelError, match="column 2 is not in the kernel"):
-        pi_basis(bad, DRAG_A)
+    for repeating in (("rho", "U"), ("rho", "U", "L", "mu")):
+        changed = Model(model.dims, model.quantities, model.constraints, repeating)
+        with pytest.raises(ModelError) as info:
+            pi_basis(changed, DRAG_A)
+        assert str(info.value) == (
+            f"the repeating quantities number {len(repeating)}, but the dimension matrix has rank 3"
+        )
 
 
 def test_pi_basis_override_rank_deficient():
+    # nu = mu / rho in dimensions, so rho, mu and nu do not span them
     model = drag_model()
-    col = [1, -1, -2, -2, 0, 0]
-    cols = [col, col, [0, 1, 1, 1, -1, 0]]
-    bad = Model(model.dims, model.quantities, model.constraints,
-                RatMatrix.from_columns(cols))
-    with pytest.raises(ModelError, match="rank-deficient"):
-        pi_basis(bad, DRAG_A)
+    changed = Model(model.dims, model.quantities, model.constraints, ("F_D", "mu", "rho", "nu"))
+    with pytest.raises(ModelError, match="number 4,"):
+        pi_basis(changed, DRAG_A)
+    changed = Model(model.dims, model.quantities, model.constraints, ("mu", "rho", "nu"))
+    with pytest.raises(ModelError) as info:
+        pi_basis(changed, DRAG_A)
+    assert str(info.value) == "the dimensions of repeating quantities mu, rho, nu are dependent"
 
 
 def test_pi_basis_properties_random():
@@ -201,27 +201,19 @@ def test_pi_basis_properties_random():
         _assert_groups_are_columns(basis, groups)
         if not basis.cols:
             continue
-        # An override: each column scaled by a nonzero rational and, now and
-        # then, plus whole multiples of the columns before it, so that it
-        # keeps full column rank.
-        canonical = [basis.column(k) for k in range(basis.cols)]
-        mixed = rng.random() < 0.5
-        columns = []
-        for k, column in enumerate(canonical):
-            vec = list(column)
-            for j in range(k if mixed else 0):
-                t = rng.randint(-2, 2)
-                vec = [x + t * y for x, y in zip(vec, canonical[j])]
-            factor = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
-            columns.append([factor * x for x in vec])
-        override = Model(dims, quantities, basis_override=RatMatrix.from_columns(columns, n))
-        e, override_groups = pi_basis(override, a)
+        # A random valid repeating set: pi group k is the k-th other
+        # quantity times powers of the repeating ones. The pivots of
+        # rref(A) give the canonical basis back.
+        repeating = repeating_pivots(model, rng.sample(range(n), n))
+        e, repeating_groups = pi_basis(Model(dims, quantities, repeating=repeating), a)
         assert (a @ e).is_zero()
         assert rank(e) == e.cols == basis.cols
-        _assert_groups_are_columns(e, override_groups)
-        if not mixed:
-            assert e == basis
-            assert override_groups == groups
+        _assert_groups_are_columns(e, repeating_groups)
+        others = [j for j, q in enumerate(quantities) if q.name not in repeating]
+        for k, g in enumerate(repeating_groups):
+            assert [j for j in others if g[j]] == [others[k]]
+        pivots = Model(dims, quantities, repeating=repeating_pivots(model))
+        assert pi_basis(pivots, a) == (basis, groups)
 
 
 def _assert_groups_are_columns(basis: RatMatrix, groups: tuple[tuple[int, ...], ...]) -> None:

@@ -33,7 +33,7 @@ from pim.ratlin import RatMatrix
 from pim.reduce import AnalysisReport, JacobianRowConstraint, MonomialConstraint, analyze
 
 import test_report_digests
-from oracles import DRAG_CLASSIC_BASIS, drag_model
+from oracles import drag_model
 
 
 def _parse_errors(text: str):
@@ -49,7 +49,7 @@ def _parse_errors(text: str):
 def test_parse_drag_model(drag_text):
     model = parse_model(drag_text)
     assert model == drag_model()
-    assert model.basis_override == DRAG_CLASSIC_BASIS
+    assert model.repeating == ("rho", "U", "L")
 
 
 def test_parse_dimensionless_quantity():
@@ -116,6 +116,8 @@ def test_crlf_and_lone_cr_read_as_lf(drag_text, newline: str):
 
 
 def test_parse_basis_block_ends_at_keyword():
+    # A basis_override: line is refused at its keyword, and each row under
+    # it as a line of its own; the next keyword line is read as usual.
     text = (
         "dimensions: M\n"
         "quantity a = M\n"
@@ -123,10 +125,40 @@ def test_parse_basis_block_ends_at_keyword():
         "basis_override:\n"
         "1, -1\n"
         "constraint a / b = 1\n"
+        "repeating: a\n"
     )
-    model = parse_model(text)
-    assert model.basis_override == RatMatrix.from_columns([[1, -1]])
-    assert len(model.constraints) == 1
+    errors = _parse_errors(text)
+    assert [(e.code, e.span.line, e.span.column, e.span.length, e.message) for e in errors] == [
+        (ErrorCode.SYNTAX, 4, 1, len("basis_override"), _REFUSED),
+        (ErrorCode.SYNTAX, 5, 1, 2, _EXPECTED_KEYWORD),
+    ]
+    model = parse_model(text.replace("basis_override:\n1, -1\n", ""))
+    assert (len(model.constraints), model.repeating) == (1, ("a",))
+
+
+_REFUSED = "'basis_override:' is not supported; name the repeating quantities with 'repeating:'"
+_EXPECTED_KEYWORD = "expected one of: dimensions:, quantity, constraint, jacobian_row:, repeating:"
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("repeating: z", [(ErrorCode.UNKNOWN_QUANTITY, 4, 12, 1, "unknown quantity 'z'")]),
+    ("repeating: a, b, a",
+     [(ErrorCode.DUPLICATE_NAME, 4, 18, 1, "duplicate repeating quantity 'a'")]),
+    ("repeating: a\n  repeating: b",
+     [(ErrorCode.DUPLICATE_NAME, 5, 3, len("repeating"), "duplicate repeating declaration")]),
+    ("repeating:", [(ErrorCode.SYNTAX, 4, 11, 1, "expected a quantity name, got ''")]),
+    ("repeating:  \t", [(ErrorCode.SYNTAX, 4, 14, 1, "expected a quantity name, got ''")]),
+    ("repeating: a, ", [(ErrorCode.SYNTAX, 4, 15, 1, "expected a quantity name, got ''")]),
+    ("repeating: a b", [(ErrorCode.SYNTAX, 4, 12, 3, "expected a quantity name, got 'a b'")]),
+    ("basis_override:", [(ErrorCode.SYNTAX, 4, 1, len("basis_override"), _REFUSED)]),
+    ("  basis_override: 1, 0",
+     [(ErrorCode.SYNTAX, 4, 3, len("basis_override"), _REFUSED)]),
+], ids=[
+    "unknown", "repeated", "second-line", "empty", "blank", "trailing-comma", "not-a-name",
+    "basis-override", "basis-override-with-text",
+])
+def test_repeating_refusals_point_at_their_token(line: str, expected: list):
+    assert _errors_of(line) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +322,17 @@ def test_error_duplicate_declaration_points_at_the_keyword(indent: str):
         (2, len(indent) + 1, len("dimensions"), "duplicate dimensions declaration")
     ]
     errors = _parse_errors(
-        f"dimensions: M\nquantity a = M\nbasis_override:\n1\n{indent}basis_override:\n"
-        "   basis_override:\n"
+        f"dimensions: M\nquantity a = M\nrepeating: a\n{indent}repeating: a\n"
+        "   repeating: a\n"
     )
     assert [(e.span.line, e.span.column, e.span.length, e.message) for e in errors] == [
-        (5, len(indent) + 1, len("basis_override"), "duplicate basis_override block"),
-        (6, 4, len("basis_override"), "duplicate basis_override block"),
+        (4, len(indent) + 1, len("repeating"), "duplicate repeating declaration"),
+        (5, 4, len("repeating"), "duplicate repeating declaration"),
     ]
 
 
 @pytest.mark.parametrize("line, code, column", [
     ("jacobian_row: 1, {}", ErrorCode.SYNTAX, 18),
-    ("basis_override:\n 1, {}", ErrorCode.SYNTAX, 5),
     ("constraint a / b = {}", ErrorCode.BAD_CONSTANT, 20),
 ])
 def test_error_long_digit_run_in_a_non_number_gives_its_digit_count(
@@ -331,10 +362,9 @@ _A = "dimensions: M\nquantity a = M\n"
     (_parse_errors, "dimensions M\nquantity a = M\n",
      [(1, 12, "expected ':' after 'dimensions'"), (1, 1, "missing dimensions declaration")]),
     (_parse_errors, _A + "constraint a 1\n", [(3, 15, "expected '=' in constraint")]),
-    (_parse_errors, _A + "basis_override: x\n",
-     [(3, 16, "unexpected text after 'basis_override:'")]),
+    (_parse_errors, _A + "basis_override: x\n", [(3, 1, _REFUSED)]),
     (_parse_errors, _A + "quantity b = M\nbasis_override:\n1\n",
-     [(5, 1, "basis vector has 1 entries, expected 2")]),
+     [(4, 1, _REFUSED), (5, 1, _EXPECTED_KEYWORD)]),
     (_dimexpr_errors, "", [(1, 1, "expected a dimension expression")]),
 ], ids=[
     "after-monomial", "no-quantity-name", "one-not-alone", "no-colon", "no-equals",
@@ -539,15 +569,26 @@ def test_render_model_round_trip_variants():
         assert parse_model(render_model(model)) == model
 
 
+def test_render_model_round_trip_of_repeating():
+    model = drag_model()
+    rendered = render_model(model)
+    assert rendered.endswith("\nconstraint rho * nu / mu = 1\nrepeating: rho, U, L\n")
+    assert parse_model(rendered) == model
+    reordered = parse_model(rendered.replace("rho, U, L", "L, rho, U"))
+    assert reordered.repeating == ("L", "rho", "U")
+    assert parse_model(render_model(reordered)) == reordered
+    assert analyze(reordered) == analyze(model)
+
+
 def test_render_model_round_trip_of_a_zero_column_override():
-    # d = 0: the override with no columns is the whole kernel basis
+    # d = 0: every quantity repeats, and the basis has no columns
     model = Model(
         DimensionSystem(("M", "L")),
         (Quantity("a", (1, 0)), Quantity("b", (0, 1))),
-        basis_override=RatMatrix.zero(2, 0),
+        repeating=("a", "b"),
     )
     rendered = render_model(model)
-    assert rendered.endswith("\nbasis_override:\n")
+    assert rendered.endswith("\nrepeating: a, b\n")
     assert parse_model(rendered) == model
     report = analyze(model)
     assert (report.d, report.d_eff, _report_payload(report)["pi_groups"]) == (0, 0, [])
@@ -862,7 +903,7 @@ def test_json_int_list_keeps_bools_apart(items):
     the shared text table too; its bools fill scale_invariant and one
     relation's pointwise each, and a None makes the relation constants
     null. True hashes as 1, yet each bool is written true or false and each
-    int by its digits."""
+    int by its digits. (A pi group's exponents are written from E's cells.)"""
     values = list(items.values()) if type(items) is dict else items
     ints = [v for v in values if type(v) is int]
     bools = [v for v in values if type(v) is bool]
@@ -870,7 +911,6 @@ def test_json_int_list_keeps_bools_apart(items):
     payload = _report_payload(analyze(parse_model(_SMALL_MODELS[-1])))
     relation = payload["relations"][0]
     payload["d_eff_formulas"] = dict(zip(payload["d_eff_formulas"], ints + [None] * 4))
-    payload["pi_groups"][0]["exponents"] = ints
     payload["selected"] = ints
     payload["relations"] = [
         dict(relation, pi_exponents=ints, pointwise=flag, constant=constant) for flag in bools
@@ -886,7 +926,7 @@ def test_json_int_list_keeps_bools_apart(items):
 # backslashes, control characters, line and paragraph separators, non-ASCII
 # and astral characters (written as surrogate pairs); then any code point,
 # lone surrogates included. Ints reach past the shared text table; number
-# cells are any Fraction as str prints it.
+# cells are any Fraction as str prints it, and E's cells any int.
 _TRICKY = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600\U0010ffff'
 _chars = st.one_of(st.sampled_from(_TRICKY), st.integers(0, 0x10FFFF).map(chr))
 _texts = st.text(_chars, max_size=12)
@@ -925,7 +965,10 @@ _relations = _ordered(
         "label": _texts,
     }
 )
-_payloads = _ordered(
+_int_matrices = st.integers(0, 3).flatmap(
+    lambda cols: st.lists(st.lists(_ints.map(str), min_size=cols, max_size=cols), max_size=3)
+)
+_fields = _ordered(
     {
         **{key: _ints for key in ("schema", "n", "m", "ell", "d", "d_eff")},
         "scale_invariant": st.booleans(),
@@ -937,11 +980,10 @@ _payloads = _ordered(
         ),
         "dimensions": st.lists(_texts, max_size=4),
         "quantities": st.lists(_texts, max_size=4),
-        "pi_groups": st.lists(
-            _ordered({"label": _texts, "exponents": _int_lists}), max_size=3
-        ),
+        "pi_groups": st.just([]),
         "constraints": st.lists(_constraints, max_size=3),
-        **{key: _matrices for key in ("A", "J", "E")},
+        **{key: _matrices for key in ("A", "J")},
+        "E": _int_matrices,
         **{key: st.none() | _matrices for key in ("C", "rref_C")},
         "selected": st.none() | _int_lists,
         "relations": st.none() | st.lists(_relations, max_size=3),
@@ -950,8 +992,19 @@ _payloads = _ordered(
 )
 
 
+@st.composite
+def _payloads(draw) -> dict:
+    """A payload whose pi group k holds column k of its integer E."""
+    payload = draw(_fields)
+    payload["pi_groups"] = [
+        {"label": draw(_texts), "exponents": list(map(int, column))}
+        for column in zip(*payload["E"])
+    ]
+    return payload
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(_payloads)
+@given(_payloads())
 def test_json_writer_matches_json_dumps(payload):
     assert list(payload) == list(_report_payload(analyze(parse_model(_SMALL_MODELS[-1]))))
     assert report_json(payload) == json.dumps(payload, indent=2)

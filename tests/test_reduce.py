@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 
+from pim.cli import CliConfig, run
 from pim.model import (
     DimensionSystem,
     Model,
@@ -55,6 +56,9 @@ from oracles import (
     random_unimodular,
     textbook_rref,
 )
+
+# the quantities x1, x2, x3 of a model built from DRAG_A: rho, U and L
+DRAG_REPEATING = ("x1", "x2", "x3")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def test_scale_invariance_soundness_random():
 
 
 def test_effective_counts_drag():
-    counts = analyze(model_from_matrices(DRAG_A, DRAG_J, DRAG_CLASSIC_BASIS)).deff
+    counts = analyze(model_from_matrices(DRAG_A, DRAG_J, repeating=DRAG_REPEATING)).deff
     assert (
         counts.via_kernel_JE,
         counts.via_stacked_rank,
@@ -182,7 +186,7 @@ def test_effective_counts_drag():
 
 
 def test_effective_counts_unconstrained_degenerates():
-    report = analyze(model_from_matrices(DRAG_A, RatMatrix.zero(0, 6), DRAG_AUTO_BASIS))
+    report = analyze(model_from_matrices(DRAG_A, RatMatrix.zero(0, 6)))
     counts = report.deff
     assert report.E == DRAG_AUTO_BASIS
     assert counts.via_kernel_JE == 3
@@ -193,7 +197,7 @@ def test_effective_counts_fixed_reynolds():
     j = DRAG_J.vstack(RatMatrix.from_rows([[0, 1, 1, 1, -1, 0]]))
     stacked = DRAG_A.vstack(j)
     assert minor_rank(stacked) == 5
-    counts = analyze(model_from_matrices(DRAG_A, j, DRAG_CLASSIC_BASIS)).deff
+    counts = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING)).deff
     assert counts.via_kernel_JE == 1
     assert counts.via_C_rank == 1
 
@@ -230,10 +234,12 @@ def test_redundancy_matrix_refuses_non_invariant_rows():
         redundancy_matrix(j, DRAG_CLASSIC_BASIS)
     with pytest.raises(ScaleInvarianceError):
         redundancy_matrix(RatMatrix.from_rows([[1, 0]]), RatMatrix.zero(2, 0))
-    # a rank-deficient basis is refused before any row is tested
-    e = RatMatrix.from_columns([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="not full column rank"):
+    # a basis without a unit row in a column is refused before any row is tested
+    e = RatMatrix.from_columns([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="^column 1 of the kernel basis E has no unit row$"):
         redundancy_matrix(RatMatrix.from_rows([[1, 0]]), e)
+    with pytest.raises(ValueError, match="^column 0 of the kernel basis E has no unit row$"):
+        redundancy_matrix(DRAG_J, DRAG_MIXED_BASIS)
 
 
 def test_redundancy_matrix_shape_check():
@@ -244,8 +250,6 @@ def test_redundancy_matrix_shape_check():
 def test_redundancy_matrix_factorization_random():
     b = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert redundancy_matrix(b, RatMatrix.identity(3)) == b
-    e = RatMatrix.from_rows([[1, 1], [1, -1]])
-    assert redundancy_matrix(RatMatrix.from_rows([[2, 0]]), e) == RatMatrix.from_rows([[1, 1]])
     rng = random.Random(3302)
     for _ in range(120):
         m = rng.randint(1, 4)
@@ -270,22 +274,14 @@ def _textbook_solve(j: RatMatrix, e: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(rows, cols=d)
 
 
-def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch):
+def test_redundancy_matrix_reads_unit_rows_and_refuses_otherwise():
     # A canonical E, and E with its columns permuted and scaled, have a unit
-    # row for every column: C is read off them without an elimination. E @ U
-    # for a dense unimodular U has none and takes the [E | J^T] elimination.
-    # Both give the solve of the textbook elimination, and both refuse a row
-    # of A, which lies outside the kernel.
-    calls = [0]
-    original = reduce_module._eliminate
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(reduce_module, "_eliminate", counted)
+    # row for every column: C is read off them, and is the solve of the
+    # textbook elimination; both refuse a row of A, which lies outside the
+    # kernel. E @ U for a dense unimodular U has no unit row in some column
+    # and is refused.
     rng = random.Random(8128)
-    seen = {0: 0, 1: 0}
+    seen = {"unit": 0, "dense": 0}
     for _ in range(80):
         m = rng.randint(1, 4)
         a = random_int_matrix(rng, m, rng.randint(m + 1, 8), -2, 2)
@@ -294,37 +290,35 @@ def test_redundancy_matrix_reads_unit_rows_and_eliminates_otherwise(monkeypatch)
         order = rng.sample(range(d), d)
         scales = [rng.choice((-2, -1, Fraction(1, 3), 1, 3)) for _ in range(d)]
         shuffled = RatMatrix.from_columns([[x * scales[k] for x in e.column(k)] for k in order])
-        bases = [(e, 0), (shuffled, 0)]
-        for _ in range(10 if d >= 2 else 0):
-            mixed = e @ random_unimodular(rng, d)
-            if not any(sum(map(bool, row)) == 1 for row in mixed.to_rows()):
-                bases.append((mixed, 1))
-                break
         outside = next((a.row(i) for i in range(m) if any(a.row(i))), None)
-        for basis, elims in bases:
+        for basis in (e, shuffled):
             j = random_invariant_jacobian(rng, basis, rng.randint(0, 3))
-            calls[0] = 0
             c = redundancy_matrix(j, basis)
-            assert calls[0] == elims
-            seen[elims] += 1
+            seen["unit"] += 1
             assert c @ basis.transpose() == j
             assert c == _textbook_solve(j, basis)
             if outside is not None:
                 bad = j.vstack(RatMatrix.from_rows([outside]))
                 with pytest.raises(ScaleInvarianceError):
                     redundancy_matrix(bad, basis)
-    assert min(seen.values()) >= 50
+        for _ in range(10 if d >= 2 else 0):
+            mixed = e @ random_unimodular(rng, d)
+            if not any(sum(map(bool, row)) == 1 for row in mixed.nums):
+                j = random_invariant_jacobian(rng, mixed, rng.randint(0, 3))
+                with pytest.raises(ValueError, match="of the kernel basis E has no unit row$"):
+                    redundancy_matrix(j, mixed)
+                seen["dense"] += 1
+                break
+    assert seen["unit"] >= 100 and seen["dense"] >= 20
 
 
 def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
-    # The unit-row solve checks C E^T == J only off the unit rows, the
-    # [E | J^T] solve at every row; each must still refuse J exactly when
-    # J @ A^T != 0, for the canonical E, for E with its columns permuted and
-    # rescaled, and for E @ U with no unit row, and whichever entry of an
-    # invariant J is changed, at a unit row or not. The dense bases draw
-    # from their own generator, so the unit-row cases stay as they were.
-    rng, dense = random.Random(2113), random.Random(2114)
-    seen = {(path, invariant): 0 for path in ("unit", "dense") for invariant in (True, False)}
+    # The unit-row solve checks C E^T == J only off the unit rows; it must
+    # still refuse J exactly when J @ A^T != 0, for the canonical E and for
+    # E with its columns permuted and rescaled, whichever entry of an
+    # invariant J is changed, at a unit row or not.
+    rng = random.Random(2113)
+    seen = {True: 0, False: 0}
     for _ in range(150):
         m = rng.randint(1, 4)
         a = random_int_matrix(rng, m, rng.randint(m + 1, 8), -2, 2)
@@ -333,28 +327,21 @@ def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
         order = rng.sample(range(d), d)
         scales = [rng.choice((-2, -1, Fraction(1, 3), 1, 3)) for _ in range(d)]
         shuffled = RatMatrix.from_columns([[x * scales[k] for x in e.column(k)] for k in order])
-        bases = [(e, rng, "unit"), (shuffled, rng, "unit")]
-        for _ in range(10 if d >= 2 else 0):
-            mixed = e @ random_unimodular(dense, d)
-            if not any(sum(map(bool, row)) == 1 for row in mixed.nums):
-                bases.append((mixed, dense, "dense"))
-                break
-        for basis, draw, path in bases:
-            j = random_invariant_jacobian(draw, basis, draw.randint(1, 3))
-            if draw.random() < 0.7:
+        for basis in (e, shuffled):
+            j = random_invariant_jacobian(rng, basis, rng.randint(1, 3))
+            if rng.random() < 0.7:
                 rows = j.to_rows()
-                step = draw.choice((-1, 1, Fraction(1, 2)))
-                rows[draw.randrange(j.rows)][draw.randrange(j.cols)] += step
+                step = rng.choice((-1, 1, Fraction(1, 2)))
+                rows[rng.randrange(j.rows)][rng.randrange(j.cols)] += step
                 j = RatMatrix.from_rows(rows, cols=j.cols)
             invariant = check_scale_invariance(a, j)
-            seen[path, invariant] += 1
+            seen[invariant] += 1
             if invariant:
                 assert redundancy_matrix(j, basis) @ basis.transpose() == j
             else:
                 with pytest.raises(ScaleInvarianceError):
                     redundancy_matrix(j, basis)
-    assert min(seen["unit", True], seen["unit", False]) >= 50
-    assert min(seen["dense", True], seen["dense", False]) >= 30
+    assert min(seen.values()) >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +349,23 @@ def test_redundancy_matrix_refuses_exactly_the_non_invariant_rows():
 # rows as the relations
 
 
-def _selection(a: RatMatrix, j: RatMatrix, e: RatMatrix, c: RatMatrix):
-    report = analyze(model_from_matrices(a, j, e))
+def _selection(a: RatMatrix, j: RatMatrix, c: RatMatrix, repeating=()):
+    report = analyze(model_from_matrices(a, j, repeating=repeating))
     assert report.C == c
     return report.selected, tuple(r.coeffs for r in report.relations)
 
 
 def test_select_independent_drag():
     c = RatMatrix.from_rows([[0, 1, -1]])
-    selected, relations = _selection(DRAG_A, DRAG_J, DRAG_CLASSIC_BASIS, c)
+    selected, relations = _selection(DRAG_A, DRAG_J, c, DRAG_REPEATING)
     assert selected == (0, 2)
     assert relations == ((Fraction(0), Fraction(1), Fraction(-1)),)
 
 
 def test_select_independent_empty():
     # four dimensionless quantities and no constraints: C is 0 x 4
-    selected, relations = _selection(
-        RatMatrix.zero(1, 4), RatMatrix.zero(0, 4), RatMatrix.identity(4), RatMatrix.zero(0, 4)
-    )
+    empty = RatMatrix.zero(0, 4)
+    selected, relations = _selection(RatMatrix.zero(1, 4), empty, empty)
     assert selected == (0, 1, 2, 3)
     assert relations == ()
 
@@ -387,7 +373,7 @@ def test_select_independent_empty():
 def test_select_independent_two_pivots():
     # with E = I, C is J itself
     c = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    selected, relations = _selection(RatMatrix.zero(1, 3), c, RatMatrix.identity(3), c)
+    selected, relations = _selection(RatMatrix.zero(1, 3), c, c)
     assert selected == (2,)
     assert relations == ((1, 0, 0), (0, 1, 0))
 
@@ -414,12 +400,22 @@ def test_analyze_drag_classic():
     assert _report_payload(report)["warnings"] == []
 
 
-def test_analyze_drag_with_a_basis_override_without_unit_rows():
-    report = analyze(drag_model(basis=DRAG_MIXED_BASIS))
-    assert report.d_eff == 2
-    assert report.C == RatMatrix.from_rows([[1, 0, -1]])
-    assert _relation_labels(report) == ["pi1 / pi3 = 1"]
-    assert report.selected == (1, 2)
+def test_analyze_drag_with_a_basis_override_without_unit_rows(drag_text):
+    # No repeating set gives DRAG_MIXED_BASIS, and no analysis sees it: the
+    # basis_override: line that once held it is refused at its keyword, and
+    # each of its rows as a line that starts with no keyword.
+    rows = [", ".join(map(str, DRAG_MIXED_BASIS.column(k))) for k in range(3)]
+    text = drag_text.replace("repeating: rho, U, L\n", "\n".join(["basis_override:", *rows, ""]))
+    code, out, err = run(CliConfig("analyze", "drag.pim"), text)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0] == (
+        "drag.pim:10:1: error[syntax]: 'basis_override:' is not supported; name the "
+        "repeating quantities with 'repeating:'"
+    )
+    assert [line.split(": error")[0] for line in lines[1:]] == [
+        "drag.pim:11:1", "drag.pim:12:1", "drag.pim:13:1"
+    ]
 
 
 def test_analyze_pendulum_unconstrained():
@@ -642,7 +638,7 @@ def test_formula_agreement_random():
         a = random_int_matrix(rng, m, n, -2, 2)
         e = nullspace_basis(a)
         j = random_invariant_jacobian(rng, e, rng.randint(0, 3))
-        counts = analyze(model_from_matrices(a, j, e)).deff
+        counts = analyze(model_from_matrices(a, j)).deff
         assert (
             counts.via_kernel_JE
             == counts.via_stacked_rank
@@ -656,7 +652,7 @@ def test_formula_agreement_without_invariance():
     # J repeats a row of A: the row spaces meet in one dimension
     j = RatMatrix.from_rows([DRAG_A.row(0)])
     assert check_scale_invariance(DRAG_A, j) is False
-    counts = analyze(model_from_matrices(DRAG_A, j, DRAG_CLASSIC_BASIS)).deff
+    counts = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING)).deff
     assert (counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann) == (3, 3, 3)
     assert counts.via_C_rank is None
     rng = random.Random(3304)
@@ -666,7 +662,7 @@ def test_formula_agreement_without_invariance():
         a = random_int_matrix(rng, m, n, -2, 2)
         e = nullspace_basis(a)
         j = random_int_matrix(rng, rng.randint(0, 3), n, -2, 2)
-        report = analyze(model_from_matrices(a, j, e))
+        report = analyze(model_from_matrices(a, j))
         counts = report.deff
         assert counts.via_kernel_JE == counts.via_stacked_rank == counts.via_grassmann
         assert report.scale_invariant is check_scale_invariance(a, j)
@@ -685,7 +681,7 @@ def test_selection_correctness_random():
         if e.cols == 0:
             continue
         j = random_invariant_jacobian(rng, e, rng.randint(1, 3))
-        report = analyze(model_from_matrices(a, j, e))
+        report = analyze(model_from_matrices(a, j))
         c = report.C
         assert c == redundancy_matrix(j, e)
         selected = report.selected
@@ -816,7 +812,7 @@ def test_harness_size_cross_check_against_sympy():
             stacked = sym(a).col_join(sym(b)).rank()
             assert total == stacked
             assert meet == sym(a).rank() + sym(b).rank() - stacked
-            assert analyze(model_from_matrices(a, b, e)).d_eff == n - stacked
+            assert analyze(model_from_matrices(a, b)).d_eff == n - stacked
 
 
 @pytest.mark.parametrize("seed", [1, 2])

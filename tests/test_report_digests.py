@@ -4,8 +4,8 @@ The models are the shipped ones, those under tests/models, and about sixty
 that this module builds from fixed seeds with the helpers in oracles.py:
 scale-invariant monomial models with random positive constants (so relation
 constants come out evaluated, symbolic and fractional), pointwise models
-with jacobian_row constraints, and the invariant models again with a dense
-basis override E U, which takes the [E | J^T] elimination. Each built model
+with jacobian_row constraints, and the invariant models again with a
+random valid repeating set, which chooses another pi basis. Each built model
 is rendered to text with render_model; every model then runs through
 cli.run as analyze text, analyze JSON and check. A refactor that must not
 change any output keeps every digest.
@@ -24,7 +24,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import pim.reduce as reduce_module
 from pim.cli import CliConfig, run
 from pim.model import Model
 from pim.modelfile import parse_model, render_model
@@ -36,7 +35,7 @@ from oracles import (
     random_int_matrix,
     random_invariant_jacobian,
     random_positive_fraction,
-    random_unimodular,
+    repeating_pivots,
     textbook_kernel,
 )
 
@@ -69,7 +68,7 @@ def _nonzero_rows(rng: random.Random, kernel: RatMatrix, ell: int) -> RatMatrix:
 
 def _invariant(seed: int):
     """A monomial model whose constraints are combinations of kernel columns,
-    with constants drawn from _CONSTANTS or at random, and its kernel."""
+    with constants drawn from _CONSTANTS or at random, and its generator."""
     rng = random.Random(seed)
     m = rng.randint(1, 3)
     a, kernel = _kernel(rng, m, rng.randint(m + 2, m + 6))
@@ -78,7 +77,7 @@ def _invariant(seed: int):
         random_positive_fraction(rng) if rng.random() < 0.3 else rng.choice(_CONSTANTS)
         for _ in range(j.rows)
     ]
-    return model_from_matrices(a, j, constants=constants), kernel, rng
+    return model_from_matrices(a, j, constants=constants), rng
 
 
 def _pointwise(seed: int):
@@ -100,11 +99,12 @@ def _pointwise(seed: int):
 def _built_models() -> dict[str, str]:
     texts = {}
     for seed in range(1, 21):
-        model, kernel, rng = _invariant(seed)
+        model, rng = _invariant(seed)
         texts[f"invariant-{seed}"] = render_model(model)
-        basis = kernel @ random_unimodular(rng, kernel.cols)
-        overridden = Model(model.dims, model.quantities, model.constraints, basis)
-        texts[f"override-{seed}"] = render_model(overridden)
+        repeating = repeating_pivots(model, rng.sample(range(model.n), model.n))
+        texts[f"repeating-{seed}"] = render_model(
+            Model(model.dims, model.quantities, model.constraints, repeating)
+        )
     for seed in range(1, 21):
         texts[f"pointwise-{seed}"] = render_model(_pointwise(seed))
     return texts
@@ -142,21 +142,20 @@ def test_every_report_keeps_its_digest():
     assert changed == [], f"reports changed for: {', '.join(changed)}"
 
 
-def test_built_models_reach_every_kind_of_relation(monkeypatch):
+def test_built_models_reach_every_kind_of_relation():
     # Guards the model set itself: it must keep exercising what it pins.
-    eliminated = []
-    original = reduce_module._eliminate
-    monkeypatch.setattr(
-        reduce_module, "_eliminate", lambda *args: eliminated.append(args) or original(*args)
-    )
-    reports = []
-    for name, text in _built_models().items():
-        before = len(eliminated)
-        reports.append(run(CliConfig("analyze", "model.pim", "json"), text))
-        if len(eliminated) > before:
-            assert name.startswith("override-"), name
-    assert len(eliminated) >= 15  # of the 20 overrides
-    assert all(code == 0 for code, _, _ in reports)
+    runs = {
+        name: run(CliConfig("analyze", "model.pim", "json"), text)
+        for name, text in _built_models().items()
+    }
+    assert all(code == 0 for code, _, _ in runs.values())
+    other_bases = [
+        seed for seed in range(1, 21)
+        if json.loads(runs[f"repeating-{seed}"][1])["E"]
+        != json.loads(runs[f"invariant-{seed}"][1])["E"]
+    ]
+    assert len(other_bases) >= 15  # of the 20 repeating sets
+    reports = list(runs.values())
     relations = [
         r for _, out, _ in reports for r in json.loads(out)["relations"] or ()
     ]

@@ -55,7 +55,7 @@ CASES = {
     "Model": (
         Model,
         lambda: {"dims": _dims(), "quantities": (Quantity("x", (0,)),)},
-        {"constraints": (), "basis_override": None},
+        {"constraints": (), "repeating": ()},
     ),
     "MonomialConstraint": (MonomialConstraint, lambda: {"exponents": (1, -1)}, {"constant": 1}),
     "JacobianRowConstraint": (JacobianRowConstraint, lambda: {"entries": (1, 2)}, {}),
@@ -204,7 +204,7 @@ def test_value_types_without_an_init_take_their_fields_as_parameters():
         ("dims", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("quantities", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("constraints", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
-        ("basis_override", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+        ("repeating", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
     ]
     with pytest.raises(TypeError) as info:
         EffectiveCounts()
