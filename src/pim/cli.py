@@ -1,10 +1,13 @@
 """Command-line front end: parse a model file, analyze it, render a report.
 
-``main`` reads its command line itself (``pim --help`` and
-``pim analyze --help`` list the options) and loads only what the command
-runs: the JSON writer for a JSON report only, and with it no ``json``
-package, and no codec module to strip a leading byte order mark. A help
-text, a usage error, a report and its diagnostics all leave through
+The commands and options are declared once, in ``_COMMANDS``, and read two
+ways. A line that names its command first and writes each option out in
+full (``pim analyze FILE --format json``, ``pim check -``) is read without
+an import; any other line, ``--help`` and every usage error are argparse's,
+built from the same table and imported only then. ``main`` loads only what
+the command runs: the JSON writer for a JSON report only, and with it no
+``json`` package, and no codec module to strip a leading byte order mark.
+A help text, a usage error, a report and its diagnostics all leave through
 main's one writer, so a closed or full standard output ends ``--help`` as
 it ends a report.
 
@@ -60,7 +63,7 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
     diagnostics explain why. A command or format that CliConfig does not
     name is a usage error (exit 1), refused before the input is parsed.
     """
-    for field, allowed in (("command", ("analyze", "check")), ("format", ("text", "json"))):
+    for field, allowed in (("command", tuple(_COMMANDS)), ("format", _FORMATS)):
         value = getattr(config, field)
         if value not in allowed:
             return 1, "", f"error: unknown {field} {value!r}; expected {' or '.join(allowed)}\n"
@@ -89,113 +92,85 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
         return 3, "", f"internal error: {type(exc).__name__}: {message}\n"
 
 
-# command -> its --help; the first line is its usage line
-_HELP = {
-    "": """usage: pim [-h] {analyze,check} ...
-
-Dimensional analysis with monomial constraints, in exact rational arithmetic.
-
-positional arguments:
-  {analyze,check}
-    analyze        full analysis report
-    check          validate a model file only
-
-options:
-  -h, --help       show this help message and exit
-""",
-    "analyze": """usage: pim analyze [-h] [--format {text,json}] [--strict] input
-
-positional arguments:
-  input                 model file, or '-' for standard input
-
-options:
-  -h, --help            show this help message and exit
-  --format {text,json}  report format
-  --strict              fail (exit 2) when constraints are not scale-invariant
-""",
-    "check": """usage: pim check [-h] input
-
-positional arguments:
-  input       model file, or '-' for standard input
-
-options:
-  -h, --help  show this help message and exit
-""",
+_FORMATS = ("text", "json")
+# command -> (its help, {option: (its choices, or () for a flag; its help)})
+_COMMANDS = {
+    "analyze": ("full analysis report", {
+        "--format": (_FORMATS, "report format"),
+        "--strict": ((), "fail (exit 2) when constraints are not scale-invariant"),
+    }),
+    "check": ("validate a model file only", {}),
 }
-
-
-# command -> its long options: the choices of one that takes a value, () for a flag
-_OPTIONS = {"analyze": {"--format": ("text", "json"), "--strict": ()}, "check": {}}
-
-
-def _usage_error(command: str, message: str) -> tuple[int, str, str]:
-    # exit 1, since exit 2 belongs to --strict's verdict
-    usage = _HELP[command].split("\n", 1)[0]
-    return 1, "", f"{usage}\n{f'pim {command}'.rstrip()}: error: {message}\n"
 
 
 def _parse_args(argv: list[str]) -> CliConfig | tuple[int, str, str]:
     """The command that argv names, or (exit_code, output, diagnostics) for
     --help (exit 0, the help as output) and for a usage error (exit 1).
+    A line the full-form reader accepts, argparse reads the same way."""
+    settings = _read_full_forms(argv) or _read_with_argparse(argv)
+    if isinstance(settings, tuple):
+        return settings
+    return CliConfig(**settings, color=settings.get("format", "text") == "text" and _want_color())
 
-    -h comes before the command or among its options; a command's options
-    may come before or after its input, "--" ends them, and a long option
-    may be shortened to a unique prefix. An unknown option or a surplus
-    argument is refused only at the end, so -h anywhere still wins. The
-    forms and the error lines are argparse's, which scripts may rely on.
-    """
-    command, path, extra, settings = "", None, [], {}
-    rest = iter(argv)
-    dashes = False  # after "--", every argument is an input
-    for arg in rest:
-        if arg == "--" and command and not dashes:
-            dashes = True
-            continue
-        if dashes or arg in ("-", "--") or not arg.startswith("-"):
-            if command and path is None:
-                path = arg
-            elif command:
-                extra.append(arg)
-            elif arg in _OPTIONS:
-                command = arg
+
+def _read_full_forms(argv: list[str]) -> dict[str, object] | None:
+    """The settings of a line that starts with its command and spells each
+    option in full, its value as the next argument; None for any other line,
+    which argparse reads. Imports nothing, so these lines load no argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, settings = _COMMANDS[argv[0]][1], {"command": argv[0]}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in options:
+            choices = options[arg][0]
+            value = next(args, None) if choices else True
+            if choices and value not in choices:
+                return None
+            settings[arg[2:]] = value  # "--format" sets "format", as in argparse
+        elif "input_path" in settings or arg.startswith("-") and arg != "-":
+            return None
+        else:
+            settings["input_path"] = arg
+    return settings if "input_path" in settings else None
+
+
+def _read_with_argparse(argv: list[str]) -> dict[str, object] | tuple[int, str, str]:
+    """The settings argparse reads from argv, or its help or usage error as
+    (exit_code, output, diagnostics). Help and usage lines are wrapped as
+    for an 80-column terminal and never coloured, whatever the terminal."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # both leave parse_args with what main writes, as SystemExit's code
+        def print_help(self, file=None):
+            raise SystemExit((0, self.format_help(), ""))
+
+        def error(self, message):  # exit 1, since exit 2 belongs to --strict's verdict
+            raise SystemExit((1, "", f"{self.format_usage()}{self.prog}: error: {message}\n"))
+
+    shared = {
+        "formatter_class": lambda prog: argparse.HelpFormatter(prog, width=78),
+        "argument_default": argparse.SUPPRESS,  # an option not given is not set
+    }
+    if sys.version_info >= (3, 14):  # the first argparse that colours its help
+        shared["color"] = False
+    parser = Parser(prog="pim", description="Dimensional analysis with monomial "
+                    "constraints, in exact rational arithmetic.", **shared)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, options) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text, **shared)
+        sub.add_argument("input_path", metavar="input",
+                         help="model file, or '-' for standard input")
+        for option, (choices, option_help) in options.items():
+            if choices:
+                sub.add_argument(option, choices=choices, help=option_help)
             else:
-                choices = ", ".join(map(repr, _OPTIONS))
-                return _usage_error("", f"argument command: invalid choice: {arg!r} "
-                                        f"(choose from {choices})")
-            continue
-        name, has_value, value = arg.partition("=")
-        options = {"--help": (), **_OPTIONS.get(command, {})}
-        found = [o for o in options if len(name) > 2 and o.startswith(name)]
-        if arg == "-h" or found == ["--help"] and not has_value:
-            return 0, _HELP[command], ""
-        if len(found) != 1:  # unknown; no two of pim's options share a prefix
-            extra.append(arg)
-            continue
-        option, choices = found[0], options[found[0]]
-        if not choices:
-            if has_value:
-                shown = "-h/--help" if option == "--help" else option
-                return _usage_error(command, f"argument {shown}: ignored explicit "
-                                             f"argument {value!r}")
-            settings[option] = True
-            continue
-        if not has_value:
-            value = next(rest, None)
-            if value is None or value.startswith("-") and value != "-":
-                return _usage_error(command, f"argument {option}: expected one argument")
-        if value not in choices:
-            return _usage_error(command, f"argument {option}: invalid choice: {value!r} "
-                                         f"(choose from {', '.join(map(repr, choices))})")
-        settings[option] = value
-    if not command:
-        return _usage_error("", "the following arguments are required: command")
-    if path is None:
-        return _usage_error(command, "the following arguments are required: input")
-    if extra:
-        return _usage_error("", f"unrecognized arguments: {' '.join(extra)}")
-    fmt = settings.get("--format", "text")
-    return CliConfig(command, path, fmt, settings.get("--strict", False),
-                     fmt == "text" and _want_color())
+                sub.add_argument(option, action="store_true", help=option_help)
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def _want_color() -> bool:

@@ -136,12 +136,10 @@ class _Errors(list):
 
     def exponent(self, term: re.Match) -> int | Fraction | None:
         """The exponent of a term read by _TERM_RE or _WORD_RE: 1 if it has
-        none, int() of a short whole one, else what `rational` makes of it."""
+        none, else what `rational` makes of it."""
         token = term[2]
         if token is None:
             return 1
-        if term[3] is None and len(token) <= MAX_DIGITS:
-            return int(token)
         return self.rational(token, term.start(2), ErrorCode.BAD_EXPONENT, "")  # not malformed
 
 

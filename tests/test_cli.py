@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pim.cli import CliConfig, main, run
 from pim.modelfile import parse_model, render_report
@@ -472,6 +474,42 @@ def test_main_strict_flag(tmp_path: Path, capsys):
     assert captured.out == ""
 
 
+# command -> its --help, byte for byte
+HELP = {
+    "": """usage: pim [-h] {analyze,check} ...
+
+Dimensional analysis with monomial constraints, in exact rational arithmetic.
+
+positional arguments:
+  {analyze,check}
+    analyze        full analysis report
+    check          validate a model file only
+
+options:
+  -h, --help       show this help message and exit
+""",
+    "analyze": """usage: pim analyze [-h] [--format {text,json}] [--strict] input
+
+positional arguments:
+  input                 model file, or '-' for standard input
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  report format
+  --strict              fail (exit 2) when constraints are not scale-invariant
+""",
+    "check": """usage: pim check [-h] input
+
+positional arguments:
+  input       model file, or '-' for standard input
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+USAGE = {command: text.split("\n", 1)[0] for command, text in HELP.items()}
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze"], ["bogus", "x"], ["analyze", "models/drag.pim", "--format", "xml"],
     ["check", "models/drag.pim", "--format", "json"],
@@ -495,22 +533,76 @@ def test_main_help_exit_0(capsys):
     # an unknown option is refused only at the end, so -h after it still wins
     assert main(["analyze", "--bogus", "-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: pim analyze")
+    # argparse reads -hh as -h given twice
+    assert main(["-hh"]) == 0
+    assert capsys.readouterr() == (HELP[""], "")
 
 
-def test_help_names_each_option_the_parser_reads():
-    # the help texts are written out; the parser reads cli._OPTIONS
-    assert cli_module._HELP[""].startswith(
-        "usage: pim [-h] {" + ",".join(cli_module._OPTIONS) + "} ...\n"
-    )
-    for command, options in cli_module._OPTIONS.items():
-        shown = "".join(
-            f" [{name} {{{','.join(choices)}}}]" if choices else f" [{name}]"
-            for name, choices in options.items()
-        )
-        help_text = cli_module._HELP[command]
-        assert help_text.startswith(f"usage: pim {command} [-h]{shown} input\n")
-        listed = re.findall(r"^  (--\w+)", help_text, re.MULTILINE)
-        assert listed == list(options)
+@pytest.mark.parametrize("columns", [None, "20", "200"])
+def test_help_texts_are_the_same_whatever_the_terminal_width(monkeypatch, capsys, columns):
+    if columns:
+        monkeypatch.setenv("COLUMNS", columns)
+    for command, text in HELP.items():
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["analyze", "DRAG", "--strict=1"], "--strict"),
+    (["analyze", "--strict=", "DRAG"], "--strict"),
+    (["analyze", "DRAG", "--format"], "--format"),
+    (["analyze", "DRAG", "--format", "--strict"], "--format"),
+    (["analyze", "DRAG", "--format="], "--format"),
+    (["analyze", "DRAG", "--help=x"], "-h/--help"),
+])
+def test_main_option_usage_error_names_the_option(argv: list[str], option: str, capsys):
+    # argparse's wording after the option's name varies between patch releases
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error, rest = err.split("\n", 2)
+    assert usage == USAGE["analyze"]
+    assert error.startswith(f"pim analyze: error: argument {option}")
+    assert rest == ""
+
+
+def test_main_reads_a_negative_number_as_the_input(monkeypatch, tmp_path: Path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read -1: ")
+    assert err.count("\n") == 1
+
+
+# Command-line tokens: commands, inputs, option values, and options whole,
+# shortened, with "=", unknown or misplaced.
+ARGV_TOKENS = (
+    "analyze check bogus F - -- --format --format=json --format= json text xml --strict "
+    "--strict=1 --st --form --f -h --help --he --h --help=x --bogus -x G -1 -hh"
+).split() + [""]
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_every_command_line_is_a_command_a_help_or_one_usage_error(argv: list[str]):
+    full_forms = cli_module._read_full_forms(argv)
+    if full_forms is not None:  # the reader that imports nothing reads as argparse
+        assert cli_module._read_with_argparse(argv) == full_forms
+    result = cli_module._parse_args(argv)
+    if isinstance(result, CliConfig):
+        assert full_forms is None or result == CliConfig(**full_forms)
+        return
+    code, output, diagnostics = result
+    if code == 0:
+        assert output in HELP.values() and diagnostics == ""
+        return
+    assert (code, output) == (1, "")
+    usage, error, rest = diagnostics.split("\n", 2)
+    command = re.fullmatch(r"pim(?: (analyze|check))?: error: .+", error)
+    assert command is not None
+    assert usage == USAGE[command[1] or ""]
+    assert rest == ""
 
 
 # Each command line and the plainer one it means; "DRAG" and "RAW" stand for model files.
@@ -686,6 +778,25 @@ def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_ro
         "print(code, after_import, sorted(unwanted & set(sys.modules)))\n"
     )
     assert _fresh_interpreter(probe) == "0 [] []\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "DRAG"], ["analyze", "DRAG", "--format", "json"], ["check", "DRAG"],
+    ["analyze", "-"], ["analyze", "DRAG", "--strict"], ["analyze", "--format", "json", "DRAG"],
+])
+def test_a_command_line_written_out_in_full_loads_no_argparse(repo_root: Path, argv: list[str]):
+    # the benchmark's four command lines, the README's --strict and the option-first form
+    drag = str(repo_root / "models" / "drag.pim")
+    argv = [drag if a == "DRAG" else a for a in argv]
+    probe = (
+        "import io, sys, pim.cli\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO(open({drag!r}, 'rb').read()))\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = pim.cli.main({argv!r})\n"
+        "sys.stdout = stdout\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(probe) == "0 False\n"
 
 
 def test_a_json_report_leaves_the_json_package_unloaded(repo_root: Path):
