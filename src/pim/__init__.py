@@ -3,9 +3,10 @@
 Given named base dimensions, quantities with rational dimension exponents,
 and constraints (monomials equal to positive constants, or raw pointwise
 Jacobian rows), this package computes the candidate dimensionless groups,
-the effective number of independent groups under the constraints (by four
-cross-checked formulas), and a mechanically selected independent subset,
-together with the relations that make the remaining groups redundant.
+the effective number of independent groups under the constraints
+(computed once, printed in four forms), and a mechanically selected
+independent subset, together with the relations that make the remaining
+groups redundant.
 
 The package namespace, ``__all__``, holds the documented entry points
 (``parse_model``, ``analyze``, ``render_report``); the model and constraint

@@ -431,32 +431,6 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(ints) if g == 1 else tuple(x // g for x in ints)
 
 
-def sum_intersection_dims(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
-    """Dimensions of the sum and of the intersection of the two row spaces.
-
-    One Zassenhaus elimination of [[a, a], [b, 0]], echelon only, read for
-    its pivots only: those left of column n span rowspace a + rowspace b,
-    which is rank([a; b]), and the rows whose left half reduces to zero
-    carry a basis of the intersection in their right half, one pivot each.
-
-    The pivot search and row updates in columns < n read only left halves,
-    so an echelon elimination of [a; b] finds the same left pivots; when
-    every row becomes one, no left half reduces to zero and the
-    intersection is 0, the answer the full elimination gives.
-    """
-    if a.cols != b.cols:
-        raise ShapeError(f"column counts differ: {a.cols} vs {b.cols}")
-    n = a.cols
-    # Scaling a row by a nonzero integer moves no pivot.
-    left = _eliminate(a.nums + b.nums, n, echelon=True)[1]
-    if len(left) == a.rows + b.rows:
-        return len(left), 0
-    stacked = [r + r for r in a.nums] + [r + (0,) * n for r in b.nums]
-    pivots = _eliminate(stacked, 2 * n, echelon=True)[1]
-    total = sum(1 for col in pivots if col < n)
-    return total, len(pivots) - total
-
-
 def exact_pow(base: Fraction, exponent: Fraction) -> Fraction | None:
     """base ** exponent if the result is rational, else None.
 

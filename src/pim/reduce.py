@@ -8,6 +8,10 @@ linearized at the analysis point. When constraints are scale invariant
 matrix, so J factors through the kernel basis as J = C E^T; row-reducing C
 exposes all linear relations among the candidate pi groups and the
 non-pivot columns select an independent subset.
+
+The effective count d_eff is computed once per analysis: d - rank C for
+scale-invariant constraints, d - rank(J E) otherwise. The other forms a
+report prints are read off identities that hold for every J.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .ratlin import (
     exact_pow,
     rank,
     rref_with_transform,
-    sum_intersection_dims,
 )
 
 
@@ -93,11 +96,17 @@ Constraint = MonomialConstraint | JacobianRowConstraint
 
 
 class EffectiveCounts(Value):
-    """The effective number of independent pi groups, by each formula.
+    """The effective number of independent pi groups, in each printed form.
 
-    The three general formulas always agree; the rank-of-C form
-    ``via_C_rank`` exists only for scale-invariant constraints (and then
-    agrees with the rest), and is None otherwise.
+    analyze computes the number once and reads every form off an identity.
+    For any J, E maps R^d onto ker A, so dim ker(J E) (``via_kernel_JE``)
+    is dim(ker A meet ker J) = n - rank [A; J] (``via_stacked_rank``), and
+    by Grassmann's formula that is n - rank A - rank J + dim(rowspace A
+    meet rowspace J) (``via_grassmann``). The rank-of-C form
+    ``via_C_rank``, d - rank C, exists only for scale-invariant constraints
+    and is None otherwise; there J = C E^T with E of full column rank, so
+    rank C = rank J = rank(J E), and the row spaces of A and J are
+    orthogonal, so they meet only in 0.
     """
 
     __slots__ = ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
@@ -261,15 +270,12 @@ def analyze(model: Model) -> AnalysisReport:
     constraint Jacobian, scale-invariance check, effective counts, and (when
     scale invariant) the C-based elimination of redundant groups.
 
-    The effective count is computed by every formula that applies and
-    cross-checked. Always: dim ker(J E), n - rank [A; J], and the Grassmann
-    form n - rank A - rank J + dim(rowspace A meet rowspace J), where rank A
-    is n - d because E is a kernel basis of A. rank [A; J] and the meet come
-    from one Zassenhaus elimination, so the Grassmann form checks the stacked
-    form against ranks computed apart from it. For scale-invariant
-    constraints also d - rank C, which must match n - rank A - rank J as
-    well. Disagreement, or invariant constraints that do not factor through
-    E, is an engine bug.
+    The effective count is computed once, and every form of EffectiveCounts
+    holds it. For scale-invariant constraints it is d - rank C, read off
+    rref(C); rank J, from its own elimination, must equal rank C, since
+    C E^T = J with E of full column rank. Otherwise it is d - rank(J E).
+    Unequal ranks, or invariant constraints that do not factor through E,
+    are an engine bug.
 
     A report that would print a number of more than model.MAX_DIGITS digits
     is refused with ModelError, which names the first such item in this
@@ -284,12 +290,7 @@ def analyze(model: Model) -> AnalysisReport:
     j = constraint_jacobian(model)
     invariant = check_scale_invariance(a, j)
     d = e.cols
-    rank_j = rank(j)
-    stacked, meet = sum_intersection_dims(a, j)
-    general = (d - rank(j @ e), a.cols - stacked, d - rank_j + meet)
-    forms = set(general)
     c = rref_c = None
-    via_c: int | None = None
     selected: tuple[int, ...] | None = None
     relations: tuple[Relation, ...] | None = None
     if invariant:
@@ -299,17 +300,20 @@ def analyze(model: Model) -> AnalysisReport:
             raise InvariantViolation(
                 f"J @ A^T == 0 but J does not factor through E: {exc}"
             ) from exc
+        rank_j = rank(j)
         result, transform = rref_with_transform(c)
-        via_c = d - result.rank
-        forms |= {via_c, d - rank_j}
+        if result.rank != rank_j:
+            raise InvariantViolation(
+                f"effective-count formulas disagree: d = {d}, rank J = {rank_j}, "
+                f"rank C = {result.rank}"
+            )
+        d_eff = d - result.rank
         rref_c = result.rref
         selected = result.free_cols
         relations = _build_relations(model.constraints, result, transform)
-    counts = EffectiveCounts(*general, via_c)
-    if len(forms) != 1:
-        raise InvariantViolation(
-            f"effective-count formulas disagree: {counts!r}, d = {d}, rank J = {rank_j}"
-        )
+    else:
+        d_eff = d - rank(j @ e)
+    counts = EffectiveCounts(d_eff, d_eff, d_eff, d_eff if invariant else None)
     for name, matrix in (("A", a), ("J", j), ("C", c), ("rref_C", rref_c)):
         if matrix is not None:
             _check_printable_matrix(name, matrix)

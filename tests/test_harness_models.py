@@ -34,6 +34,7 @@ from oracles import (
     random_positive_fraction,
     random_unimodular,
     repeating_pivots,
+    textbook_rref,
     verify_report,
 )
 
@@ -127,6 +128,31 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
         assert evaluate_monomial(scaled, group["exponents"]) == evaluate_monomial(
             values, group["exponents"]
         ), group["label"]
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
+def test_d_eff_is_n_minus_the_textbook_rank_of_a_and_j(gen, n: int, pointwise: bool):
+    # analyze computes d_eff one way for each kind of model; the oracle is
+    # n - rank [A; J] by textbook_rref. The harness's A and J at m = ell = n/4
+    # meet only in zero; two more rows, A1 + A2 and 3 A3 + J1, make them meet
+    # in a plane and make even the invariant model not scale invariant.
+    made = gen.make_model(random.Random(n), gen.Rung("drawn", n, n // 4, n // 4), 0, pointwise)
+    model = parse_model(made.text)
+    a_rows = [[q.dim_exponents[i] for q in model.quantities] for i in range(model.m)]
+    j_rows = [list(c.vector) for c in model.constraints]
+    extra = (
+        JacobianRowConstraint([x + y for x, y in zip(a_rows[0], a_rows[1])]),
+        JacobianRowConstraint([3 * x + y for x, y in zip(a_rows[2], j_rows[0])]),
+    )
+    met = Model(model.dims, model.quantities, model.constraints + extra, model.repeating)
+    for checked in (model, met):
+        report = analyze(checked)
+        b_rows = [list(c.vector) for c in checked.constraints]
+        assert report.d_eff == n - len(textbook_rref(a_rows + b_rows, n)[1])
+        assert report.d_eff == made.d - made.ell
+        assert report.scale_invariant is (checked is model and not pointwise)
+        assert verify_report(checked, report) == []
 
 
 def _assert_repeating_basis(model: Model, report, repeating: tuple[str, ...]):

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from pim import parse_model
 from pim.model import DimensionSystem, Model, Quantity, build_dimension_matrix
 from pim.ratlin import (
     _SHARED,
@@ -20,7 +19,6 @@ from pim.ratlin import (
     nullspace_basis,
     rank,
     rref_with_transform,
-    sum_intersection_dims,
 )
 from pim.reduce import JacobianRowConstraint, MonomialConstraint, constraint_jacobian
 
@@ -39,7 +37,7 @@ from oracles import (
 )
 
 # (rows, cols, rank bound): the empty shapes, small ones, and rational
-# matrices up to the 10 x 48 Zassenhaus matrix of the n = 24 rung and beyond.
+# matrices up to 10 x 48, twice the width of the n = 24 rung, and beyond.
 ORACLE_SHAPES = (
     [(0, 0, 0), (0, 5, 0), (5, 0, 0), (1, 1, 1), (3, 3, 0)]
     + [(r, c, min(r, c)) for r in range(1, 6) for c in range(1, 6)]
@@ -115,8 +113,8 @@ def test_vstack_shape_check():
         RatMatrix.zero(1, 2).vstack(RatMatrix.zero(1, 3))
 
 
-# (rows, cols, rank bound): empty shapes, small ones, and the [E | J^T]
-# (24 x 18) and Zassenhaus (10 x 48) shapes of the benchmark's largest rung.
+# (rows, cols, rank bound): empty shapes, small ones, and a tall 24 x 18 and
+# a wide 10 x 48 shape.
 CANONICAL_SHAPES = (
     (0, 0, 0), (0, 4, 0), (4, 0, 0), (3, 3, 0), (1, 1, 1), (5, 4, 3), (4, 7, 4),
     (8, 8, 8), (24, 18, 12), (10, 48, 10),
@@ -483,99 +481,6 @@ def test_primitive_random():
         if not any(vec):
             continue
         assert list(_primitive(vec)) == primitive_integer_vector(list(map(Fraction, vec)))
-
-
-# ---------------------------------------------------------------------------
-# row space sum and intersection
-
-
-def _textbook_zassenhaus(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
-    """(sum, intersection) dims from the pivots of a Fraction Gauss-Jordan
-    elimination of [[a, a], [b, 0]], left of column n and from it on."""
-    n = a.cols
-    rows = [r + r for r in a.to_rows()] + [r + [Fraction(0)] * n for r in b.to_rows()]
-    pivots = textbook_rref(rows, 2 * n)[1]
-    total = sum(1 for col in pivots if col < n)
-    return total, len(pivots) - total
-
-
-def test_sum_intersection_dims_examples(repo_root):
-    assert sum_intersection_dims(DRAG_A, DRAG_J) == (4, 0)
-    assert sum_intersection_dims(DRAG_A, DRAG_A) == (3, rank(DRAG_A))
-    assert sum_intersection_dims(
-        RatMatrix.from_rows([[1, 0]]), RatMatrix.from_rows([[0, 1]])
-    ) == (2, 0)
-    # a constraint row that repeats a row of A
-    assert sum_intersection_dims(DRAG_A, RatMatrix.from_rows([DRAG_A.row(0)])) == (3, 1)
-    assert sum_intersection_dims(RatMatrix.zero(0, 3), RatMatrix.identity(3)) == (3, 0)
-    # Stacks [a; b] with a dependent row, which skip the full-rank early exit:
-    # a repeated row of A, a repeated row of J, a J row inside rowspace A, and
-    # large_constant.pim, whose A is one zero row.
-    text = (repo_root / "tests" / "models" / "large_constant.pim").read_text()
-    model = parse_model(text)
-    inside = [x + 2 * y for x, y in zip(DRAG_A.row(0), DRAG_A.row(2))]
-    cases = [
-        (DRAG_A.vstack(RatMatrix.from_rows([DRAG_A.row(1)])), DRAG_J, (4, 0)),
-        (DRAG_A, DRAG_J.vstack(DRAG_J), (4, 0)),
-        (DRAG_A, DRAG_J.vstack(RatMatrix.from_rows([inside])), (4, 1)),
-        (build_dimension_matrix(model), constraint_jacobian(model), (2, 0)),
-    ]
-    for a, b, expected in cases:
-        assert rank(a.vstack(b)) < a.rows + b.rows
-        assert sum_intersection_dims(a, b) == _textbook_zassenhaus(a, b) == expected
-
-
-def test_sum_intersection_dims_shape_check():
-    with pytest.raises(ShapeError):
-        sum_intersection_dims(RatMatrix.zero(1, 2), RatMatrix.zero(1, 3))
-
-
-def test_sum_intersection_dims_nonnegative_random():
-    # Zassenhaus against the rank form of the Grassmann dimension formula
-    rng = random.Random(1107)
-    for _ in range(100):
-        cols = rng.randint(1, 5)
-        a = random_int_matrix(rng, rng.randint(0, 3), cols, -2, 2)
-        b = random_int_matrix(rng, rng.randint(0, 3), cols, -2, 2)
-        total, meet = sum_intersection_dims(a, b)
-        assert total == rank(a.vstack(b))
-        assert meet == rank(a) + rank(b) - total >= 0
-
-
-def test_sum_intersection_dims_matches_textbook_oracle():
-    rng = random.Random(1111)
-    for n, a_rows, b_rows, bound in ((3, 2, 2, 2), (8, 3, 4, 3), (12, 4, 2, 4), (24, 6, 4, 5)):
-        for _ in range(3):
-            a = random_rational_rows(rng, a_rows, n, bound)
-            b = random_rational_rows(rng, b_rows, n, bound)
-            ranks = [len(textbook_rref(rows, n)[1]) for rows in (a, b, a + b)]
-            dims = sum_intersection_dims(
-                RatMatrix.from_rows(a, cols=n), RatMatrix.from_rows(b, cols=n)
-            )
-            assert dims == (ranks[2], ranks[0] + ranks[1] - ranks[2])
-
-
-@pytest.mark.parametrize("n", [40, 60])
-@pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
-def test_sum_intersection_dims_matches_textbook_oracle_on_generated_pairs(
-    gen, n: int, pointwise: bool
-):
-    # The harness's A and J at m = ell = n/4. Their row spaces meet only in
-    # zero; two more rows, A1 + A2 and 3 A3 + J1, make them meet in a plane.
-    made = gen.make_model(random.Random(n), gen.Rung("drawn", n, n // 4, n // 4), 0, pointwise)
-    model = parse_model(made.text)
-    a = build_dimension_matrix(model)
-    a_rows, j_rows = a.to_rows(), constraint_jacobian(model).to_rows()
-    extra = [
-        [x + y for x, y in zip(a_rows[0], a_rows[1])],
-        [3 * x + y for x, y in zip(a_rows[2], j_rows[0])],
-    ]
-    a_rank = len(textbook_rref(a_rows, n)[1])
-    for b_rows, meet in ((j_rows, 0), (j_rows + extra, 2)):
-        ranks = [len(textbook_rref(rows, n)[1]) for rows in (b_rows, a_rows + b_rows)]
-        dims = sum_intersection_dims(a, RatMatrix.from_rows(b_rows, cols=n))
-        assert dims == (ranks[1], a_rank + ranks[0] - ranks[1])
-        assert dims == (made.m + made.ell, meet)
 
 
 # ---------------------------------------------------------------------------

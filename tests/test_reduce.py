@@ -26,7 +26,6 @@ from pim.ratlin import (
     nullspace_basis,
     rank,
     rref_with_transform,
-    sum_intersection_dims,
 )
 from pim.reduce import (
     InvariantViolation,
@@ -595,24 +594,16 @@ def test_analyze_refusal_to_factor_invariant_constraints_is_a_bug(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rank_j_shift, stacked_shift, meet_shift, rank_c_shift",
-    # the last two cases keep every general form: only the comparison of
-    # rank C with rank J sees them
-    [(0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 0, -1)],
+    "rank_j_shift, rank_c_shift", [(1, 0), (0, -1)], ids=["rank_J", "rank_C"]
 )
-def test_analyze_refuses_disagreeing_effective_counts(
-    monkeypatch, rank_j_shift, stacked_shift, meet_shift, rank_c_shift
-):
+def test_analyze_refuses_disagreeing_effective_counts(monkeypatch, rank_j_shift, rank_c_shift):
+    # rank J and rank C come from two eliminations of two matrices; C E^T = J
+    # with E of full column rank makes them equal
     original_rank = reduce_module.rank
-    original_dims = reduce_module.sum_intersection_dims
     original_rref = reduce_module.rref_with_transform
 
     def rank(matrix):
         return original_rank(matrix) + (rank_j_shift if matrix == DRAG_J else 0)
-
-    def dims(a, j):
-        stacked, meet = original_dims(a, j)
-        return stacked + stacked_shift, meet + meet_shift
 
     def rref_with_transform(matrix):
         result, transform = original_rref(matrix)
@@ -620,10 +611,32 @@ def test_analyze_refuses_disagreeing_effective_counts(
         return RrefResult(result.rref, pivots), transform
 
     monkeypatch.setattr(reduce_module, "rank", rank)
-    monkeypatch.setattr(reduce_module, "sum_intersection_dims", dims)
     monkeypatch.setattr(reduce_module, "rref_with_transform", rref_with_transform)
     with pytest.raises(InvariantViolation, match="effective-count formulas disagree"):
         analyze(drag_model())
+
+
+@pytest.mark.parametrize(
+    "model, invariant, eliminations",
+    [
+        # the kernel of A, rank J and rref(C)
+        (drag_model(), True, 3),
+        # the kernel of A and rank(J E)
+        (drag_model(extra_constraints=(JacobianRowConstraint((1, 0, 0, 0, 0, 0)),)), False, 2),
+    ],
+    ids=["invariant", "pointwise"],
+)
+def test_analyze_computes_each_rank_once(monkeypatch, model, invariant, eliminations):
+    calls = []
+    original = ratlin_module._eliminate
+
+    def eliminate(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratlin_module, "_eliminate", eliminate)
+    assert analyze(model).scale_invariant is invariant
+    assert len(calls) == eliminations
 
 
 # ---------------------------------------------------------------------------
@@ -808,10 +821,7 @@ def test_harness_size_cross_check_against_sympy():
             ]
         )
         for b in (j, j.vstack(meets)):
-            total, meet = sum_intersection_dims(a, b)
             stacked = sym(a).col_join(sym(b)).rank()
-            assert total == stacked
-            assert meet == sym(a).rank() + sym(b).rank() - stacked
             assert analyze(model_from_matrices(a, b)).d_eff == n - stacked
 
 
