@@ -3,17 +3,17 @@
 Given named base dimensions, quantities with rational dimension exponents,
 and constraints (monomials equal to positive constants, or raw pointwise
 Jacobian rows), this package computes the candidate dimensionless groups,
-the effective number of independent groups under the constraints
-(computed once, printed in four forms), and a mechanically selected
-independent subset, together with the relations that make the remaining
-groups redundant.
+the effective number of independent groups under the constraints (one
+count, which render_report prints in four forms), and a mechanically
+selected independent subset, together with the relations that make the
+remaining groups redundant.
 
 The package namespace, ``__all__``, holds the documented entry points
 (``parse_model``, ``analyze``, ``render_report``); the model and constraint
 types (``Model``, ``DimensionSystem``, ``Quantity``, ``Constraint``,
 ``MonomialConstraint``, ``JacobianRowConstraint``); the report types
-(``AnalysisReport``, ``EffectiveCounts``, ``Relation``), which hold
-numbers and verdicts only, while ``render_report`` writes every label;
+(``AnalysisReport``, ``Relation``), which hold numbers and verdicts only,
+while ``render_report`` writes every label;
 ``RatMatrix``, the type of a report's matrices; ``ParseError``,
 ``SourceSpan`` and ``ErrorCode``, which describe one parse error; and the
 error types (``ModelError``, ``ModelFileError``, ``InvariantViolation``,
@@ -39,7 +39,6 @@ from .ratlin import RatMatrix, ShapeError
 from .reduce import (
     AnalysisReport,
     Constraint,
-    EffectiveCounts,
     InvariantViolation,
     JacobianRowConstraint,
     MonomialConstraint,
@@ -54,7 +53,6 @@ __all__ = [
     "AnalysisReport",
     "Constraint",
     "DimensionSystem",
-    "EffectiveCounts",
     "ErrorCode",
     "InvariantViolation",
     "JacobianRowConstraint",

@@ -698,7 +698,18 @@ def _report_payload(report: AnalysisReport) -> dict:
     """The schema-v1 payload. Each number of a matrix is formatted once, as
     a cell: row k of J is constraint k's vector and row i of rref(C) is
     relation i's coeffs, so those share the cells' strings. Pi group k is
-    column k of E, an integer matrix."""
+    column k of E, an integer matrix.
+
+    ``d_eff_formulas`` prints the report's one d_eff in four forms, each
+    equal to it by an identity. For any J, E maps R^d onto ker A, so
+    dim ker(J E) (``via_kernel_JE``) is dim(ker A meet ker J) =
+    n - rank [A; J] (``via_stacked_rank``), and by Grassmann's formula that
+    is n - rank A - rank J + dim(rowspace A meet rowspace J)
+    (``via_grassmann``). ``via_C_rank``, d - rank C, exists only for
+    scale-invariant constraints and is None otherwise; there J = C E^T with
+    E of full column rank, so rank C = rank J = rank(J E).
+    """
+    d_eff = report.d_eff
     j_cells = _matrix_cells(report.J)
     rref_cells = None if report.rref_C is None else _matrix_cells(report.rref_C)
     relations = None
@@ -714,13 +725,13 @@ def _report_payload(report: AnalysisReport) -> dict:
         "m": report.m,
         "ell": report.ell,
         "d": report.d,
-        "d_eff": report.d_eff,
+        "d_eff": d_eff,
         "scale_invariant": report.scale_invariant,
         "d_eff_formulas": {
-            "via_kernel_JE": report.deff.via_kernel_JE,
-            "via_stacked_rank": report.deff.via_stacked_rank,
-            "via_grassmann": report.deff.via_grassmann,
-            "via_C_rank": report.deff.via_C_rank,
+            "via_kernel_JE": d_eff,
+            "via_stacked_rank": d_eff,
+            "via_grassmann": d_eff,
+            "via_C_rank": d_eff if report.scale_invariant else None,
         },
         "dimensions": list(report.dimensions),
         "quantities": list(report.quantities),

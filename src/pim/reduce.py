@@ -9,9 +9,9 @@ matrix, so J factors through the kernel basis as J = C E^T; row-reducing C
 exposes all linear relations among the candidate pi groups and the
 non-pivot columns select an independent subset.
 
-The effective count d_eff is computed once per analysis: d - rank C for
-scale-invariant constraints, d - rank(J E) otherwise. The other forms a
-report prints are read off identities that hold for every J.
+The effective count d_eff is computed once per analysis and stored as one
+number: d - rank C for scale-invariant constraints, d - rank(J E)
+otherwise. modelfile.render_report prints it in four forms.
 """
 
 from __future__ import annotations
@@ -95,24 +95,6 @@ class JacobianRowConstraint(Value):
 Constraint = MonomialConstraint | JacobianRowConstraint
 
 
-class EffectiveCounts(Value):
-    """The effective number of independent pi groups, in each printed form.
-
-    analyze computes the number once and reads every form off an identity.
-    For any J, E maps R^d onto ker A, so dim ker(J E) (``via_kernel_JE``)
-    is dim(ker A meet ker J) = n - rank [A; J] (``via_stacked_rank``), and
-    by Grassmann's formula that is n - rank A - rank J + dim(rowspace A
-    meet rowspace J) (``via_grassmann``). The rank-of-C form
-    ``via_C_rank``, d - rank C, exists only for scale-invariant constraints
-    and is None otherwise; there J = C E^T with E of full column rank, so
-    rank C = rank J = rank(J E), and the row spaces of A and J are
-    orthogonal, so they meet only in 0.
-    """
-
-    __slots__ = ("via_kernel_JE", "via_stacked_rank", "via_grassmann", "via_C_rank")
-    _defaults = {"via_C_rank": None}
-
-
 class Relation(Value):
     """One linear relation among the candidate pi groups.
 
@@ -149,7 +131,8 @@ class AnalysisReport(Value):
     writes its text.
 
     ``n``, ``m``, ``ell`` and ``d`` count quantities, dimensions,
-    constraints and pi groups. Column k of ``E`` is pi group k, its primitive
+    constraints and pi groups, and ``d_eff`` is the effective number of
+    independent pi groups. Column k of ``E`` is pi group k, its primitive
     integer exponents over the quantities, and ``selected`` holds indices of
     those columns. When the constraints are not scale invariant, C, rref_C,
     selected, and relations are None: the effective count is still well
@@ -158,12 +141,8 @@ class AnalysisReport(Value):
 
     __slots__ = (
         "dimensions", "quantities", "constraints", "n", "m", "ell", "d", "A", "J", "E",
-        "scale_invariant", "deff", "C", "rref_C", "selected", "relations",
+        "scale_invariant", "d_eff", "C", "rref_C", "selected", "relations",
     )
-
-    @property
-    def d_eff(self) -> int:
-        return self.deff.via_kernel_JE
 
 
 def constraint_jacobian(model: Model) -> RatMatrix:
@@ -267,15 +246,14 @@ def _build_relations(
 
 def analyze(model: Model) -> AnalysisReport:
     """Run the full pipeline: dimension matrix, kernel basis and pi groups,
-    constraint Jacobian, scale-invariance check, effective counts, and (when
+    constraint Jacobian, scale-invariance check, effective count, and (when
     scale invariant) the C-based elimination of redundant groups.
 
-    The effective count is computed once, and every form of EffectiveCounts
-    holds it. For scale-invariant constraints it is d - rank C, read off
-    rref(C); rank J, from its own elimination, must equal rank C, since
-    C E^T = J with E of full column rank. Otherwise it is d - rank(J E).
-    Unequal ranks, or invariant constraints that do not factor through E,
-    are an engine bug.
+    The effective count d_eff is computed once. For scale-invariant
+    constraints it is d - rank C, read off rref(C); rank J, from its own
+    elimination, must equal rank C, since C E^T = J with E of full column
+    rank. Otherwise it is d - rank(J E). Unequal ranks, or invariant
+    constraints that do not factor through E, are an engine bug.
 
     A report that would print a number of more than model.MAX_DIGITS digits
     is refused with ModelError, which names the first such item in this
@@ -313,7 +291,6 @@ def analyze(model: Model) -> AnalysisReport:
         relations = _build_relations(model.constraints, result, transform)
     else:
         d_eff = d - rank(j @ e)
-    counts = EffectiveCounts(d_eff, d_eff, d_eff, d_eff if invariant else None)
     for name, matrix in (("A", a), ("J", j), ("C", c), ("rref_C", rref_c)):
         if matrix is not None:
             _check_printable_matrix(name, matrix)
@@ -333,7 +310,7 @@ def analyze(model: Model) -> AnalysisReport:
         J=j,
         E=e,
         scale_invariant=invariant,
-        deff=counts,
+        d_eff=d_eff,
         C=c,
         rref_C=rref_c,
         selected=selected,

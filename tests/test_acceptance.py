@@ -6,6 +6,7 @@ Everything here is exact rational arithmetic; "tolerance" is equality.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -20,9 +21,9 @@ from pim.model import (
     build_dimension_matrix,
     pi_basis,
 )
-from pim.modelfile import ErrorCode, ModelFileError, parse_model, render_model
+from pim.modelfile import ErrorCode, ModelFileError, parse_model, render_model, render_report
 from pim.ratlin import RatMatrix, nullspace_basis, rank
-from pim.reduce import analyze, redundancy_matrix
+from pim.reduce import analyze
 
 from oracles import (
     apply_rescale,
@@ -32,6 +33,7 @@ from oracles import (
     model_from_matrices,
     random_int_matrix,
     random_invariant_jacobian,
+    textbook_rref,
 )
 
 
@@ -50,6 +52,11 @@ def _drag_text(repo_root: Path) -> str:
     return (repo_root / "models" / "drag.pim").read_text(encoding="utf-8")
 
 
+def _printed(report) -> dict:
+    """The report as its JSON prints it."""
+    return json.loads(render_report(report, "json"))
+
+
 def test_criterion_1_drag_golden(repo_root: Path):
     with criterion(1, "drag-force golden, classical basis"):
         started = time.perf_counter()
@@ -59,14 +66,8 @@ def test_criterion_1_drag_golden(repo_root: Path):
         assert report.d == 3
         assert report.scale_invariant is True
         assert report.C == RatMatrix.from_rows([[0, 1, -1]])
-        counts = report.deff
-        assert (
-            counts.via_kernel_JE
-            == counts.via_stacked_rank
-            == counts.via_grassmann
-            == counts.via_C_rank
-            == 2
-        )
+        assert report.d_eff == 2
+        assert set(_printed(report)["d_eff_formulas"].values()) == {2}
         assert len(report.relations) == 1
         relation = report.relations[0]
         assert relation.pi_exponents == (0, 1, -1)  # pi2 / pi3 = const
@@ -109,14 +110,10 @@ def test_criterion_3_formula_agreement():
             model = model_from_matrices(a, j)
             report = analyze(model)
             assert false_relations(model, report) == []
-            counts = report.deff
-            assert (
-                counts.via_kernel_JE
-                == counts.via_stacked_rank
-                == counts.via_grassmann
-                == counts.via_C_rank
-            )
-            assert counts.via_C_rank == e.cols - rank(redundancy_matrix(j, e))
+            # the four printed forms, and rank C by textbook_rref of the printed C
+            printed = _printed(report)
+            rank_c = len(textbook_rref(printed["C"], e.cols)[1])
+            assert set(printed["d_eff_formulas"].values()) == {e.cols - rank_c}
 
 
 def test_criterion_4_rescale_invariance():
@@ -182,9 +179,9 @@ def test_criterion_7_degeneration():
     with criterion(7, "no constraints degenerates to the plain group count"):
         for a, e, _ in _criterion_3_cases(40301):
             empty = RatMatrix.zero(0, a.cols)
-            counts = analyze(model_from_matrices(a, empty)).deff
-            assert counts.via_kernel_JE == e.cols
-            assert counts.via_C_rank == e.cols
+            report = analyze(model_from_matrices(a, empty))
+            assert report.d_eff == e.cols
+            assert set(_printed(report)["d_eff_formulas"].values()) == {e.cols}
 
 
 MALFORMED = [

@@ -107,10 +107,8 @@ def test_generated_models_keep_the_contract_up_to_harness_sizes(gen, seed: int, 
     assert (report.n, report.d, report.d_eff, report.scale_invariant) == (
         made.n, made.d, made.d_eff, made.scale_invariant
     )
-    deff = report.deff
-    forms = [deff.via_kernel_JE, deff.via_stacked_rank, deff.via_grassmann]
-    assert forms == [made.d - ell] * 3
-    assert deff.via_C_rank == (None if pointwise else made.d - ell)
+    forms = list(_report_payload(report)["d_eff_formulas"].values())
+    assert forms == [made.d - ell] * 3 + [None if pointwise else made.d - ell]
     if report.scale_invariant:
         assert report.C @ report.E.transpose() == report.J
     assert false_relations(model, report) == []

@@ -173,32 +173,32 @@ def test_scale_invariance_soundness_random():
 # effective counts
 
 
+def _printed_forms(report) -> tuple:
+    """The four d_eff forms as the report prints them, in schema order:
+    via_kernel_JE, via_stacked_rank, via_grassmann, via_C_rank."""
+    return tuple(_report_payload(report)["d_eff_formulas"].values())
+
+
 def test_effective_counts_drag():
-    counts = analyze(model_from_matrices(DRAG_A, DRAG_J, repeating=DRAG_REPEATING)).deff
-    assert (
-        counts.via_kernel_JE,
-        counts.via_stacked_rank,
-        counts.via_grassmann,
-        counts.via_C_rank,
-    ) == (2, 2, 2, 2)
-    assert counts.via_kernel_JE == 2
+    report = analyze(model_from_matrices(DRAG_A, DRAG_J, repeating=DRAG_REPEATING))
+    assert report.d_eff == 2
+    assert _printed_forms(report) == (2, 2, 2, 2)
 
 
 def test_effective_counts_unconstrained_degenerates():
     report = analyze(model_from_matrices(DRAG_A, RatMatrix.zero(0, 6)))
-    counts = report.deff
     assert report.E == DRAG_AUTO_BASIS
-    assert counts.via_kernel_JE == 3
-    assert counts.via_C_rank == 3
+    assert report.d_eff == 3
+    assert _printed_forms(report) == (3, 3, 3, 3)
 
 
 def test_effective_counts_fixed_reynolds():
     j = DRAG_J.vstack(RatMatrix.from_rows([[0, 1, 1, 1, -1, 0]]))
     stacked = DRAG_A.vstack(j)
     assert minor_rank(stacked) == 5
-    counts = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING)).deff
-    assert counts.via_kernel_JE == 1
-    assert counts.via_C_rank == 1
+    report = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING))
+    assert report.d_eff == 1
+    assert _printed_forms(report) == (1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +435,8 @@ def test_analyze_non_invariant_raw_row():
     assert report.rref_C is None
     assert report.selected is None
     assert report.relations is None
-    assert report.deff.via_C_rank is None
     assert report.d_eff == 1  # fixing F_D removes one more degree of freedom
+    assert _printed_forms(report) == (1, 1, 1, None)
     assert any("not scale-invariant" in w for w in _report_payload(report)["warnings"])
 
 
@@ -651,23 +651,19 @@ def test_formula_agreement_random():
         a = random_int_matrix(rng, m, n, -2, 2)
         e = nullspace_basis(a)
         j = random_invariant_jacobian(rng, e, rng.randint(0, 3))
-        counts = analyze(model_from_matrices(a, j)).deff
-        assert (
-            counts.via_kernel_JE
-            == counts.via_stacked_rank
-            == counts.via_grassmann
-            == counts.via_C_rank
-        )
-        assert counts.via_C_rank == e.cols - rank(redundancy_matrix(j, e))
+        report = analyze(model_from_matrices(a, j))
+        stacked = len(textbook_rref(a.to_rows() + j.to_rows(), n)[1])
+        assert report.d_eff == n - stacked == e.cols - rank(redundancy_matrix(j, e))
+        assert _printed_forms(report) == (report.d_eff,) * 4
 
 
 def test_formula_agreement_without_invariance():
     # J repeats a row of A: the row spaces meet in one dimension
     j = RatMatrix.from_rows([DRAG_A.row(0)])
     assert check_scale_invariance(DRAG_A, j) is False
-    counts = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING)).deff
-    assert (counts.via_kernel_JE, counts.via_stacked_rank, counts.via_grassmann) == (3, 3, 3)
-    assert counts.via_C_rank is None
+    report = analyze(model_from_matrices(DRAG_A, j, repeating=DRAG_REPEATING))
+    assert report.d_eff == 3
+    assert _printed_forms(report) == (3, 3, 3, None)
     rng = random.Random(3304)
     for _ in range(150):
         m = rng.randint(1, 3)
@@ -676,11 +672,10 @@ def test_formula_agreement_without_invariance():
         e = nullspace_basis(a)
         j = random_int_matrix(rng, rng.randint(0, 3), n, -2, 2)
         report = analyze(model_from_matrices(a, j))
-        counts = report.deff
-        assert counts.via_kernel_JE == counts.via_stacked_rank == counts.via_grassmann
+        assert report.d_eff == n - len(textbook_rref(a.to_rows() + j.to_rows(), n)[1])
         assert report.scale_invariant is check_scale_invariance(a, j)
-        if not report.scale_invariant:
-            assert counts.via_C_rank is None
+        via_c = report.d_eff if report.scale_invariant else None
+        assert _printed_forms(report) == (report.d_eff,) * 3 + (via_c,)
 
 
 def test_selection_correctness_random():
@@ -834,16 +829,8 @@ def test_seed_era_n40_model(seed: int):
     j = random_invariant_jacobian(rng, nullspace_basis(a), 12)
     constants = [random_positive_fraction(rng) for _ in range(j.rows)]
     report = analyze(model_from_matrices(a, j, constants=constants))
-    counts = report.deff
-    assert (report.n, report.d, report.ell) == (40, 30, 12)
-    assert (
-        counts.via_kernel_JE
-        == counts.via_stacked_rank
-        == counts.via_grassmann
-        == counts.via_C_rank
-        == report.d_eff
-        == 18
-    )
+    assert (report.n, report.d, report.ell, report.d_eff) == (40, 30, 12, 18)
+    assert _printed_forms(report) == (18,) * 4
     assert report.C @ report.E.transpose() == report.J
     assert len(report.relations) == 12
     assert len(report.selected) == 18

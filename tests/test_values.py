@@ -13,7 +13,6 @@ import pytest
 from pim import (
     AnalysisReport,
     DimensionSystem,
-    EffectiveCounts,
     JacobianRowConstraint,
     Model,
     MonomialConstraint,
@@ -59,11 +58,6 @@ CASES = {
     ),
     "MonomialConstraint": (MonomialConstraint, lambda: {"exponents": (1, -1)}, {"constant": 1}),
     "JacobianRowConstraint": (JacobianRowConstraint, lambda: {"entries": (1, 2)}, {}),
-    "EffectiveCounts": (
-        EffectiveCounts,
-        lambda: {"via_kernel_JE": 2, "via_stacked_rank": 2, "via_grassmann": 2},
-        {"via_C_rank": None},
-    ),
     "Relation": (
         Relation,
         lambda: {
@@ -133,9 +127,20 @@ def test_equal_fields_in_another_class_differ():
 
 def test_value_repr_names_every_field():
     assert repr(SourceSpan(3, 4)) == "SourceSpan(line=3, column=4, length=1)"
-    assert repr(EffectiveCounts(1, 1, 1, 1)) == (
-        "EffectiveCounts(via_kernel_JE=1, via_stacked_rank=1, via_grassmann=1, via_C_rank=1)"
+    assert repr(CliConfig("check", "-")) == (
+        "CliConfig(command='check', input_path='-', format='text', strict=False, color=False)"
     )
+
+
+def test_analysis_report_stores_d_eff_as_a_field():
+    # analyze computes the effective count once; the report holds that one
+    # int, which compares, hashes and prints like every other field
+    report = analyze(drag_model())
+    fields = _report_fields()
+    assert fields["d_eff"] == report.d_eff == 2 and type(report.d_eff) is int
+    other = AnalysisReport(**{**fields, "d_eff": 3})
+    assert other.d_eff == 3 and other != report
+    assert ", d_eff=2, " in repr(report) and ", d_eff=3, " in repr(other)
 
 
 MIXED_EXPONENTS = """\
@@ -190,8 +195,7 @@ def test_value_types_without_an_init_take_their_fields_as_parameters():
     # a generated __init__ is compiled from a string, not from a source file
     generated = [t for t in _value_types() if t.__init__.__code__.co_filename == "<string>"]
     assert sorted(t.__name__ for t in generated) == [
-        "AnalysisReport", "CliConfig", "EffectiveCounts", "ParseError", "Relation",
-        "RrefResult", "SourceSpan",
+        "AnalysisReport", "CliConfig", "ParseError", "Relation", "RrefResult", "SourceSpan",
     ]
     for cls in generated:
         params = inspect.signature(cls).parameters.values()
@@ -207,8 +211,8 @@ def test_value_types_without_an_init_take_their_fields_as_parameters():
         ("repeating", inspect.Parameter.POSITIONAL_OR_KEYWORD, ()),
     ]
     with pytest.raises(TypeError) as info:
-        EffectiveCounts()
+        ParseError()
     assert str(info.value) == (
-        "EffectiveCounts.__init__() missing 3 required positional arguments: "
-        "'via_kernel_JE', 'via_stacked_rank', and 'via_grassmann'"
+        "ParseError.__init__() missing 3 required positional arguments: "
+        "'span', 'code', and 'message'"
     )

@@ -11,7 +11,6 @@ import pytest
 
 from pim import (
     AnalysisReport,
-    EffectiveCounts,
     JacobianRowConstraint,
     ModelError,
     ModelFileError,
@@ -93,7 +92,7 @@ MUTATIONS = {
     ),
     "d = n - rank A": (_drag, lambda r: {"d": r.d + 1}),
     "scale_invariant is J A^T == 0": (_drag, lambda r: {"scale_invariant": False}),
-    "each d_eff form is n - rank [A; J]": (_drag, lambda r: {"deff": EffectiveCounts(2, 2, 3, 2)}),
+    "d_eff is n - rank [A; J]": (_drag, lambda r: {"d_eff": r.d_eff + 1}),
     "C, rref_C, selected and relations are None": (_pointwise, lambda r: {"selected": ()}),
     "C E^T = J": (_drag, lambda r: {"C": _doubled(r.C)}),
     "rref_C is the RREF of C": (_drag, lambda r: {"rref_C": _doubled(r.rref_C)}),
