@@ -17,7 +17,7 @@ whole one of at most MAX_DIGITS characters. What does not match is read
 term by term and token by token, to say why: those readers make every
 diagnostic. Parsing collects as many errors as it can; every error
 carries a source span pointing inside the offending token. Every directive
-is one line.
+is one line; a second ``dimensions:`` or ``repeating:`` line is an error.
 
 Reports render as human-readable text or as JSON in which every matrix
 entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
@@ -57,9 +57,10 @@ _INTEGERS_RE = re.compile(f"{_INT}(?:,{_INT})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SPACE_RE = re.compile(r"\s*")
 _BAD_EXPONENT_RE = re.compile(r"[^\s*/()^]*")
-_KEYWORD_RE = re.compile(
-    r"\s*(dimensions|quantity|constraint|jacobian_row|repeating|basis_override)\b"
-)
+# Every directive, written as the error for a line that starts with none.
+_DIRECTIVES = ("dimensions:", "quantity", "constraint", "jacobian_row:", "repeating:")
+_KEYWORD_RE = re.compile(rf"\s*({'|'.join(d.rstrip(':') for d in _DIRECTIVES)})\b")
+_NO_DIRECTIVE = "expected one of: " + ", ".join(_DIRECTIVES)
 
 SCHEMA_VERSION = 1
 
@@ -311,15 +312,14 @@ class _Parser:
         # Only \r\n, \r and \n end a line; str.splitlines also splits at
         # \x0b, \x0c, \x1c-\x1e, U+0085, U+2028 and U+2029.
         self.lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        self.dims: list[tuple[str, int]] | None = None  # name, position
-        self.dims_at = (0, 0)  # line and position of the dimensions keyword
+        # dimensions or repeating, each read from its one line: that line,
+        # the keyword's position, and each name with its position
+        self.once: dict[str, tuple[int, int, list[tuple[str, int]]]] = {}
         # line, name position, name, text, position of the expression
         self.quantities: list[tuple[int, int, str, str, int]] = []
         # line, text, start, end, value: a monomial in text[start:end] = value,
         # or with text None a row (_scan_row) of entries value at start..end
         self.constraints: list[tuple[int, str | None, int, int, object]] = []
-        # line, and each name with its position
-        self.repeating: tuple[int, list[tuple[str, int]]] | None = None
 
     # -- scanning -----------------------------------------------------------
 
@@ -332,32 +332,28 @@ class _Parser:
                 continue
             errors.line = line_no
             kw = _KEYWORD_RE.match(line)
-            if kw:
-                word = kw.group(1)
-                if word == "basis_override":
-                    errors.add(kw.start(1), len(word), ErrorCode.SYNTAX,
-                               "'basis_override:' is not supported; name the repeating "
-                               "quantities with 'repeating:'")
-                    continue
-                if word == "quantity":
-                    self._scan_quantity(line, kw.end())
-                    continue
-                if word == "constraint":
-                    self._scan_constraint(line, kw.end())
-                    continue
-                after = _SPACE_RE.match(line, kw.end()).end()
-                if after == len(line) or line[after] != ":":
-                    errors.add(after, 1, ErrorCode.SYNTAX, f"expected ':' after '{word}'")
-                elif word == "dimensions":
-                    self._scan_dimensions(line, kw.start(1), after + 1)
-                elif word == "jacobian_row":
-                    self._scan_row(line, after + 1)
-                else:
-                    self._scan_repeating(line, kw.start(1), after + 1)
+            if not kw:
+                errors.add(_SPACE_RE.match(line).end(), len(line.split()[0]), ErrorCode.SYNTAX,
+                           _NO_DIRECTIVE)
                 continue
-            errors.add(_SPACE_RE.match(line).end(), len(line.split()[0]), ErrorCode.SYNTAX,
-                       "expected one of: dimensions:, quantity, constraint, "
-                       "jacobian_row:, repeating:")
+            word = kw.group(1)
+            if word == "quantity":
+                self._scan_quantity(line, kw.end())
+                continue
+            if word == "constraint":
+                self._scan_constraint(line, kw.end())
+                continue
+            after = _SPACE_RE.match(line, kw.end()).end()
+            if after == len(line) or line[after] != ":":
+                errors.add(after, 1, ErrorCode.SYNTAX, f"expected ':' after '{word}'")
+            elif word == "jacobian_row":
+                self._scan_row(line, after + 1)
+            elif word in self.once:
+                errors.add(kw.start(1), len(word), ErrorCode.DUPLICATE_NAME,
+                           f"duplicate {word} declaration")
+            else:
+                what = "dimension" if word == "dimensions" else "quantity"
+                self.once[word] = (line_no, kw.start(1), self._names(line, after + 1, what))
 
     def _scan_row(self, line: str, pos: int) -> None:
         """Append the comma-separated rationals of `line[pos:]` to the
@@ -367,14 +363,6 @@ class _Parser:
         if values is not None:
             start = _SPACE_RE.match(line, pos).end()
             self.constraints.append((self.errors.line, None, start, len(line.rstrip()), values))
-
-    def _scan_dimensions(self, line: str, keyword: int, pos: int) -> None:
-        if self.dims is not None:
-            self.errors.add(keyword, len("dimensions"), ErrorCode.SYNTAX,
-                            "duplicate dimensions declaration")
-            return
-        self.dims_at = (self.errors.line, keyword)
-        self.dims = self._names(line, pos, "dimension")
 
     def _names(self, line: str, pos: int, what: str) -> list[tuple[str, int]]:
         """The comma-separated names of `line[pos:]`, each with its position;
@@ -419,24 +407,17 @@ class _Parser:
             constant = None
         self.constraints.append((self.errors.line, line, pos, eq, constant))
 
-    def _scan_repeating(self, line: str, keyword: int, pos: int) -> None:
-        if self.repeating is not None:
-            self.errors.add(keyword, len("repeating"), ErrorCode.DUPLICATE_NAME,
-                            "duplicate repeating declaration")
-            return
-        self.repeating = (self.errors.line, self._names(line, pos, "quantity"))
-
     # -- resolution ---------------------------------------------------------
 
     def resolve(self) -> Model | None:
         errors = self.errors
-        if self.dims is None:
+        if "dimensions" not in self.once:
             errors.line = 1
             errors.add(0, 1, ErrorCode.SYNTAX, "missing dimensions declaration")
             return None
-        errors.line, keyword = self.dims_at
+        errors.line, keyword, names = self.once["dimensions"]
         dim_index: dict[str, int] = {}
-        for name, pos in self.dims:
+        for name, pos in names:
             if name in dim_index:
                 errors.add(pos, len(name), ErrorCode.DUPLICATE_NAME,
                            f"duplicate dimension name {name!r}")
@@ -482,7 +463,7 @@ class _Parser:
             constraints.append(MonomialConstraint(tuple(exps), value))
 
         repeating: list[str] = []
-        errors.line, names = self.repeating or (0, ())
+        errors.line, _, names = self.once.get("repeating", (0, 0, ()))
         for name, pos in names:
             if name not in name_index:
                 errors.add(pos, len(name), ErrorCode.UNKNOWN_QUANTITY,
@@ -811,7 +792,7 @@ def _render_text(payload: dict, color: bool) -> str:
         f"  via grassmann:      {forms['via_grassmann']}",
         f"  via rank of C:      {'n/a' if via_c is None else via_c}",
     ]
-    if invariant and payload["C"] is not None:
+    if payload["C"] is not None:
         lines += _matrix_lines("C", payload["C"], ell, d)
         lines += _matrix_lines("rref(C)", payload["rref_C"], ell, d)
         if payload["relations"]:

@@ -88,15 +88,17 @@ def test_run_permissive_non_invariant_warns():
     assert err == ""
 
 
-_REFUSED = "'basis_override:' is not supported; name the repeating quantities with 'repeating:'"
+_NO_DIRECTIVE = (
+    "error[syntax]: expected one of: dimensions:, quantity, constraint, jacobian_row:, repeating:"
+)
 
 
 def test_run_invalid_basis_override_exit_1():
-    # any basis_override: line is refused, and names what replaces it
+    # basis_override: is no directive; the error names the ones there are
     text = "dimensions: M\nquantity a = M\nquantity b = M\nbasis_override:\n"
     code, out, err = run(_analyze(), text)
     assert (code, out) == (1, "")
-    assert err == f"test.pim:4:1: error[syntax]: {_REFUSED}\n"
+    assert err == f"test.pim:4:1: {_NO_DIRECTIVE}\n"
 
 
 _REPEATING_BASE = "dimensions: M, L\nquantity a = M\nquantity b = M\nquantity c = L\n"
@@ -113,9 +115,8 @@ REPEATING_REFUSALS = {
               "error: the repeating quantities number 1, but the dimension matrix has rank 2"),
     "dependent": ("repeating: a, b\n",
                   "error: the dimensions of repeating quantities a, b are dependent"),
-    "basis-override": ("basis_override:\n0, 1, 0\n", f"test.pim:5:1: error[syntax]: {_REFUSED}\n"
-                       "test.pim:6:1: error[syntax]: expected one of: dimensions:, quantity, "
-                       "constraint, jacobian_row:, repeating:"),
+    "basis-override": ("basis_override:\n0, 1, 0\n",
+                       f"test.pim:5:1: {_NO_DIRECTIVE}\ntest.pim:6:1: {_NO_DIRECTIVE}"),
 }
 
 

@@ -2,12 +2,12 @@
 without any formula for d_eff, rank or relations.
 
 Each transform builds a new ``Model`` value from an old one and runs no
-engine code; only the two reports come from ``analyze``. The models are the
-benchmark generator's (bench/gen.py), of both kinds, at rungs n8 to n24.
-Two transforms are not here yet: appending a product of two constraints
-with a perturbed constant (ROADMAP item 1) and renaming the quantities by a
-unimodular map (item 13); tests/test_cli.py pins both defects as strict
-xfails.
+engine code; only the reports come from ``analyze``. The models are the
+benchmark generator's (bench/gen.py), of both kinds, at rungs n8 to n24,
+and item 13's renamed pair from tests/test_cli.py. Two transforms pin
+known defects as strict xfails: renaming item 13's model changes its
+d_eff (ROADMAP item 13, fixed by item 19), and a product of constraints
+appended with a perturbed constant is accepted (item 1).
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ import pytest
 from pim import (
     JacobianRowConstraint,
     Model,
+    ModelError,
     MonomialConstraint,
     Quantity,
     analyze,
     parse_model,
     render_report,
 )
+
+from test_cli import RENAMED_PAIR
 
 KINDS = pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
 
@@ -73,6 +76,41 @@ def _rebased(model: Model, u: list[list[int]]) -> Model:
     return Model(model.dims, quantities, model.constraints, model.repeating)
 
 
+def _renaming(n: int, additions: list[tuple[int, int, int]]) -> tuple[list, list]:
+    """R and R^-1 for R the n x n identity after `additions`, each (i, j, s)
+    adding s times row j to row i. R^-1 undoes each addition, in the same
+    order, by subtracting s times its column i from its column j."""
+    r = [[int(i == j) for j in range(n)] for i in range(n)]
+    r_inv = [row[:] for row in r]
+    for i, j, s in additions:
+        r[i] = [x + s * y for x, y in zip(r[i], r[j])]
+        for row in r_inv:
+            row[j] -= s * row[i]
+    return r, r_inv
+
+
+def _renamed(model: Model, r: list, r_inv: list) -> Model:
+    """Quantity i renamed as prod_j x_j^R[i][j], keeping its name: A -> A R^T
+    and J -> J R^-1, that is A -> A M^-T and J -> J M for M = R^-1. The
+    repeating set is dropped."""
+    dims = [q.dim_exponents for q in model.quantities]
+    quantities = tuple(
+        Quantity(q.name, tuple(sum(c * e[k] for c, e in zip(row, dims)) for k in range(model.m)))
+        for q, row in zip(model.quantities, r)
+    )
+    constraints = tuple(
+        _with_vector(c, tuple(
+            sum(x * row[k] for x, row in zip(c.vector, r_inv)) for k in range(model.n)
+        ))
+        for c in model.constraints
+    )
+    return Model(model.dims, quantities, constraints, ())
+
+
+# R = [[1, -1, 1], [0, 1, -1], [0, 0, 1]] renames a, b, s as u = a*s/b, w = b/s, s.
+ITEM_13_RENAMING = [(1, 2, -1), (0, 1, -1)]
+
+
 def _rescaled(model: Model, order: list[int], k: int) -> Model:
     """The constraints in `order`, the one now at position k, x^c = K,
     written as x^(2c) = K^2."""
@@ -80,6 +118,29 @@ def _rescaled(model: Model, order: list[int], k: int) -> Model:
     c = constraints[k]
     constraints[k] = _with_vector(c, tuple(2 * x for x in c.vector), c.constant**2)
     return Model(model.dims, model.quantities, tuple(constraints), model.repeating)
+
+
+def _with_product(model: Model, i: int, j: int, factor: int = 1) -> Model:
+    """`model` with the product of monomial constraints i and j appended, its
+    constant the product of theirs times `factor`."""
+    a, b = model.constraints[i], model.constraints[j]
+    product = MonomialConstraint(
+        tuple(x + y for x, y in zip(a.vector, b.vector)), a.constant * b.constant * factor
+    )
+    return Model(model.dims, model.quantities, model.constraints + (product,), model.repeating)
+
+
+def _with_constants(gen, rng: random.Random):
+    """Invariant models with random constants, four at each of rungs n8 to
+    n16: at larger rungs a relation constant can take minutes to evaluate."""
+    rungs = [rung for rung in gen.RUNGS if rung.name in ("n8", "n12", "n16")]
+    for index in range(4):
+        for rung in rungs:
+            yield parse_model(gen.make_model(rng, rung, index, False, constants=True).text)
+
+
+def _nonzero_rows(matrix) -> list:
+    return [row for row in matrix.to_rows() if any(row)]
 
 
 @KINDS
@@ -106,19 +167,63 @@ def test_a_unimodular_change_of_dimension_basis_changes_only_a(gen, pointwise: b
         assert after == before
 
 
+@KINDS
+def test_renaming_the_quantities_keeps_the_counts(gen, pointwise: bool):
+    rng = random.Random(f"rename:{pointwise}")
+    for model in _ladder(gen, pointwise):
+        n = model.n
+        additions = [(*rng.sample(range(n), 2), rng.choice((-1, 1))) for _ in range(2 * n)]
+        report, other = analyze(model), analyze(_renamed(model, *_renaming(n, additions)))
+        assert (other.d, other.d_eff, other.scale_invariant) == (
+            report.d, report.d_eff, report.scale_invariant
+        )
+
+
+def test_renaming_item_13s_first_model_gives_its_second():
+    first, second = (parse_model(text) for text in RENAMED_PAIR)
+    renamed = _renamed(first, *_renaming(3, ITEM_13_RENAMING))
+    assert [q.dim_exponents for q in renamed.quantities] == [
+        q.dim_exponents for q in second.quantities
+    ]
+    assert renamed.constraints == second.constraints
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13, fixed by item 19")
+def test_renaming_item_13s_model_keeps_d_eff():
+    # today d_eff is 1 before the renaming and 0 after it
+    model = parse_model(RENAMED_PAIR[0])
+    assert analyze(_renamed(model, *_renaming(3, ITEM_13_RENAMING))).d_eff == analyze(model).d_eff
+
+
 def test_reordering_and_scaling_constraints_keeps_rref_c_and_constants(gen):
-    # Random constants only up to n16: at larger rungs a relation constant
-    # can take minutes to evaluate.
     rng = random.Random("constraints")
-    rungs = [rung for rung in gen.RUNGS if rung.name in ("n8", "n12", "n16")]
-    for index in range(4):
-        for rung in rungs:
-            made = gen.make_model(rng, rung, index, False, constants=True)
-            model = parse_model(made.text)
-            report = analyze(model)
-            order = rng.sample(range(made.ell), made.ell)
-            other = analyze(_rescaled(model, order, rng.randrange(made.ell)))
-            assert (other.rref_C, other.selected) == (report.rref_C, report.selected)
-            assert [r.constant for r in other.relations] == [
-                r.constant for r in report.relations
-            ]
+    for model in _with_constants(gen, rng):
+        report = analyze(model)
+        ell = len(model.constraints)
+        other = analyze(_rescaled(model, rng.sample(range(ell), ell), rng.randrange(ell)))
+        assert (other.rref_C, other.selected) == (report.rref_C, report.selected)
+        assert [r.constant for r in other.relations] == [
+            r.constant for r in report.relations
+        ]
+
+
+def test_appending_a_product_of_constraints_keeps_the_answers(gen):
+    rng = random.Random("product")
+    for model in _with_constants(gen, rng):
+        report = analyze(model)
+        other = analyze(_with_product(model, *rng.sample(range(len(model.constraints)), 2)))
+        assert other.d_eff == report.d_eff
+        assert _nonzero_rows(other.rref_C) == _nonzero_rows(report.rref_C)
+        assert other.selected == report.selected
+        assert [r.constant for r in other.relations] == [
+            r.constant for r in report.relations
+        ]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_product_with_a_perturbed_constant_is_refused(gen):
+    # no point satisfies both the two constraints and twice their product
+    rng = random.Random("product")
+    for model in _with_constants(gen, rng):
+        with pytest.raises(ModelError):
+            analyze(_with_product(model, *rng.sample(range(len(model.constraints)), 2), 2))

@@ -116,8 +116,8 @@ def test_crlf_and_lone_cr_read_as_lf(drag_text, newline: str):
 
 
 def test_parse_basis_block_ends_at_keyword():
-    # A basis_override: line is refused at its keyword, and each row under
-    # it as a line of its own; the next keyword line is read as usual.
+    # A basis_override: line starts with no directive, and so does each row
+    # under it; the next directive line is read as usual.
     text = (
         "dimensions: M\n"
         "quantity a = M\n"
@@ -129,14 +129,13 @@ def test_parse_basis_block_ends_at_keyword():
     )
     errors = _parse_errors(text)
     assert [(e.code, e.span.line, e.span.column, e.span.length, e.message) for e in errors] == [
-        (ErrorCode.SYNTAX, 4, 1, len("basis_override"), _REFUSED),
+        (ErrorCode.SYNTAX, 4, 1, len("basis_override:"), _EXPECTED_KEYWORD),
         (ErrorCode.SYNTAX, 5, 1, 2, _EXPECTED_KEYWORD),
     ]
     model = parse_model(text.replace("basis_override:\n1, -1\n", ""))
     assert (len(model.constraints), model.repeating) == (1, ("a",))
 
 
-_REFUSED = "'basis_override:' is not supported; name the repeating quantities with 'repeating:'"
 _EXPECTED_KEYWORD = "expected one of: dimensions:, quantity, constraint, jacobian_row:, repeating:"
 
 
@@ -150,9 +149,10 @@ _EXPECTED_KEYWORD = "expected one of: dimensions:, quantity, constraint, jacobia
     ("repeating:  \t", [(ErrorCode.SYNTAX, 4, 14, 1, "expected a quantity name, got ''")]),
     ("repeating: a, ", [(ErrorCode.SYNTAX, 4, 15, 1, "expected a quantity name, got ''")]),
     ("repeating: a b", [(ErrorCode.SYNTAX, 4, 12, 3, "expected a quantity name, got 'a b'")]),
-    ("basis_override:", [(ErrorCode.SYNTAX, 4, 1, len("basis_override"), _REFUSED)]),
+    ("basis_override:",
+     [(ErrorCode.SYNTAX, 4, 1, len("basis_override:"), _EXPECTED_KEYWORD)]),
     ("  basis_override: 1, 0",
-     [(ErrorCode.SYNTAX, 4, 3, len("basis_override"), _REFUSED)]),
+     [(ErrorCode.SYNTAX, 4, 3, len("basis_override:"), _EXPECTED_KEYWORD)]),
 ], ids=[
     "unknown", "repeated", "second-line", "empty", "blank", "trailing-comma", "not-a-name",
     "basis-override", "basis-override-with-text",
@@ -331,6 +331,23 @@ def test_error_duplicate_declaration_points_at_the_keyword(indent: str):
     ]
 
 
+@pytest.mark.parametrize("first, second", [
+    ("", "dimensions: L, 1"),
+    ("repeating: a\n", "repeating: z, 1"),
+], ids=["dimensions", "repeating"])
+def test_a_second_once_only_line_is_one_duplicate_name_error(first: str, second: str):
+    # Only the first line is read: 'quantity a = M' resolves against the
+    # first dimensions line, and neither the '1' nor the unknown 'z' of the
+    # second line is reported.
+    keyword = second.split(":")[0]
+    assert _errors_of(f"{first}  {second}") == [(
+        ErrorCode.DUPLICATE_NAME, 4 + first.count("\n"), 3, len(keyword),
+        f"duplicate {keyword} declaration",
+    )]
+    model = parse_model(f"dimensions: M\nquantity a = M\nquantity b = M\n{first}")
+    assert (model.dims.names, model.repeating) == (("M",), ("a",) if first else ())
+
+
 @pytest.mark.parametrize("line, code, column", [
     ("jacobian_row: 1, {}", ErrorCode.SYNTAX, 18),
     ("constraint a / b = {}", ErrorCode.BAD_CONSTANT, 20),
@@ -362,9 +379,9 @@ _A = "dimensions: M\nquantity a = M\n"
     (_parse_errors, "dimensions M\nquantity a = M\n",
      [(1, 12, "expected ':' after 'dimensions'"), (1, 1, "missing dimensions declaration")]),
     (_parse_errors, _A + "constraint a 1\n", [(3, 15, "expected '=' in constraint")]),
-    (_parse_errors, _A + "basis_override: x\n", [(3, 1, _REFUSED)]),
+    (_parse_errors, _A + "basis_override: x\n", [(3, 1, _EXPECTED_KEYWORD)]),
     (_parse_errors, _A + "quantity b = M\nbasis_override:\n1\n",
-     [(4, 1, _REFUSED), (5, 1, _EXPECTED_KEYWORD)]),
+     [(4, 1, _EXPECTED_KEYWORD), (5, 1, _EXPECTED_KEYWORD)]),
     (_dimexpr_errors, "", [(1, 1, "expected a dimension expression")]),
 ], ids=[
     "after-monomial", "no-quantity-name", "one-not-alone", "no-colon", "no-equals",

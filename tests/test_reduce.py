@@ -401,19 +401,17 @@ def test_analyze_drag_classic():
 
 def test_analyze_drag_with_a_basis_override_without_unit_rows(drag_text):
     # No repeating set gives DRAG_MIXED_BASIS, and no analysis sees it: the
-    # basis_override: line that once held it is refused at its keyword, and
-    # each of its rows as a line that starts with no keyword.
+    # basis_override: line that once held it, and each of its rows, is a
+    # line that starts with no directive.
     rows = [", ".join(map(str, DRAG_MIXED_BASIS.column(k))) for k in range(3)]
     text = drag_text.replace("repeating: rho, U, L\n", "\n".join(["basis_override:", *rows, ""]))
     code, out, err = run(CliConfig("analyze", "drag.pim"), text)
     assert (code, out) == (1, "")
     lines = err.splitlines()
-    assert lines[0] == (
-        "drag.pim:10:1: error[syntax]: 'basis_override:' is not supported; name the "
-        "repeating quantities with 'repeating:'"
-    )
-    assert [line.split(": error")[0] for line in lines[1:]] == [
-        "drag.pim:11:1", "drag.pim:12:1", "drag.pim:13:1"
+    assert lines == [
+        f"drag.pim:{line}:1: error[syntax]: expected one of: dimensions:, quantity, "
+        "constraint, jacobian_row:, repeating:"
+        for line in range(10, 14)
     ]
 
 
