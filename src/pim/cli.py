@@ -27,7 +27,7 @@ import os
 import sys
 
 from .model import MAX_DIGITS, ModelError
-from .modelfile import ModelFileError, ParseError, parse_model, render_report
+from .modelfile import _FORMATS, ModelFileError, ParseError, parse_model, render_report
 from .ratlin import Value
 from .reduce import analyze
 
@@ -92,7 +92,6 @@ def run(config: CliConfig, input_text: str) -> tuple[int, str, str]:
         return 3, "", f"internal error: {type(exc).__name__}: {message}\n"
 
 
-_FORMATS = ("text", "json")
 # command -> (its help, {option: (its choices, or () for a flag; its help)})
 _COMMANDS = {
     "analyze": ("full analysis report", {

@@ -736,6 +736,8 @@ def _report_payload(report: AnalysisReport) -> dict:
 
 
 _ANSI = {"green": "\x1b[32m", "red": "\x1b[31m", "yellow": "\x1b[33m"}
+# the formats render_report writes, which are the CLI's --format choices
+_FORMATS = ("text", "json")
 
 
 def _paint(text: str, style: str, color: bool) -> str:
@@ -757,6 +759,11 @@ def _matrix_lines(name: str, cells: list[list[str]], rows: int, cols: int) -> li
     ]
 
 
+def _section(title: str, lines: list[str]) -> list[str]:
+    """A titled block of lines, or its title and none if it has no lines."""
+    return [f"{title}:", *lines] if lines else [f"{title}: none"]
+
+
 def _render_text(payload: dict, color: bool) -> str:
     """The text report, read off the JSON payload only."""
     n, m, ell, d = payload["n"], payload["m"], payload["ell"], payload["d"]
@@ -765,18 +772,11 @@ def _render_text(payload: dict, color: bool) -> str:
         f"quantities (n = {n}): {', '.join(payload['quantities'])}",
         f"dimensions (m = {m}): {', '.join(payload['dimensions'])}",
     ]
-    if constraints:
-        lines.append(f"constraints (ell = {ell}):")
-        lines.extend(f"  {k}: {c['label']}" for k, c in enumerate(constraints, 1))
-    else:
-        lines.append("constraints (ell = 0): none")
+    numbered = [f"  {k}: {c['label']}" for k, c in enumerate(constraints, 1)]
+    lines += _section(f"constraints (ell = {ell})", numbered)
     lines += _matrix_lines("A", payload["A"], m, n)
     lines.append(f"d = {d}")
-    if groups:
-        lines.append("pi groups:")
-        lines.extend(f"  pi{k} = {g['label']}" for k, g in enumerate(groups, 1))
-    else:
-        lines.append("pi groups: none")
+    lines += _section("pi groups", [f"  pi{k} = {g['label']}" for k, g in enumerate(groups, 1)])
     if constraints:
         lines += _matrix_lines("J", payload["J"], ell, n)
     invariant = payload["scale_invariant"]
@@ -795,11 +795,8 @@ def _render_text(payload: dict, color: bool) -> str:
     if payload["C"] is not None:
         lines += _matrix_lines("C", payload["C"], ell, d)
         lines += _matrix_lines("rref(C)", payload["rref_C"], ell, d)
-        if payload["relations"]:
-            lines.append("relations among pi groups:")
-            lines.extend(f"  relation: {r['label']}" for r in payload["relations"])
-        else:
-            lines.append("relations among pi groups: none")
+        relations = [f"  relation: {r['label']}" for r in payload["relations"]]
+        lines += _section("relations among pi groups", relations)
         selected = payload["selected"]
         chosen = ", ".join(f"pi{k + 1}" for k in selected)
         lines.append(f"independent set ({len(selected)} of {d}): {chosen or '(empty)'}")
@@ -813,10 +810,9 @@ def render_report(report: AnalysisReport, format: str = "text", *, color: bool =
     agree on every label and cell. Both are deterministic byte for byte for
     a given report; color (text only) adds ANSI escapes and is off by
     default. The JSON report is json.dumps(payload, indent=2) plus a
-    newline, written by a writer that knows schema v1: it escapes every
-    string except the number cells, which need no escape.
+    newline, as ``pim._jsonwriter`` writes it.
     """
-    if format not in ("text", "json"):
+    if format not in _FORMATS:
         raise ValueError(f"unknown report format: {format!r}")
     payload = _report_payload(report)
     if format == "json":

@@ -143,13 +143,15 @@ def test_run_huge_root_in_a_relation_constant_stays_symbolic():
     assert "relation: pi1 = K1^(1/1000000000000)\n" in out
 
 
-_OVERRIDE_BASE = "dimensions: M\nquantity a = M\nquantity b = M\n"
-# basis_override: blocks, which the parser refuses
-BAD_OVERRIDES = {
-    "not-in-kernel": _OVERRIDE_BASE + "basis_override:\n1, 0\n",
-    "too-few-columns": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n0, 0, 1\n",
-    "rank-deficient": _OVERRIDE_BASE + "quantity c = 1\nbasis_override:\n1, -1, 0\n2, -2, 0\n",
-    "empty-block": _OVERRIDE_BASE + "basis_override:\n",
+_NO_DIRECTIVE_BASE = "dimensions: M\nquantity a = M\nquantity b = M\n"
+# a basis_override: header and rows under it: lines that start with no
+# directive, which the parser refuses
+NO_DIRECTIVE_LINES = {
+    "no-directive-row": _NO_DIRECTIVE_BASE + "basis_override:\n1, 0\n",
+    "no-directive-wide-row": _NO_DIRECTIVE_BASE + "quantity c = 1\nbasis_override:\n0, 0, 1\n",
+    "no-directive-two-rows":
+        _NO_DIRECTIVE_BASE + "quantity c = 1\nbasis_override:\n1, -1, 0\n2, -2, 0\n",
+    "no-directive-header-only": _NO_DIRECTIVE_BASE + "basis_override:\n",
 }
 
 
@@ -168,7 +170,7 @@ def _check_inputs() -> list:
     root = Path(__file__).resolve().parent.parent
     files = sorted((root / "models").glob("*.pim")) + sorted((root / "tests" / "models").glob("*.pim"))
     cases = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in files]
-    cases += [pytest.param(text, id=name) for name, text in BAD_OVERRIDES.items()]
+    cases += [pytest.param(text, id=name) for name, text in NO_DIRECTIVE_LINES.items()]
     cases += [
         pytest.param(_REPEATING_BASE + line, id=f"repeating-{name}")
         for name, (line, _) in REPEATING_REFUSALS.items()

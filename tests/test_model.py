@@ -156,7 +156,7 @@ def test_pi_basis_scales_override_columns_and_e_is_the_groups():
     assert payload["pi_groups"] == [{"label": "a/b", "exponents": [1, -1]}]
 
 
-def test_pi_basis_override_wrong_shape():
+def test_pi_basis_repeating_set_of_wrong_size():
     # a repeating set of other than rank A quantities gives a basis of the
     # wrong number of columns
     model = drag_model()
@@ -169,7 +169,7 @@ def test_pi_basis_override_wrong_shape():
         )
 
 
-def test_pi_basis_override_rank_deficient():
+def test_pi_basis_repeating_set_with_dependent_dimensions():
     # nu = mu / rho in dimensions, so rho, mu and nu do not span them
     model = drag_model()
     changed = Model(model.dims, model.quantities, model.constraints, ("F_D", "mu", "rho", "nu"))

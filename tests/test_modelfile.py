@@ -675,6 +675,32 @@ def test_render_report_text_drag(drag_text):
     assert "\x1b[" not in text  # no color unless asked
 
 
+def test_render_report_text_with_no_pi_group():
+    # d = 0 and ell = 0: the constraints, pi groups, C and relations are empty
+    report = analyze(parse_model("dimensions: M\nquantity a = M\n"))
+    assert render_report(report, "text") == (
+        "quantities (n = 1): a\n"
+        "dimensions (m = 1): M\n"
+        "constraints (ell = 0): none\n"
+        "A (1x1):\n"
+        "  [1]\n"
+        "d = 0\n"
+        "pi groups: none\n"
+        "scale invariant: yes\n"
+        "d_eff = 0\n"
+        "  via kernel of J*E:  0\n"
+        "  via stacked rank:   0\n"
+        "  via grassmann:      0\n"
+        "  via rank of C:      0\n"
+        "C (0x0):\n"
+        "  (empty)\n"
+        "rref(C) (0x0):\n"
+        "  (empty)\n"
+        "relations among pi groups: none\n"
+        "independent set (0 of 0): (empty)\n"
+    )
+
+
 def test_render_report_json_drag(drag_text):
     report = analyze(parse_model(drag_text))
     payload = json.loads(render_report(report, "json"))
