@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import index, mul
+from operator import mul
 
 RationalLike = Fraction | int | str
 
@@ -25,11 +25,8 @@ class ShapeError(ValueError):
 
 
 # Fractions are immutable, so one instance can stand for every occurrence of
-# a small whole value; parsed exponents are nearly all within |k| <= 8. The
-# instances live as long as the process, so no other object ever has one's
-# id: _SHARED_INT reads a shared instance back as its int by that id.
+# a small whole value; parsed exponents are nearly all within |k| <= 8.
 _SHARED = {k: Fraction(k) for k in range(-64, 65)}
-_SHARED_INT = {id(f): k for k, f in _SHARED.items()}
 
 
 class _IntText(dict):
@@ -63,16 +60,9 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def _fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """tuple(map(as_fraction, values)), by one table lookup per entry when
-    every value is an int in [-64, 64]. index() lets only ints (and bools,
-    as ints) reach the table: a float such as 2.0 would find Fraction(2)
-    there. Any other vector goes through as_fraction."""
-    values = tuple(values)
-    try:
-        return tuple(map(_SHARED.__getitem__, map(index, values)))
-    except (KeyError, TypeError):  # an int outside [-64, 64], or not an int
-        pass
-    return tuple(map(as_fraction, values))
+    """tuple(map(as_fraction, values)), with its table lookup inlined."""
+    return tuple([_SHARED[v] if type(v) is int and -64 <= v <= 64 else as_fraction(v)
+                  for v in values])
 
 
 class Value:
@@ -136,15 +126,13 @@ class Value:
 def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple, int]:
     """rows times the lcm of their entries' denominators, as integer row
     tuples, and that lcm. With lowest-term denominators the result is in
-    lowest terms. When every entry is a shared instance the lcm is 1 and
-    each is read back by its id; else every entry gives its ratio."""
-    try:
-        return tuple([tuple([_SHARED_INT[id(x)] for x in row]) for row in rows]), 1
-    except KeyError:
-        pass
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    scale = lcm(*(q for row in ratios for _, q in row))
-    return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios), scale
+    lowest terms."""
+    # Read Fraction's slots: its numerator and denominator properties are a
+    # Python call per read. lcm takes the set of denominators, as it costs
+    # about three times as much per argument as the set does per entry.
+    scale = lcm(*{x._denominator for row in rows for x in row})
+    return tuple([tuple([x._numerator * (scale // x._denominator) for x in row])
+                  for row in rows]), scale
 
 
 def _matrix(cols: int, nums: Iterable[Sequence[int]], den: int) -> RatMatrix:

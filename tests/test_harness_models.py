@@ -8,6 +8,7 @@ fixture loads it from its file.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -17,10 +18,15 @@ from hypothesis import strategies as st
 
 import pim.ratlin as ratlin_module
 from pim import analyze, parse_model, render_report
-from pim.model import Model, Quantity
+from pim.model import Model, Quantity, build_dimension_matrix
 from pim.modelfile import _report_payload
 from pim.ratlin import RatMatrix, as_fraction, nullspace_basis
-from pim.reduce import JacobianRowConstraint, MonomialConstraint, redundancy_matrix
+from pim.reduce import (
+    JacobianRowConstraint,
+    MonomialConstraint,
+    constraint_jacobian,
+    redundancy_matrix,
+)
 
 from oracles import (
     apply_rescale,
@@ -79,6 +85,60 @@ def test_ladder_exponents_reach_a_and_j_without_a_fraction_round_trip(gen, point
         sys.setprofile(None)
     constants = sum(c.kind == "monomial" for m in models for c in m.constraints)
     assert counted == {as_fraction.__code__: constants, Fraction.as_integer_ratio.__code__: 0}
+
+
+def _off_the_table(text: str) -> str:
+    """A generated model's text with each dimension and monomial exponent x
+    written x/97 and each Jacobian entry times 65, so that no nonzero entry
+    is an int in [-64, 64]."""
+    def over_97(term: re.Match) -> str:
+        return f"{term[1]}^{Fraction(int(term[2] or 1), 97)}"
+
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("jacobian_row:"):
+            entries = line.partition(":")[2].split(",")
+            line = "jacobian_row: " + ", ".join(str(65 * int(x)) for x in entries)
+        elif line.startswith(("quantity", "constraint")):
+            head, sep, rest = line.partition(" = ")
+            if line.startswith("quantity"):
+                line = head + sep + re.sub(r"(D\d+)(?:\^(-?\d+))?", over_97, rest)
+            else:
+                line = re.sub(r"(q\d+)(?:\^(-?\d+))?", over_97, head) + sep + rest
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["invariant", "pointwise"])
+def test_exponents_off_the_table_reach_a_and_j_without_a_ratio_call(gen, pointwise: bool):
+    # Every nonzero exponent and Jacobian entry is a p/q or an int past 64:
+    # as_fraction boxes each of those once and no other entry, and A and J
+    # read every entry's fields without calling as_integer_ratio.
+    counted = {as_fraction.__code__: 0, Fraction.as_integer_ratio.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    models = []
+    sys.setprofile(profile)
+    try:
+        for made in gen.ladder(7, 1, pointwise):
+            model = parse_model(_off_the_table(made.text))
+            build_dimension_matrix(model)
+            constraint_jacobian(model)
+            models.append(model)
+    finally:
+        sys.setprofile(None)
+    vectors = [v for m in models for v in (
+        *(q.dim_exponents for q in m.quantities), *(c.vector for c in m.constraints)
+    )]
+    off = [x for v in vectors for x in v if x]
+    assert all(x.denominator != 1 or abs(x) > 64 for x in off)
+    constants = sum(c.kind == "monomial" for m in models for c in m.constraints)
+    assert counted == {
+        as_fraction.__code__: len(off) + constants, Fraction.as_integer_ratio.__code__: 0
+    }
 
 
 @st.composite

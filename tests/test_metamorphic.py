@@ -3,11 +3,13 @@ without any formula for d_eff, rank or relations.
 
 Each transform builds a new ``Model`` value from an old one and runs no
 engine code; only the reports come from ``analyze``. The models are the
-benchmark generator's (bench/gen.py), of both kinds, at rungs n8 to n24,
-and item 13's renamed pair from tests/test_cli.py. Two transforms pin
-known defects as strict xfails: renaming item 13's model changes its
-d_eff (ROADMAP item 13, fixed by item 19), and a product of constraints
-appended with a perturbed constant is accepted (item 1).
+benchmark generator's (bench/gen.py), of both kinds, at rungs n8 to n24
+and the stress rung, and item 13's renamed pair from tests/test_cli.py.
+Three transforms pin known defects as strict xfails: renaming item 13's
+model changes its d_eff (ROADMAP item 13, fixed by item 19), a product of
+constraints appended with a perturbed constant is accepted (item 1), and
+at harness sizes writing a constraint squared changes whether a relation
+constant prints exactly (item 1).
 """
 
 from __future__ import annotations
@@ -130,10 +132,11 @@ def _with_product(model: Model, i: int, j: int, factor: int = 1) -> Model:
     return Model(model.dims, model.quantities, model.constraints + (product,), model.repeating)
 
 
-def _with_constants(gen, rng: random.Random):
-    """Invariant models with random constants, four at each of rungs n8 to
-    n16: at larger rungs a relation constant can take minutes to evaluate."""
-    rungs = [rung for rung in gen.RUNGS if rung.name in ("n8", "n12", "n16")]
+def _with_constants(gen, rng: random.Random, names: tuple[str, ...] | None = None):
+    """Invariant models with random constants: four rounds of the
+    benchmark's ladder (every rung once and the stress rung twice), or of
+    the rungs in `names` only."""
+    rungs = [rung for rung in gen.ROUND if names is None or rung.name in names]
     for index in range(4):
         for rung in rungs:
             yield parse_model(gen.make_model(rng, rung, index, False, constants=True).text)
@@ -195,9 +198,9 @@ def test_renaming_item_13s_model_keeps_d_eff():
     assert analyze(_renamed(model, *_renaming(3, ITEM_13_RENAMING))).d_eff == analyze(model).d_eff
 
 
-def test_reordering_and_scaling_constraints_keeps_rref_c_and_constants(gen):
+def _check_reordering_and_scaling(gen, names: tuple[str, ...] | None) -> None:
     rng = random.Random("constraints")
-    for model in _with_constants(gen, rng):
+    for model in _with_constants(gen, rng, names):
         report = analyze(model)
         ell = len(model.constraints)
         other = analyze(_rescaled(model, rng.sample(range(ell), ell), rng.randrange(ell)))
@@ -205,6 +208,22 @@ def test_reordering_and_scaling_constraints_keeps_rref_c_and_constants(gen):
         assert [r.constant for r in other.relations] == [
             r.constant for r in report.relations
         ]
+
+
+def test_reordering_and_scaling_constraints_keeps_rref_c_and_constants(gen):
+    _check_reordering_and_scaling(gen, ("n8", "n12", "n16"))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_reordering_and_scaling_constraints_at_harness_sizes_keeps_the_constants(gen):
+    # reduce._constant bounds a constant's size factor by factor, so how a
+    # constraint is written can move the bound across the 14,284 bits that
+    # always print. On the n24 model drawn at index 3, relation 4's constant
+    # has the k-exponents (-1710, -2130, 300, -300) over the constants
+    # (9/5, 1/4, 2/3, 1/2): its bound is 14,430 bits and it prints
+    # symbolically, but with the 1/2 constraint written squared the bound is
+    # 14,280 and it prints as an 8,831-bit rational.
+    _check_reordering_and_scaling(gen, None)
 
 
 def test_appending_a_product_of_constraints_keeps_the_answers(gen):
