@@ -4,9 +4,10 @@ The commands and options are declared once, in ``_COMMANDS``, and read two
 ways. A line that names its command first and writes each option out in
 full (``pim analyze FILE --format json``, ``pim check -``) is read without
 an import; any other line, ``--help`` and every usage error are argparse's,
-built from the same table and imported only then. ``main`` loads only what
-the command runs: the JSON writer for a JSON report only, and with it no
-``json`` package, and no codec module to strip a leading byte order mark.
+built from the same table by the private ``pim._usage``, and both are
+imported only then. ``main`` loads only what the command runs: the JSON
+writer for a JSON report only, and with it no ``json`` package, and no
+codec module to strip a leading byte order mark.
 A help text, a usage error, a report and its diagnostics all leave through
 main's one writer, so a closed or full standard output ends ``--help`` as
 it ends a report.
@@ -106,7 +107,11 @@ def _parse_args(argv: list[str]) -> CliConfig | tuple[int, str, str]:
     """The command that argv names, or (exit_code, output, diagnostics) for
     --help (exit 0, the help as output) and for a usage error (exit 1).
     A line the full-form reader accepts, argparse reads the same way."""
-    settings = _read_full_forms(argv) or _read_with_argparse(argv)
+    settings = _read_full_forms(argv)
+    if settings is None:
+        from ._usage import _read_with_argparse
+
+        settings = _read_with_argparse(argv)
     if isinstance(settings, tuple):
         return settings
     return CliConfig(**settings, color=settings.get("format", "text") == "text" and _want_color())
@@ -132,44 +137,6 @@ def _read_full_forms(argv: list[str]) -> dict[str, object] | None:
         else:
             settings["input_path"] = arg
     return settings if "input_path" in settings else None
-
-
-def _read_with_argparse(argv: list[str]) -> dict[str, object] | tuple[int, str, str]:
-    """The settings argparse reads from argv, or its help or usage error as
-    (exit_code, output, diagnostics). Help and usage lines are wrapped as
-    for an 80-column terminal and never coloured, whatever the terminal."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        # both leave parse_args with what main writes, as SystemExit's code
-        def print_help(self, file=None):
-            raise SystemExit((0, self.format_help(), ""))
-
-        def error(self, message):  # exit 1, since exit 2 belongs to --strict's verdict
-            raise SystemExit((1, "", f"{self.format_usage()}{self.prog}: error: {message}\n"))
-
-    shared = {
-        "formatter_class": lambda prog: argparse.HelpFormatter(prog, width=78),
-        "argument_default": argparse.SUPPRESS,  # an option not given is not set
-    }
-    if sys.version_info >= (3, 14):  # the first argparse that colours its help
-        shared["color"] = False
-    parser = Parser(prog="pim", description="Dimensional analysis with monomial "
-                    "constraints, in exact rational arithmetic.", **shared)
-    commands = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=help_text, **shared)
-        sub.add_argument("input_path", metavar="input",
-                         help="model file, or '-' for standard input")
-        for option, (choices, option_help) in options.items():
-            if choices:
-                sub.add_argument(option, choices=choices, help=option_help)
-            else:
-                sub.add_argument(option, action="store_true", help=option_help)
-    try:
-        return vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        return exc.code
 
 
 def _want_color() -> bool:

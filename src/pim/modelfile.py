@@ -13,11 +13,14 @@ leading minus. One regex match reads a term ``NAME^p`` (the longest name,
 then the longest rational after a ``^``) or a row of whole numbers. One
 findall reads a whole dimension expression, or a whole monomial without
 parentheses, when every term in it is a known name with no exponent or a
-whole one of at most MAX_DIGITS characters. What does not match is read
-term by term and token by token, to say why: those readers make every
-diagnostic. Parsing collects as many errors as it can; every error
-carries a source span pointing inside the offending token. Every directive
-is one line; a second ``dimensions:`` or ``repeating:`` line is an error.
+whole one of at most MAX_DIGITS characters; a lone ``1`` is read whole
+too. What does not match is read term by term and token by token, to say
+why: those readers make every diagnostic. They are the private
+``pim._terms``, which the first expression that the one-regex readers
+refuse imports. Parsing collects as many errors as it can; every error
+carries a source span pointing inside the offending token. Every
+directive is one line; a second ``dimensions:`` or ``repeating:`` line is
+an error.
 
 Reports render as human-readable text or as JSON in which every matrix
 entry is an exact ``"p/q"`` string (schema version 1, field order fixed).
@@ -45,7 +48,6 @@ from .reduce import (
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 # A term NAME^p: the longest name, then what _RATIONAL_RE reads after a '^'.
 _TERM = rf"({_IDENT_RE.pattern})(?:\^(-?[0-9]+(/[0-9]+)?))?"
-_TERM_RE = re.compile(r"\s*" + _TERM)
 # A whitespace-separated word: a whole term (the name group set), or any other.
 _WORD_RE = re.compile(_TERM + r"(?!\S)|\S+")
 # An operator, a term and the space after it; or any other character (no
@@ -56,7 +58,6 @@ _INT = rf"[ \t]*-?[0-9]{{1,{MAX_DIGITS}}}[ \t]*"
 _INTEGERS_RE = re.compile(f"{_INT}(?:,{_INT})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _SPACE_RE = re.compile(r"\s*")
-_BAD_EXPONENT_RE = re.compile(r"[^\s*/()^]*")
 # Every directive, written as the error for a line that starts with none.
 _DIRECTIVES = ("dimensions:", "quantity", "constraint", "jacobian_row:", "repeating:")
 _KEYWORD_RE = re.compile(rf"\s*({'|'.join(d.rstrip(':') for d in _DIRECTIVES)})\b")
@@ -135,14 +136,6 @@ class _Errors(list):
         self.add(pos, len(token), code, message)
         return None
 
-    def exponent(self, term: re.Match) -> int | Fraction | None:
-        """The exponent of a term read by _TERM_RE or _WORD_RE: 1 if it has
-        none, else what `rational` makes of it."""
-        token = term[2]
-        if token is None:
-            return 1
-        return self.rational(token, term.start(2), ErrorCode.BAD_EXPONENT, "")  # not malformed
-
 
 def _split_commas(text: str, pos: int) -> Iterator[tuple[str, int]]:
     """Each comma-separated token of `text[pos:]`, stripped, with its position."""
@@ -172,58 +165,24 @@ def _dimexpr(
     errors: _Errors, text: str, pos: int, dim_index: dict[str, int]
 ) -> list[int | Fraction] | None:
     """Whitespace-separated IDENT[^rational] terms of `text[pos:]`; repeated
-    names sum. One findall reads an expression of known names with short
-    whole exponents; any other is read by _dimexpr_terms."""
+    names sum, and a lone "1" is dimensionless. One findall reads an
+    expression of known names with short whole exponents; any other is read
+    by pim._terms._dimexpr_terms, imported only then."""
     exps: list[int | Fraction] = [0] * len(dim_index)
     words = _WORD_RE.findall(text, pos)
     for name, exp, fraction in words:
         # a word that is not a whole term has the name '', which no dimension has
         if name not in dim_index or fraction or len(exp) > MAX_DIGITS:
-            return _dimexpr_terms(errors, text, pos, dim_index)
+            break
         exps[dim_index[name]] += int(exp) if exp else 1
-    return exps if words else _dimexpr_terms(errors, text, pos, dim_index)
-
-
-def _dimexpr_terms(
-    errors: _Errors, text: str, pos: int, dim_index: dict[str, int]
-) -> list[int | Fraction] | None:
-    """What _dimexpr reads, word by word, reporting each error."""
-    words = list(_WORD_RE.finditer(text, pos))
-    if not words:
-        errors.add(pos, 1, ErrorCode.SYNTAX, "expected a dimension expression")
-        return None
-    exps: list[int | Fraction] = [0] * len(dim_index)
-    if len(words) == 1 and words[0].group() == "1":
+    else:
+        if words:
+            return exps
+    if text[pos:].split() == ["1"]:  # the one word that is no term, a dimensionless quantity
         return exps
-    before = len(errors)
-    for word in words:
-        start, end = word.span()
-        name = word[1]
-        if name is None:  # not a whole term: say why
-            ident = _IDENT_RE.match(text, start, end)
-            at = ident.end() if ident else start
-            if word.group() == "1":
-                errors.add(start, 1, ErrorCode.SYNTAX,
-                           "'1' must stand alone as a dimension expression")
-            elif not ident:
-                errors.add(start, end - start, ErrorCode.SYNTAX,
-                           f"expected a dimension name, got {word.group()!r}")
-            elif text[at] != "^":
-                errors.add(at, end - at, ErrorCode.SYNTAX,
-                           f"unexpected {text[at:end]!r} after dimension name {ident.group()!r}")
-            else:
-                errors.rational(text[at + 1 : end], at + 1, ErrorCode.BAD_EXPONENT,
-                                "bad exponent {!r}: expected a rational like -2 or 1/2")
-            continue
-        exp = errors.exponent(word)
-        if exp is None:
-            continue
-        if name in dim_index:
-            exps[dim_index[name]] += exp
-        else:
-            errors.add(start, len(name), ErrorCode.UNKNOWN_DIMENSION,
-                       f"unknown dimension {name!r}")
-    return exps if len(errors) == before else None
+    from ._terms import _dimexpr_terms
+
+    return _dimexpr_terms(errors, text, pos, dim_index)
 
 
 def _monomial(
@@ -232,71 +191,18 @@ def _monomial(
     """`factor (('*'|'/') factor)*` in `text[pos:end]`, where a factor is
     IDENT[^rational] or a parenthesized monomial. One findall reads a
     monomial of known names with short whole exponents and no parentheses;
-    any other is read by _monomial_terms."""
+    any other is read by pim._terms._monomial_terms, imported only then."""
     exps: list[int | Fraction] = [0] * len(name_index)
     # With a '*' before it, every factor follows an operator. A character
     # that no factor reads has the name '', which no quantity has.
     for op, name, exp, fraction in _FACTOR_RE.findall("*" + text[pos:end]):
         if name not in name_index or fraction or len(exp) > MAX_DIGITS:
+            from ._terms import _monomial_terms
+
             return _monomial_terms(errors, text, pos, end, name_index)
         value = int(exp) if exp else 1
         exps[name_index[name]] += value if op == "*" else -value
     return exps
-
-
-def _monomial_terms(
-    errors: _Errors, text: str, pos: int, end: int, name_index: dict[str, int]
-) -> list[int | Fraction] | None:
-    """What _monomial reads, term by term, reporting each error. Read left
-    to right: `signs` holds the sign of each open parenthesis, and `sign`
-    that of the next factor, so nesting depth costs no stack frames."""
-    exps: list[int | Fraction] = [0] * len(name_index)
-    before = len(errors)
-    signs = [1]
-    sign = 1
-    while True:
-        term = _TERM_RE.match(text, pos, end)
-        if not term:
-            pos = _SPACE_RE.match(text, pos, end).end()
-            if pos < end and text[pos] == "(":
-                signs.append(sign)
-                pos += 1
-                continue
-            errors.add(pos, 1, ErrorCode.SYNTAX, f"expected a quantity name, got {text[pos]!r}"
-                       if pos < end else "expected a quantity name")
-            return None
-        name, pos = term[1], term.end()
-        if term[2] is None and pos < end and text[pos] == "^":
-            # a malformed exponent is skipped up to the next operator, so
-            # errors after it are collected too
-            token = _BAD_EXPONENT_RE.match(text, pos + 1, end)
-            exp = errors.rational(token.group(), pos + 1, ErrorCode.BAD_EXPONENT,
-                                  "bad exponent: expected a rational like -2 or 1/2")
-            pos = token.end()
-        else:
-            exp = errors.exponent(term)
-        if name not in name_index:
-            errors.add(term.start(1), len(name), ErrorCode.UNKNOWN_QUANTITY,
-                       f"unknown quantity {name!r}")
-        elif exp is not None:
-            exps[name_index[name]] += sign * exp
-        while True:  # after a factor: an operator, a ')' or the end
-            pos = _SPACE_RE.match(text, pos, end).end()
-            if pos < end and text[pos] in "*/":
-                sign = signs[-1] if text[pos] == "*" else -signs[-1]
-                pos += 1
-                break
-            if len(signs) == 1:
-                if pos == end:
-                    return exps if len(errors) == before else None
-                errors.add(pos, end - pos, ErrorCode.SYNTAX,
-                           f"unexpected {text[pos:end].strip()!r} after monomial")
-                return None
-            if pos == end or text[pos] != ")":
-                errors.add(pos, 1, ErrorCode.SYNTAX, "missing ')'")
-                return None
-            signs.pop()
-            pos += 1
 
 
 # ---------------------------------------------------------------------------

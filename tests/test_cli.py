@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pim._usage import _read_with_argparse
 from pim.cli import CliConfig, main, run
 from pim.modelfile import parse_model, render_report
 from pim.reduce import InvariantViolation, analyze
@@ -591,7 +592,7 @@ ARGV_TOKENS = (
 def test_every_command_line_is_a_command_a_help_or_one_usage_error(argv: list[str]):
     full_forms = cli_module._read_full_forms(argv)
     if full_forms is not None:  # the reader that imports nothing reads as argparse
-        assert cli_module._read_with_argparse(argv) == full_forms
+        assert _read_with_argparse(argv) == full_forms
     result = cli_module._parse_args(argv)
     if isinstance(result, CliConfig):
         assert full_forms is None or result == CliConfig(**full_forms)
@@ -788,18 +789,50 @@ def test_a_text_report_loads_neither_argparse_nor_json_nor_the_bom_codec(repo_ro
     ["analyze", "-"], ["analyze", "DRAG", "--strict"], ["analyze", "--format", "json", "DRAG"],
 ])
 def test_a_command_line_written_out_in_full_loads_no_argparse(repo_root: Path, argv: list[str]):
-    # the benchmark's four command lines, the README's --strict and the option-first form
+    # the benchmark's four command lines, the README's --strict and the option-first form;
+    # neither the term readers nor the argparse front end is even compiled
     drag = str(repo_root / "models" / "drag.pim")
     argv = [drag if a == "DRAG" else a for a in argv]
     probe = (
-        "import io, sys, pim.cli\n"
+        "import io, sys, pim.cli, pim.modelfile\n"
         f"sys.stdin = io.TextIOWrapper(io.BytesIO(open({drag!r}, 'rb').read()))\n"
         "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
         f"code = pim.cli.main({argv!r})\n"
         "sys.stdout = stdout\n"
-        "print(code, 'argparse' in sys.modules)\n"
+        "print(code, 'argparse' in sys.modules,\n"
+        "      sorted({'pim._terms', 'pim._usage'} & set(sys.modules)),\n"
+        "      [name for module, name in ((pim.modelfile, '_dimexpr_terms'),\n"
+        "                                 (pim.modelfile, '_monomial_terms'),\n"
+        "                                 (pim.cli, '_read_with_argparse'))\n"
+        "       if hasattr(module, name)])\n"
     )
-    assert _fresh_interpreter(probe) == "0 False\n"
+    assert _fresh_interpreter(probe) == "0 False [] []\n"
+
+
+@pytest.mark.parametrize("argv, stdin, loaded", [
+    (["check", "-"], "dimensions: M\nquantity a = M^x\n", ["pim._terms"]),
+    (["analyze", "-"], "dimensions: M\nquantity a = M^1/2\nquantity b = M\n", ["pim._terms"]),
+    (["analyze", "-"], "dimensions: M\nquantity a = M\nquantity b = M\n"
+     "constraint (a / b) = 2\n", ["pim._terms"]),
+    (["--help"], "", ["pim._usage"]),
+], ids=["refused", "half-exponent", "parenthesized", "help"])
+def test_a_line_the_one_regex_readers_refuse_loads_what_reads_it(
+    monkeypatch, capsys, argv: list[str], stdin: str, loaded: list[str]
+):
+    # each loads its module on first use and prints what it prints in process
+    probe = (
+        "import io, sys, pim.cli\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
+        "streams, sys.stdout, sys.stderr = (sys.stdout, sys.stderr), io.StringIO(), io.StringIO()\n"
+        f"code = pim.cli.main({argv!r})\n"
+        "out, err = sys.stdout.getvalue(), sys.stderr.getvalue()\n"
+        "sys.stdout, sys.stderr = streams\n"
+        "print(repr((code, out, err, sorted({'pim._terms', 'pim._usage'} & set(sys.modules)))))\n"
+    )
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert _fresh_interpreter(probe) == repr((code, out, err, loaded)) + "\n"
 
 
 def test_a_json_report_leaves_the_json_package_unloaded(repo_root: Path):

@@ -9,19 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pim import modelfile
+from pim import _terms
 from pim._jsonwriter import report_json
+from pim._terms import _dimexpr_terms, _monomial_terms
 from pim.model import MAX_DIGITS, DimensionSystem, Model, ModelError, Quantity
 from pim.modelfile import (
     ErrorCode,
     ModelFileError,
     _constraint_entry,
     _dimexpr,
-    _dimexpr_terms,
     _Errors,
     _matrix_cells,
     _monomial,
-    _monomial_terms,
     _report_payload,
     parse_dimexpr,
     parse_model,
@@ -488,7 +487,7 @@ def _both_reads(monkeypatch, kind: str, text: str) -> tuple:
         calls.append(args)
         return terms(*args)
 
-    monkeypatch.setattr(modelfile, terms.__name__, recorded)
+    monkeypatch.setattr(_terms, terms.__name__, recorded)
     whole, term = _Errors(), _Errors()
     got = (read(whole, text, 0, *end, index), list(whole))
     assert got == (terms(term, text, 0, *end, index), list(term)), repr(text)
@@ -501,6 +500,8 @@ def _both_reads(monkeypatch, kind: str, text: str) -> tuple:
     ("monomial", "a^-0 / a^007*a", True, [-6, 0, 0, 0, 0]),
     ("dimexpr", "a\xa0a^-0\x0ba^007\u2028", True, [8, 0, 0, 0, 0]),
     ("dimexpr", "b^1/2 b", False, [0, Fraction(3, 2), 0, 0, 0]),
+    ("dimexpr", "1", True, [0, 0, 0, 0, 0]),
+    ("dimexpr", "".join(_SPACES) + "1" + "".join(_SPACES), True, [0, 0, 0, 0, 0]),
 ])
 def test_whole_expression_reads_of_some_expressions(monkeypatch, kind, text, plain, exponents):
     (got, errors), fell_back = _both_reads(monkeypatch, kind, text)
