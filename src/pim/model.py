@@ -9,7 +9,7 @@ kernel spans the exponent vectors of all dimensionless monomials.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from .ratlin import (
@@ -79,7 +79,8 @@ class DimensionSystem(Value):
 
     __slots__ = ("names",)
 
-    def __init__(self, names: tuple[str, ...]) -> None:
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
         if not names:
             raise ModelError("a dimension system needs at least one dimension")
         seen: set[str] = set()
@@ -100,7 +101,7 @@ class Quantity(Value):
 
     __slots__ = ("name", "dim_exponents")
 
-    def __init__(self, name: str, dim_exponents: tuple[RationalLike, ...]) -> None:
+    def __init__(self, name: str, dim_exponents: Sequence[RationalLike]) -> None:
         _check_identifier(name, "quantity")
         super().__init__(name, _fractions(dim_exponents))
 
@@ -116,11 +117,11 @@ class Model(Value):
     def __init__(
         self,
         dims: DimensionSystem,
-        quantities: tuple[Quantity, ...],
-        constraints: tuple = (),
-        repeating: tuple[str, ...] = (),
+        quantities: Sequence[Quantity],
+        constraints: Sequence = (),
+        repeating: Sequence[str] = (),
     ) -> None:
-        super().__init__(dims, quantities, constraints, tuple(repeating))
+        super().__init__(dims, tuple(quantities), tuple(constraints), tuple(repeating))
         seen: set[str] = set()
         for q in self.quantities:
             if q.name in seen:

@@ -346,7 +346,7 @@ class _Parser:
             if exps is None:
                 exps = [0] * len(dim_index)  # keep resolving other lines
             name_index[name] = len(quantities)
-            quantities.append(Quantity(name, tuple(exps)))
+            quantities.append(Quantity(name, exps))
         n = len(quantities)
 
         constraints: list[Constraint] = []
@@ -356,7 +356,7 @@ class _Parser:
                     errors.add(start, end - start, ErrorCode.SYNTAX,
                                f"jacobian row has {len(value)} entries, expected {n}")
                 else:
-                    constraints.append(JacobianRowConstraint(tuple(value)))
+                    constraints.append(JacobianRowConstraint(value))
                 continue
             exps = _monomial(errors, text, start, end, name_index)
             if exps is None or value is None:
@@ -366,7 +366,7 @@ class _Parser:
                 errors.add(lead, len(text[start:end].strip()), ErrorCode.SYNTAX,
                            "constraint monomial is trivial (all exponents cancel)")
                 continue
-            constraints.append(MonomialConstraint(tuple(exps), value))
+            constraints.append(MonomialConstraint(exps, value))
 
         repeating: list[str] = []
         errors.line, _, names = self.once.get("repeating", (0, 0, ()))
@@ -381,12 +381,7 @@ class _Parser:
                 repeating.append(name)
         if errors:
             return None
-        return Model(
-            DimensionSystem(tuple(dim_index)),
-            tuple(quantities),
-            tuple(constraints),
-            tuple(repeating),
-        )
+        return Model(DimensionSystem(dim_index), quantities, constraints, repeating)
 
 
 def parse_model(text: str) -> Model:

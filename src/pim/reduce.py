@@ -17,6 +17,7 @@ otherwise. modelfile.render_report prints it in four forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -64,7 +65,7 @@ class MonomialConstraint(Value):
     kind = "monomial"
 
     def __init__(
-        self, exponents: tuple[RationalLike, ...], constant: RationalLike = Fraction(1)
+        self, exponents: Sequence[RationalLike], constant: RationalLike = Fraction(1)
     ) -> None:
         super().__init__(_fractions(exponents), as_fraction(constant))
         if not any(self.exponents):
@@ -84,7 +85,7 @@ class JacobianRowConstraint(Value):
     __slots__ = ("entries",)
     kind = "jacobian_row"
 
-    def __init__(self, entries: tuple[RationalLike, ...]) -> None:
+    def __init__(self, entries: Sequence[RationalLike]) -> None:
         super().__init__(_fractions(entries))
 
     @property
@@ -249,11 +250,11 @@ def analyze(model: Model) -> AnalysisReport:
     constraint Jacobian, scale-invariance check, effective count, and (when
     scale invariant) the C-based elimination of redundant groups.
 
-    The effective count d_eff is computed once. For scale-invariant
-    constraints it is d - rank C, read off rref(C); rank J, from its own
-    elimination, must equal rank C, since C E^T = J with E of full column
-    rank. Otherwise it is d - rank(J E). Unequal ranks, or invariant
-    constraints that do not factor through E, are an engine bug.
+    The effective count d_eff is computed once, from one elimination. For
+    scale-invariant constraints it is d - rank C, read off rref(C); that is
+    d - rank J, since redundancy_matrix certifies J = C E^T and E^T has
+    full row rank. Otherwise it is d - rank(J E). Invariant constraints
+    that do not factor through E are an engine bug.
 
     A report that would print a number of more than model.MAX_DIGITS digits
     is refused with ModelError, which names the first such item in this
@@ -278,13 +279,7 @@ def analyze(model: Model) -> AnalysisReport:
             raise InvariantViolation(
                 f"J @ A^T == 0 but J does not factor through E: {exc}"
             ) from exc
-        rank_j = rank(j)
         result, transform = rref_with_transform(c)
-        if result.rank != rank_j:
-            raise InvariantViolation(
-                f"effective-count formulas disagree: d = {d}, rank J = {rank_j}, "
-                f"rank C = {result.rank}"
-            )
         d_eff = d - result.rank
         rref_c = result.rref
         selected = result.free_cols

@@ -322,7 +322,7 @@ def test_run_refuses_a_config_it_cannot_serve(monkeypatch, drag_text, config, me
 
 def test_run_internal_invariant_violation_exit_3(monkeypatch, drag_text):
     def boom(model):
-        raise InvariantViolation("formulas disagree")
+        raise InvariantViolation("does not factor through E")
 
     monkeypatch.setattr(cli_module, "analyze", boom)
     code, out, err = run(_analyze(), drag_text)
@@ -355,7 +355,8 @@ MULTI_LINE = (
 
 
 @pytest.mark.parametrize("exc, line", [
-    (InvariantViolation("formulas disagree"), "InvariantViolation: formulas disagree"),
+    (InvariantViolation("does not factor through E"),
+     "InvariantViolation: does not factor through E"),
     (ValueError(MULTI_LINE), "ValueError: Exceeds the limit (4300 digits) for integer "
      "string conversion; use sys.set_int_max_str_digits()"),
     (RuntimeError(" \n "), "RuntimeError: no message"),

@@ -17,7 +17,7 @@ from pim.model import (
 )
 from pim.modelfile import _report_payload, format_monomial, parse_monomial, render_report
 from pim.ratlin import RatMatrix, nullspace_basis, rank
-from pim.reduce import JacobianRowConstraint, analyze
+from pim.reduce import JacobianRowConstraint, MonomialConstraint, analyze
 
 from oracles import (
     DRAG_A,
@@ -57,6 +57,27 @@ def test_model_validation():
         Model(dims, (Quantity("x", (1, 0)),), repeating=("x", "x"))
     with pytest.raises(ModelError, match="constraint 1 has 2 coefficients, expected 1"):
         Model(dims, (Quantity("x", (1, 0)),), (JacobianRowConstraint((1, 0)),))
+
+
+M_L = DimensionSystem(("M", "L"))
+X_Y = (Quantity("x", (1, 0)), Quantity("y", (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "build, items",
+    [
+        (DimensionSystem, ("M", "L")),
+        (lambda quantities: Model(M_L, quantities), X_Y),
+        (lambda constraints: Model(M_L, X_Y, constraints), (MonomialConstraint((1, -1)),)),
+    ],
+    ids=["dimension names", "quantities", "constraints"],
+)
+def test_a_value_built_from_a_list_keeps_no_reference_to_it(build, items):
+    given = list(items)
+    value = build(given)
+    given.append(items[0])
+    assert value == build(items)
+    assert hash(value) == hash(build(items))
 
 
 def test_rescale_vector_positive():

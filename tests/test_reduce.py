@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,6 @@ import pim.ratlin as ratlin_module
 import pim.reduce as reduce_module
 from pim.ratlin import (
     RatMatrix,
-    RrefResult,
     ShapeError,
     nullspace_basis,
     rank,
@@ -46,6 +46,7 @@ from oracles import (
     DRAG_MIXED_BASIS,
     drag_model,
     evaluate_monomial,
+    load_bench,
     minor_rank,
     model_from_matrices,
     pendulum_model,
@@ -591,50 +592,55 @@ def test_analyze_refusal_to_factor_invariant_constraints_is_a_bug(monkeypatch):
         analyze(model)
 
 
-@pytest.mark.parametrize(
-    "rank_j_shift, rank_c_shift", [(1, 0), (0, -1)], ids=["rank_J", "rank_C"]
-)
-def test_analyze_refuses_disagreeing_effective_counts(monkeypatch, rank_j_shift, rank_c_shift):
-    # rank J and rank C come from two eliminations of two matrices; C E^T = J
-    # with E of full column rank makes them equal
-    original_rank = reduce_module.rank
-    original_rref = reduce_module.rref_with_transform
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
-    def rank(matrix):
-        return original_rank(matrix) + (rank_j_shift if matrix == DRAG_J else 0)
 
-    def rref_with_transform(matrix):
-        result, transform = original_rref(matrix)
-        pivots = result.pivot_cols[: result.rank + rank_c_shift]
-        return RrefResult(result.rref, pivots), transform
+def _corpus_model(name: str) -> Model:
+    return parse_model((CORPUS / f"{name}.pim").read_text(encoding="utf-8"))
 
-    monkeypatch.setattr(reduce_module, "rank", rank)
-    monkeypatch.setattr(reduce_module, "rref_with_transform", rref_with_transform)
-    with pytest.raises(InvariantViolation, match="effective-count formulas disagree"):
-        analyze(drag_model())
+
+def _ladder_round(pointwise: bool) -> list[Model]:
+    return [parse_model(made.text) for made in load_bench("gen").ladder(1, 1, pointwise)]
 
 
 @pytest.mark.parametrize(
-    "model, invariant, eliminations",
+    "models, invariant",
     [
-        # the kernel of A, rank J and rref(C)
-        (drag_model(), True, 3),
-        # the kernel of A and rank(J E)
-        (drag_model(extra_constraints=(JacobianRowConstraint((1, 0, 0, 0, 0, 0)),)), False, 2),
+        ([drag_model()], True),
+        ([drag_model(extra_constraints=(JacobianRowConstraint((1, 0, 0, 0, 0, 0)),))], False),
+        ([_corpus_model("forced_convection")], True),
+        ([_corpus_model("free_fall")], False),
+        # no constraints: C is 0 x d
+        ([Model(drag_model().dims, drag_model().quantities)], True),
+        (_ladder_round(pointwise=False), True),
+        (_ladder_round(pointwise=True), False),
     ],
-    ids=["invariant", "pointwise"],
+    ids=[
+        "invariant", "pointwise", "forced_convection", "free_fall", "no_constraints",
+        "ladder_invariant", "ladder_pointwise",
+    ],
 )
-def test_analyze_computes_each_rank_once(monkeypatch, model, invariant, eliminations):
-    calls = []
-    original = ratlin_module._eliminate
+def test_analyze_computes_each_rank_once(monkeypatch, models, invariant):
+    # the kernel of A, then rref(C) when invariant and rank(J E) otherwise
+    eliminations, ranks = [], []
+    eliminate, original_rank = ratlin_module._eliminate, reduce_module.rank
 
-    def eliminate(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_eliminate(*args, **kwargs):
+        eliminations.append(args)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(ratlin_module, "_eliminate", eliminate)
-    assert analyze(model).scale_invariant is invariant
-    assert len(calls) == eliminations
+    def counted_rank(matrix):
+        ranks.append(matrix)
+        return original_rank(matrix)
+
+    monkeypatch.setattr(ratlin_module, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(reduce_module, "rank", counted_rank)
+    for model in models:
+        eliminations.clear()
+        ranks.clear()
+        assert analyze(model).scale_invariant is invariant
+        assert len(eliminations) == 2
+        assert len(ranks) == (0 if invariant else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """verify_report, the check of a whole report that does not run pim's own
-elimination kernel: every report of the digest corpus and of the benchmark's
-ladder passes it, and each of its claims fails on a report mutated to break
+elimination kernel: every report of the digest corpus, of the hand-worked
+models in tests/corpus and of the benchmark's ladder passes it, and each of its claims fails on a report mutated to break
 that claim."""
 
 from __future__ import annotations
@@ -33,8 +33,12 @@ constraint b / c = 3
 """
 
 
-def test_every_report_of_the_corpus_and_the_ladder_holds(gen):
+def test_every_report_of_the_corpus_and_the_ladder_holds(gen, repo_root):
     texts = list(test_report_digests._all_models().values())
+    texts += [
+        path.read_text(encoding="utf-8")
+        for path in sorted((repo_root / "tests" / "corpus").glob("*.pim"))
+    ]
     texts += [
         made.text
         for seed in (1, 2, 3)
@@ -50,7 +54,7 @@ def test_every_report_of_the_corpus_and_the_ladder_holds(gen):
             continue  # the CLI refuses this model
         assert verify_report(model, report) == [], text
         verified += 1
-    assert verified == 106
+    assert verified == 110
 
 
 def _doubled(matrix: RatMatrix) -> RatMatrix:
