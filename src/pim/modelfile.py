@@ -46,8 +46,9 @@ from .reduce import (
 )
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
-# A term NAME^p: the longest name, then what _RATIONAL_RE reads after a '^'.
-_TERM = rf"({_IDENT_RE.pattern})(?:\^(-?[0-9]+(/[0-9]+)?))?"
+# A term NAME^p: the longest name, then what _RATIONAL_RE reads after a '^'
+# (groups: the name, the exponent, the exponent's denominator).
+_TERM = rf"({_IDENT_RE.pattern})(?:\^({_RATIONAL_RE.pattern}))?"
 # A whitespace-separated word: a whole term (the name group set), or any other.
 _WORD_RE = re.compile(_TERM + r"(?!\S)|\S+")
 # An operator, a term and the space after it; or any other character (no
@@ -170,9 +171,9 @@ def _dimexpr(
     by pim._terms._dimexpr_terms, imported only then."""
     exps: list[int | Fraction] = [0] * len(dim_index)
     words = _WORD_RE.findall(text, pos)
-    for name, exp, fraction in words:
+    for name, exp, den in words:
         # a word that is not a whole term has the name '', which no dimension has
-        if name not in dim_index or fraction or len(exp) > MAX_DIGITS:
+        if name not in dim_index or den or len(exp) > MAX_DIGITS:
             break
         exps[dim_index[name]] += int(exp) if exp else 1
     else:
@@ -195,8 +196,8 @@ def _monomial(
     exps: list[int | Fraction] = [0] * len(name_index)
     # With a '*' before it, every factor follows an operator. A character
     # that no factor reads has the name '', which no quantity has.
-    for op, name, exp, fraction in _FACTOR_RE.findall("*" + text[pos:end]):
-        if name not in name_index or fraction or len(exp) > MAX_DIGITS:
+    for op, name, exp, den in _FACTOR_RE.findall("*" + text[pos:end]):
+        if name not in name_index or den or len(exp) > MAX_DIGITS:
             from ._terms import _monomial_terms
 
             return _monomial_terms(errors, text, pos, end, name_index)

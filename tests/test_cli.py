@@ -1,3 +1,13 @@
+"""The command line: cli.run on model text and cli.main on argv, files and
+the standard streams.
+
+Exit codes and what each path writes to stdout and stderr (0 a report, 1 a
+refused input or usage, 2 a non-invariant model under --strict, 3 an engine
+bug), the hand-read command line against argparse, the golden text and JSON
+reports of every model under models/, refusals that check and analyze share,
+closed or full standard streams, and which modules a command line loads.
+"""
+
 from __future__ import annotations
 
 import errno
@@ -20,6 +30,9 @@ from pim.modelfile import parse_model, render_report
 from pim.reduce import InvariantViolation, analyze
 
 import pim.cli as cli_module
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "models").glob("*.pim"))
 
 
 def _analyze(fmt: str = "text", strict: bool = False) -> CliConfig:
@@ -94,8 +107,9 @@ _NO_DIRECTIVE = (
 )
 
 
-def test_run_invalid_basis_override_exit_1():
-    # basis_override: is no directive; the error names the ones there are
+def test_run_line_with_no_directive_exit_1():
+    # basis_override:, the retired directive, starts with none; the error
+    # names the ones there are
     text = "dimensions: M\nquantity a = M\nquantity b = M\nbasis_override:\n"
     code, out, err = run(_analyze(), text)
     assert (code, out) == (1, "")
@@ -168,8 +182,7 @@ TOO_LONG_IN_GROUP_2 = TOO_LONG_TO_PRINT.replace("quantity x", "quantity w = 1\nq
 
 
 def _check_inputs() -> list:
-    root = Path(__file__).resolve().parent.parent
-    files = sorted((root / "models").glob("*.pim")) + sorted((root / "tests" / "models").glob("*.pim"))
+    files = SHIPPED + sorted((ROOT / "tests" / "models").glob("*.pim"))
     cases = [pytest.param(p.read_text(encoding="utf-8"), id=p.name) for p in files]
     cases += [pytest.param(text, id=name) for name, text in NO_DIRECTIVE_LINES.items()]
     cases += [
@@ -192,21 +205,21 @@ def test_check_refuses_what_analyze_refuses(text: str):
         assert err.startswith(("error: ", "test.pim:"))
 
 
-SCALED_OVERRIDE = (
+SCALED_REPEATING = (
     "dimensions: M\nquantity a = M\nquantity b = M\n"
     "constraint a/b = 3\nrepeating: b\n"
 )
 
 
-def test_run_override_column_is_scaled_before_the_relations_are_read():
+def test_run_repeating_group_is_scaled_before_the_relations_are_read():
     # With b repeating, the kernel of A with b first holds (1, -1) over
     # (b, a); read back over (a, b) that is (-1, 1), which is scaled to the
     # group a/b before the relation is read: a/b = 3, not 1/3.
-    code, out, err = run(_analyze(), SCALED_OVERRIDE)
+    code, out, err = run(_analyze(), SCALED_REPEATING)
     assert (code, err) == (0, "")
     assert "  pi1 = a/b\n" in out
     assert "relation: pi1 = 3\n" in out
-    payload = json.loads(run(_analyze("json"), SCALED_OVERRIDE)[1])
+    payload = json.loads(run(_analyze("json"), SCALED_REPEATING)[1])
     assert payload["E"] == [["1"], ["-1"]]
     assert payload["C"] == [["1"]]
 
@@ -656,24 +669,13 @@ def test_want_color_respects_env(monkeypatch):
     assert cli_module._want_color() is True
 
 
-def test_golden_json_report(repo_root: Path):
-    model_text = (repo_root / "models" / "drag.pim").read_text(encoding="utf-8")
-    golden = (repo_root / "tests" / "golden" / "drag_report.json").read_text(
-        encoding="utf-8"
-    )
-    config = CliConfig(command="analyze", input_path="models/drag.pim", format="json")
-    code, out, err = run(config, model_text)
-    assert code == 0
-    assert out == golden
-
-
 @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
-@pytest.mark.parametrize("name", ["drag", "drag_auto", "pendulum"])
-def test_golden_reports_of_shipped_models(repo_root: Path, name: str, fmt: str, suffix: str):
+@pytest.mark.parametrize("name", [path.stem for path in SHIPPED])
+def test_golden_reports_of_shipped_models(name: str, fmt: str, suffix: str):
     path = f"models/{name}.pim"
-    golden = repo_root / "tests" / "golden" / f"{name}_report.{suffix}"
+    golden = ROOT / "tests" / "golden" / f"{name}_report.{suffix}"
     config = CliConfig(command="analyze", input_path=path, format=fmt)
-    code, out, err = run(config, (repo_root / path).read_text(encoding="utf-8"))
+    code, out, err = run(config, (ROOT / path).read_text(encoding="utf-8"))
     assert (code, err) == (0, "")
     assert out == golden.read_text(encoding="utf-8")
 

@@ -1,12 +1,16 @@
 """Classical constrained problems, with answers derived by hand.
 
-Each model under tests/corpus works its answers out in its comments, from
-the definitions of its quantities and not from pim's formulas. The test
-holds those answers as literals: d, d_eff, the scale-invariance verdict,
-the size of the kept set, and each relation as the monomial of the
-quantities that its pi groups multiply out to (E p for the relation's pi
-exponents p), with its constant. A relation and its inverse say the same,
-so relations compare up to sign.
+Each model named in ANSWERS (models/<name>.pim) works its answers out in
+its comments, from the definitions of its quantities and not from pim's
+formulas: forced convection, pipe flow with roughness, the same pipe with
+its constraint also stated squared (accepted, with the same answers), and
+free fall, which is not scale invariant. The test holds those answers as
+literals: d, d_eff, the scale-invariance verdict, the size of the kept
+set, and each relation as the monomial of the quantities that its pi
+groups multiply out to (E p for the relation's pi exponents p), with its
+constant. A relation and its inverse say the same, so relations compare up
+to sign. Like every shipped model, each also has golden reports
+(tests/test_cli.py) and a pinned digest (tests/test_report_digests.py).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import pytest
 
 from pim.cli import CliConfig, run
 
-CORPUS = Path(__file__).resolve().parent / "corpus"
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 # the viscosity and the thermal diffusivity as their definitions say them
 NU = {"rho": 1, "mu": -1, "nu": 1}  # nu*rho/mu = 1
@@ -35,7 +39,7 @@ ANSWERS = {
 
 
 def _report(name: str) -> dict:
-    path = CORPUS / f"{name}.pim"
+    path = MODELS / f"{name}.pim"
     config = CliConfig(command="analyze", input_path=str(path), format="json")
     code, out, err = run(config, path.read_text(encoding="utf-8"))
     assert (code, err) == (0, "")

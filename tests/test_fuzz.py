@@ -3,9 +3,10 @@
 Inputs are shipped models mutated token by token, small models built from
 the grammar with exponents up to 10^12 and constraints sometimes nested in
 2,000 parentheses, and soups of grammar tokens, with literals up to and
-past CPython's 4,300-digit limit. Every input must end
-in a documented exit code other than 3 (an engine bug), with empty stdout
-whenever the exit code is nonzero.
+past CPython's 4,300-digit limit. The run is derandomized and takes
+about 2 s. Every input, through analyze (text and JSON) and check, must
+end in a documented exit code other than 3 (an engine bug), with empty
+stdout whenever the exit code is nonzero.
 """
 
 from __future__ import annotations

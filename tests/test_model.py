@@ -1,3 +1,9 @@
+"""pim.model: the dimension system and quantities, the dimension matrix A,
+the Buckingham count d = n - rank A, and the pi basis E with its labels, by
+default and from a repeating set; and self-tests of the monomial and
+rescaling oracles in tests/oracles.py.
+"""
+
 from __future__ import annotations
 
 import json
@@ -157,7 +163,7 @@ def test_pi_basis_pendulum_auto():
     assert (a @ basis).is_zero()
 
 
-def test_pi_basis_scales_override_columns_and_e_is_the_groups():
+def test_pi_basis_scales_repeating_columns_and_e_is_the_groups():
     # A repeating set in any order gives the same columns, each made
     # primitive in declaration order: with b repeating, the permuted
     # kernel's column b/a reads -1, 1 back in declaration order, so it

@@ -1,3 +1,9 @@
+"""pim.modelfile: the .pim parser, its error codes and spans, the one-regex
+readers against the term readers of pim._terms, render_model round trips,
+and the text and JSON reports, the JSON byte for byte json.dumps(indent=2)
+of its payload.
+"""
+
 from __future__ import annotations
 
 import json
@@ -114,7 +120,7 @@ def test_crlf_and_lone_cr_read_as_lf(drag_text, newline: str):
     assert [(e.span.line, e.span.column) for e in _parse_errors(crlf)] == located
 
 
-def test_parse_basis_block_ends_at_keyword():
+def test_parse_reads_a_directive_after_lines_with_none():
     # A basis_override: line starts with no directive, and so does each row
     # under it; the next directive line is read as usual.
     text = (
@@ -598,7 +604,7 @@ def test_render_model_round_trip_of_repeating():
     assert analyze(reordered) == analyze(model)
 
 
-def test_render_model_round_trip_of_a_zero_column_override():
+def test_render_model_round_trip_of_a_zero_column_basis():
     # d = 0: every quantity repeats, and the basis has no columns
     model = Model(
         DimensionSystem(("M", "L")),
@@ -817,7 +823,7 @@ def test_labels_reparse_to_their_exponents(gen):
             left = entry["label"].split(" = ")[0]
             assert parse_monomial(left, pi_names) == tuple(map(Fraction, relation.pi_exponents))
         checked += 1
-    assert checked == 78
+    assert checked == 82
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+"""pim.ratlin, the exact kernel: RatMatrix and its integer fields,
+rref_with_transform, rank, nullspace bases, primitive vectors and exact_pow,
+against textbook and minor-enumeration oracles (and sympy when installed),
+on shapes up to 10 x 48, twice the width of the benchmark's n = 24 rung.
+"""
+
 from __future__ import annotations
 
 import math

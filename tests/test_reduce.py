@@ -1,3 +1,12 @@
+"""pim.reduce: the constraint Jacobian J, the scale-invariance verdict,
+d_eff, the redundancy matrix C with C E^T = J, the independent set and the
+relations read off rref(C), and analyze end to end, with the eliminations
+one analysis runs. test_seed_era_n40_model pins a random n = 40 model over
+10 dimensions with 12 invariant constraints (d = 30, d_eff = 18, 12
+relations), the size at which the exact engine once ran about 29 s and
+then crashed.
+"""
+
 from __future__ import annotations
 
 import json
@@ -400,7 +409,7 @@ def test_analyze_drag_classic():
     assert _report_payload(report)["warnings"] == []
 
 
-def test_analyze_drag_with_a_basis_override_without_unit_rows(drag_text):
+def test_analyze_refuses_each_line_of_a_written_out_mixed_basis(drag_text):
     # No repeating set gives DRAG_MIXED_BASIS, and no analysis sees it: the
     # basis_override: line that once held it, and each of its rows, is a
     # line that starts with no directive.
@@ -592,11 +601,11 @@ def test_analyze_refusal_to_factor_invariant_constraints_is_a_bug(monkeypatch):
         analyze(model)
 
 
-CORPUS = Path(__file__).resolve().parent / "corpus"
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def _corpus_model(name: str) -> Model:
-    return parse_model((CORPUS / f"{name}.pim").read_text(encoding="utf-8"))
+def _shipped_model(name: str) -> Model:
+    return parse_model((MODELS / f"{name}.pim").read_text(encoding="utf-8"))
 
 
 def _ladder_round(pointwise: bool) -> list[Model]:
@@ -608,8 +617,8 @@ def _ladder_round(pointwise: bool) -> list[Model]:
     [
         ([drag_model()], True),
         ([drag_model(extra_constraints=(JacobianRowConstraint((1, 0, 0, 0, 0, 0)),))], False),
-        ([_corpus_model("forced_convection")], True),
-        ([_corpus_model("free_fall")], False),
+        ([_shipped_model("forced_convection")], True),
+        ([_shipped_model("free_fall")], False),
         # no constraints: C is 0 x d
         ([Model(drag_model().dims, drag_model().quantities)], True),
         (_ladder_round(pointwise=False), True),
